@@ -206,8 +206,10 @@ class ProtocolRun:
         """
         if self.cavity is None or self.pulse is None:
             raise SchedulingError("noisy mode requires cavity and pulse settings")
+        # the pulse itself (hashed by identity) keeps it alive, so its id
+        # cannot be reused by another pulse while the entry exists
         key = (self.cavity.g, self.cavity.kappa, self.cavity.gamma,
-               self.cavity.g2, id(self.pulse))
+               self.cavity.g2, self.pulse)
         if key not in self._cz_cache:
             comps = cz_output_state(None, self.pulse, self.cavity)
             x = self.pulse.mean_photon_number

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, rate_to_mhz
-from .cavity import CavityParams, PulseSpec, cz_gate_fidelity, photon_loss
+from .cavity import CavityParams, cz_gate_fidelity, photon_loss
 from .noise import (
     EchoSequence,
     NoiseSpectrum,
@@ -107,7 +107,7 @@ def run_fidelity_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     f_ref, params, pulse = _working_point_fidelity(cfg)
     grid = cfg.sweep_grid(0.1, 4.0, 20)
     fids = _pmap(lambda nb: cz_gate_fidelity(
-        None, _with_alpha(pulse, math.sqrt(nb)), params), list(grid), threads)
+        None, pulse.with_alpha(math.sqrt(nb)), params), list(grid), threads)
     rows = [(float(nb), float(f)) for nb, f in zip(grid, fids)]
     elapsed = time.monotonic() - started
 
@@ -126,13 +126,6 @@ def run_fidelity_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
             "kappa_mhz": f"{rate_to_mhz(params.kappa):g}",
             "gamma_mhz": f"{rate_to_mhz(params.gamma):g}"}
     return ScenarioResult(["nbar", "fidelity"], rows, checks, meta)
-
-
-def _with_alpha(pulse: PulseSpec, alpha: complex) -> PulseSpec:
-    spec = PulseSpec(pulse.T, alpha, pulse.kind, pulse.shape,
-                     _normalize=pulse._normalize)
-    spec._grids = pulse.grids
-    return spec
 
 
 def run_g_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
@@ -256,8 +249,8 @@ def cnot_matrix() -> np.ndarray:
     return m
 
 
-def _random_logical_pair(rng) -> np.ndarray:
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+def _random_state(rng, dim: int) -> np.ndarray:
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
 
 
@@ -291,7 +284,7 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
                    for s in np.random.SeedSequence(cfg.seed).spawn(trials)]
 
     if protocol == "teleported-cnot":
-        inputs = [_random_logical_pair(rng) for _ in range(trials)]
+        inputs = [_random_state(rng, 4) for _ in range(trials)]
 
         def point(i: int):
             res = _teleport_once(inputs[i], trial_seeds[i])
@@ -307,7 +300,7 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
         # branch independence: all 16 forced Bell outcomes on fixed inputs
         max_dist = 0.0
         for probe in range(3):
-            c4 = _random_logical_pair(np.random.default_rng(cfg.seed + 7 + probe))
+            c4 = _random_state(np.random.default_rng(cfg.seed + 7 + probe), 4)
             outs = []
             for la in BELL_LABELS:
                 for lb in BELL_LABELS:
@@ -341,9 +334,10 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
                               rows, checks)
 
     if protocol == "hadamard":
+        inputs = [_random_state(rng, 2) for _ in range(trials)]
+
         def point(i: int):
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            v /= np.linalg.norm(v)
+            v = inputs[i]
             run = ProtocolRun.create([("sys", pair_ket((v[0], v[1]))),
                                       ("anc", "+L")], seed=trial_seeds[i])
             branch, out = logical_hadamard(run, "sys", "anc")
@@ -368,8 +362,7 @@ def run_leakage_demo(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
              ("2L", "leak"), ("3L", "leak")]
     inputs = [(name, pair_ket(name), expect) for name, expect in cases]
     for i in range(n_random):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v /= np.linalg.norm(v)
+        v = _random_state(rng, 2)
         inputs.append((f"random_{i}", pair_ket((v[0], v[1])), "clean"))
 
     rows, ok = [], True

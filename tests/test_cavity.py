@@ -11,6 +11,7 @@ were frozen, not by the module under test):
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from dfsqc.cavity import (
     photon_loss,
     propagate_pulse,
     reflection_coefficient,
+    _chirp_z,
 )
+from dfsqc.config import ScenarioConfig
 
 MHZ = 2 * math.pi * 1e6
 
@@ -107,6 +110,20 @@ class TestReflectionCoefficient:
         assert p.bright_coupling_sq() == pytest.approx((27**2 + 13**2) * MHZ**2)
         equal = CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ, 2)
         assert equal.bright_coupling_sq() == pytest.approx(2 * (27 * MHZ) ** 2)
+
+
+class TestChirpZ:
+    @pytest.mark.parametrize("n, m", [(7, 13), (13, 7), (9, 9)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_direct_sum(self, n, m, sign):
+        rng = np.random.default_rng(n * m)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        n0, dn, k0, dk = 0.37, 0.21, -1.9, 0.13
+        rows = k0 + dk * np.arange(m)
+        cols = n0 + dn * np.arange(n)
+        direct = np.exp(sign * 1j * np.outer(rows, cols)) @ x
+        np.testing.assert_allclose(_chirp_z(x, n0, dn, k0, dk, m, sign),
+                                   direct, rtol=1e-12)
 
 
 class TestPropagatePulse:
@@ -239,6 +256,21 @@ class TestCzFidelity:
         f = cz_gate_fidelity(None, standard_pulse(), realistic_params())
         assert 0.98 <= f <= 1.0
         assert f == pytest.approx(0.99569, abs=5e-4)
+
+    def test_config_working_point_pinned(self):
+        # frozen from the direct O(N^2) DFT sum, which the chirp-z route must match
+        path = Path(__file__).resolve().parent.parent / "configs" / "cz-fidelity.yaml"
+        cfg = ScenarioConfig.from_file(path)
+        params = cfg.physics()
+        f = cz_gate_fidelity(None, cfg.pulse(params), params)
+        assert f == pytest.approx(0.9956948030703393, abs=1e-12)
+
+    def test_with_alpha_shares_grids(self):
+        pulse = standard_pulse()
+        other = pulse.with_alpha(0.5)
+        assert other.alpha == 0.5 and pulse.alpha == 1.26
+        assert other.grids is pulse.grids
+        assert other.kind == pulse.kind and other.T == pulse.T
 
     def test_small_alpha_limit(self):
         # oracle: F -> |sum w Otilde|^2 / sum w E as alpha -> 0

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dfsqc
 from dfsqc.cli import main
 from dfsqc.config import (
     ConfigError,
@@ -48,6 +53,23 @@ sweep:
   start: 2.0
   stop: 3.0
   points: 2
+"""
+
+G_SWEEP_CFG = """\
+kind: g-sweep
+name: gsweep
+seed: 3
+sweep:
+  points: 3
+"""
+
+DECOUPLING_CFG = """\
+kind: decoupling
+name: echo
+seed: 9
+realizations: 300
+echo:
+  dt_cutoff_product: [0.02, 0.05, 0.1]
 """
 
 
@@ -145,11 +167,20 @@ class TestArtifacts:
         assert any("op=measure_p34" in line and "p=" in line for line in log)
 
     def test_threads_do_not_change_output(self, tmp_path):
-        cfg = ScenarioConfig.from_yaml(FID_CFG)
-        run_scenario(cfg, tmp_path / "a", threads=1)
-        run_scenario(cfg, tmp_path / "b", threads=3)
-        assert (tmp_path / "a" / "czfid.csv").read_bytes() == \
-            (tmp_path / "b" / "czfid.csv").read_bytes()
+        # one small config per scenario kind, every protocol included
+        configs = [FID_CFG, LEAK_CFG, TRANSPORT_BAD_CFG, G_SWEEP_CFG,
+                   DECOUPLING_CFG] + [
+            f"kind: protocol-run\nname: {protocol}\nseed: 5\n"
+            f"protocol: {protocol}\ntrials: {trials}\n"
+            for protocol, trials in (("hadamard", 120), ("bsm", 8),
+                                     ("teleported-cnot", 4))]
+        for text in configs:
+            cfg = ScenarioConfig.from_yaml(text)
+            run_scenario(cfg, tmp_path / "a", threads=1)
+            run_scenario(cfg, tmp_path / "b", threads=3)
+            name = f"{cfg.name}.csv"
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), cfg.name
 
 
 class TestCliEntry:
@@ -190,6 +221,15 @@ class TestCliEntry:
 
     def test_report_missing_dir_exits_2(self, tmp_path):
         assert main(["report", str(tmp_path / "empty")]) == 2
+
+    def test_import_does_not_load_scipy_signal(self):
+        # importing scipy.signal costs more start-up time than all of dfsqc.cli
+        src = str(Path(dfsqc.__file__).resolve().parents[1])
+        code = "import sys, dfsqc.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 class TestReport:

@@ -125,6 +125,37 @@ class TestPhysicalCz:
         c00 = abs(np.vdot(kron_all([pair_ket("0L"), pair_ket("0L")]), amps))
         assert c11 > c00
 
+    def test_cz_map_follows_the_pulse(self):
+        # a cached map must never be handed to another pulse, even one that
+        # reuses the id() of a pulse dropped earlier
+        p = CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ)
+        base = PulseSpec.gaussian(200 / p.kappa, 1.26, "odd_cat")
+        state = encode_two(np.ones(4) / 2)
+
+        def fresh_map(pulse):
+            return two_pair_run(state, mode="noisy", cavity=p,
+                                pulse=pulse)._cz_map()
+
+        maps = []
+        for alpha in (0.5, 2.0):
+            run = two_pair_run(state, mode="noisy", cavity=p,
+                               pulse=base.with_alpha(alpha))
+            maps.append(run._cz_map())
+            del run
+        assert not np.allclose(maps[0], maps[1])
+        for alpha, m in zip((0.5, 2.0), maps):
+            np.testing.assert_array_equal(m, fresh_map(base.with_alpha(alpha)))
+
+        # one run whose pulse is replaced: the previous pulse is freed
+        # first, so CPython tends to give the new one the same id()
+        run = two_pair_run(state, mode="noisy", cavity=p,
+                           pulse=base.with_alpha(0.25))
+        for alpha in (0.5, 0.75, 1.0, 1.5, 2.0, 2.5):
+            run._cz_map()
+            run.pulse = None
+            run.pulse = base.with_alpha(alpha)
+            np.testing.assert_array_equal(run._cz_map(), fresh_map(run.pulse))
+
 
 class TestProjectiveMeasurements:
     def test_p12_on_ones(self):
