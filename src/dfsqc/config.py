@@ -5,7 +5,8 @@ nu and converted internally to angular frequencies w = 2*pi*nu*1e6 rad/s;
 times are entered in microseconds.  Reports convert back, so a kappa
 entered as 2.4 stays 2.4 MHz on the way out.
 
-Schema (defaults in parentheses):
+Schema (defaults in parentheses); every kind also takes ``kind``, ``name``
+and ``seed``, and a key the kind does not list is rejected:
 
     kind: fidelity-sweep | g-sweep | decoupling | transport-noise |
           protocol-run | leakage-demo
@@ -13,20 +14,22 @@ Schema (defaults in parentheses):
     seed: integer (12345)
     physics:            # fidelity-sweep, g-sweep
       g_mhz (27.0), kappa_mhz (2.4), gamma_mhz (2.6)
-    pulse:
+    pulse:              # fidelity-sweep, g-sweep
       duration_over_kappa (200.0), alpha (1.26), kind (odd_cat)
-    sweep:
+    sweep:              # fidelity-sweep, g-sweep, transport-noise
       start, stop, points        # grid, scenario-specific meaning
     noise:              # decoupling, transport-noise
-      model (band-limited-white), tau_co_ms (1.0), cutoff_hz (100.0)
-    echo:
+      model (band-limited-white), tau_co_ms (1.0), cutoff_hz (100.0),
+      table_path (table model only)
+    echo:               # decoupling
       dt_cutoff_product ([0.01 .. 0.1]), n_cycles (1)
-    realizations (10000)
+    realizations (10000)         # decoupling
     transport:          # transport-noise
       tau_t_us (100.0), d_um (10.0)
     protocol:           # protocol-run
       teleported-cnot | bsm | hadamard
-    trials (100)
+    trials (100)                 # protocol-run
+    random_inputs (50)           # leakage-demo
 """
 
 from __future__ import annotations
@@ -41,14 +44,26 @@ import yaml
 MHZ = 2.0 * math.pi * 1e6
 US = 1e-6
 
-KINDS = (
-    "fidelity-sweep",
-    "g-sweep",
-    "decoupling",
-    "transport-noise",
-    "protocol-run",
-    "leakage-demo",
-)
+_SWEEP = {"start", "stop", "points"}
+_NOISE = {"model", "tau_co_ms", "cutoff_hz", "table_path"}
+_CAVITY = {
+    "physics": {"g_mhz", "kappa_mhz", "gamma_mhz"},
+    "pulse": {"duration_over_kappa", "alpha", "kind"},
+    "sweep": _SWEEP,
+}
+# kind -> allowed top-level keys besides kind/name/seed, each mapped to the
+# keys its section allows, or to None for a plain value
+SCHEMA = {
+    "fidelity-sweep": _CAVITY,
+    "g-sweep": _CAVITY,
+    "decoupling": {"noise": _NOISE, "echo": {"dt_cutoff_product", "n_cycles"},
+                   "realizations": None},
+    "transport-noise": {"noise": _NOISE, "transport": {"tau_t_us", "d_um"},
+                        "sweep": _SWEEP},
+    "protocol-run": {"protocol": None, "trials": None},
+    "leakage-demo": {"random_inputs": None},
+}
+KINDS = tuple(SCHEMA)
 
 
 class ConfigError(ValueError):
@@ -191,8 +206,18 @@ class ScenarioConfig:
         return TransportNoise(d=d, tau_T=tau_t, base=self.noise_spectrum())
 
     # -- validation ------------------------------------------------------
+    def _check_keys(self):
+        schema = SCHEMA[self.kind]
+        for key in self.data:
+            if key not in schema:
+                raise ConfigError(f"unknown key {key!r} for kind {self.kind!r}")
+            if schema[key] is not None:
+                unknown = sorted(set(self.section(key)) - schema[key])
+                if unknown:
+                    raise ConfigError(f"unknown key(s) {unknown} in section {key!r}")
+
     def validate(self):
-        self.section("physics")
+        self._check_keys()
         if self.kind in ("fidelity-sweep", "g-sweep"):
             self.physics()
             self.pulse()

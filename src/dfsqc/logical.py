@@ -28,11 +28,11 @@ from .register import (
     ProjectorSet,
     QuantumRegister,
     RegisterError,
-    _apply_matrix,
     apply_unitary,
     kron_all,
     measure,
     rz,
+    target_index,
 )
 
 
@@ -54,11 +54,6 @@ class LogicalQubit:
     @property
     def atoms(self):
         return (self.atom_a, self.atom_b)
-
-
-def standard_layout(n_pairs: int):
-    """Consecutive pairing: logical qubit i on atoms (2i, 2i+1)."""
-    return [LogicalQubit(2 * i, 2 * i + 1) for i in range(n_pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +102,6 @@ def pair_ket(name) -> np.ndarray:
     if norm == 0:
         raise ValueError("zero logical amplitudes")
     return vec / norm
-
-
-def encode_logical(c0, c1) -> np.ndarray:
-    return pair_ket((c0, c1))
-
-
-def logical_components(pair_vec: np.ndarray):
-    """(c0, c1, leak_00, leak_11) amplitudes of a 4-dim pair ket."""
-    v = np.asarray(pair_vec)
-    return v[IDX_0L], v[IDX_1L], v[IDX_00], v[IDX_11]
 
 
 def bell_ket(name: str) -> np.ndarray:
@@ -209,21 +194,18 @@ def apply_pair_unitary(reg: QuantumRegister, q: LogicalQubit, op4: np.ndarray):
     return apply_unitary(reg, op4, [q.atom_a, q.atom_b])
 
 
+def _atoms(q_or_atoms) -> tuple:
+    return q_or_atoms.atoms if isinstance(q_or_atoms, LogicalQubit) else tuple(q_or_atoms)
+
+
 def joint_ones_projectors(q_or_atoms) -> ProjectorSet:
     """{P1, P2} with P1 = |11><11| on the two atoms, labels pi1/pi2."""
-    atoms = q_or_atoms.atoms if isinstance(q_or_atoms, LogicalQubit) else tuple(q_or_atoms)
-    p1 = np.zeros((4, 4), dtype=complex)
-    p1[IDX_11, IDX_11] = 1.0
-    return ProjectorSet([p1, np.eye(4) - p1], ["pi1", "pi2"], list(atoms))
+    return ProjectorSet((1, 1, 1, 0), ("pi1", "pi2"), _atoms(q_or_atoms))
 
 
 def parity_projectors(q_or_atoms) -> ProjectorSet:
     """{P3, P4} with P3 = |00><00| + |11><11| on the two atoms, labels pi3/pi4."""
-    atoms = q_or_atoms.atoms if isinstance(q_or_atoms, LogicalQubit) else tuple(q_or_atoms)
-    p3 = np.zeros((4, 4), dtype=complex)
-    p3[IDX_00, IDX_00] = 1.0
-    p3[IDX_11, IDX_11] = 1.0
-    return ProjectorSet([p3, np.eye(4) - p3], ["pi3", "pi4"], list(atoms))
+    return ProjectorSet((0, 1, 1, 0), ("pi3", "pi4"), _atoms(q_or_atoms))
 
 
 class LogicalMeasurement(NamedTuple):
@@ -300,12 +282,8 @@ def logical_basis_measurement(reg: QuantumRegister, q: LogicalQubit, basis: str,
 
 def logical_support(reg: QuantumRegister, qubits) -> float:
     """Probability weight of the state inside the logical span of every pair."""
-    work = reg.copy()
-    proj = np.zeros((4, 4), dtype=complex)
-    proj[IDX_0L, IDX_0L] = 1.0
-    proj[IDX_1L, IDX_1L] = 1.0
+    inside = np.ones(reg.dim, dtype=bool)
     for q in qubits:
-        _apply_matrix(work, proj, list(q.atoms))
-    if work.is_pure:
-        return float(np.sum(np.abs(work.amplitudes) ** 2))
-    return float(np.real(np.trace(work.amplitudes)))
+        pair = target_index(reg.n_qubits, q.atoms)
+        inside &= (pair == IDX_0L) | (pair == IDX_1L)
+    return float(np.sum(np.where(inside, reg.populations, 0.0)))

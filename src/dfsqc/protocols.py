@@ -51,7 +51,7 @@ from .logical import (
     joint_ones_projectors,
 )
 from .cavity import CavityParams, PulseSpec, _branch_norm_sq, cz_output_state
-from .noise import TransportNoise, apply_dephasing_channel, transported_power
+from .noise import TransportNoise, apply_dephasing_channel, transport_phase_std
 
 
 class SchedulingError(RuntimeError):
@@ -252,7 +252,7 @@ def transport(run: ProtocolRun, step: TransportStep, noisy=None, rng=None):
     if tn is None:
         raise SchedulingError("noisy transport requires transport_noise settings")
     moved = set(step.atoms_in) | set(step.atoms_out)
-    std = step.duration * math.sqrt(transported_power(tn))
+    std = transport_phase_std(tn, step.duration)
     gen = run._gen(rng)
     for name in run.layout:
         q = run.layout[name]
@@ -265,7 +265,7 @@ def transport(run: ProtocolRun, step: TransportStep, noisy=None, rng=None):
 
 def _ensure_in_cavity(run: ProtocolRun, atoms):
     atoms = set(atoms)
-    if atoms <= run.in_cavity and len(run.in_cavity) <= 2:
+    if atoms <= run.in_cavity:
         return
     out = tuple(sorted(run.in_cavity - atoms))
     into = tuple(sorted(atoms - run.in_cavity))
@@ -605,9 +605,8 @@ def dfs_transport_advantage(tn: TransportNoise, n_realizations: int, rng):
     fidelity).
     """
     gen = as_generator(rng)
-    tau = tn.tau_T
-    std_enc = tau * math.sqrt(transported_power(tn))
-    std_bare = tau * math.sqrt(tn.base.total_power)
+    std_enc = transport_phase_std(tn)
+    std_bare = tn.tau_T * math.sqrt(tn.base.total_power)
     plus_l = pair_ket("+L")
     enc_total = bare_total = 0.0
     for _ in range(n_realizations):

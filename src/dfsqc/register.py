@@ -12,6 +12,11 @@ Conventions (fixed once, inherited by every other module):
 * Registers are value-like: operations mutate ``amplitudes`` in place and
   return the same object; use :meth:`QuantumRegister.copy` to branch.
 
+Measurements: every projector the protocols measure is diagonal in the
+computational basis, so a :class:`ProjectorSet` is an outcome table over the
+basis states of its targets, and ``measure`` works on basis-state weights
+and boolean masks.
+
 Randomness: every sampled measurement consumes exactly one ``rng.random()``
 draw (outcomes ordered as in the ProjectorSet), so a fixed seed and a fixed
 call sequence replay identically.  Forced measurements consume no draw.
@@ -26,21 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ATOL_UNITARY = 1e-10
-ATOL_PROJECTOR = 1e-10
 ATOL_NORM = 1e-12
 MIN_PROBABILITY = 1e-14
 MAX_QUBITS = 16  # dense amplitudes only; protocols never need more than 12
 
 # Single-qubit constants
-ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
-SWAP2 = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
 # exp(i*pi |11><11|) on two atoms
 CZ2 = np.diag([1, 1, 1, -1]).astype(complex)
 
@@ -114,6 +112,13 @@ class QuantumRegister:
     def is_pure(self) -> bool:
         return self.amplitudes.ndim == 1
 
+    @property
+    def populations(self) -> np.ndarray:
+        """Weight of every basis state: |amplitude|^2, or the density diagonal."""
+        if self.is_pure:
+            return np.abs(self.amplitudes) ** 2
+        return np.real(np.diagonal(self.amplitudes))
+
     def copy(self) -> "QuantumRegister":
         return QuantumRegister(self.n_qubits, self.amplitudes.copy(), list(self.labels))
 
@@ -143,36 +148,27 @@ class QuantumRegister:
         return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectorSet:
-    """Complete set of orthogonal projectors with outcome labels.
+    """Projective measurement diagonal in the computational basis.
 
-    ``projectors`` act on the qubits listed in ``targets`` (matrices of
-    dimension ``2**len(targets)``); they must be idempotent and sum to the
-    identity.
+    Stored as an outcome table: ``outcome_of[i]`` is the index into
+    ``outcome_labels`` of basis state ``i`` of ``targets`` (``targets[0]``
+    is its least significant bit).  Outcome ``k`` projects onto the basis
+    states with ``outcome_of[i] == k``, so the projectors are orthogonal
+    and complete by construction.
     """
 
-    projectors: list
-    outcome_labels: list
-    targets: list
+    outcome_of: tuple
+    outcome_labels: tuple
+    targets: tuple
 
     def __post_init__(self):
-        if len(self.projectors) != len(self.outcome_labels):
-            raise RegisterError("one label per projector required")
-        k = len(self.targets)
-        dim = 2**k
-        total = np.zeros((dim, dim), dtype=complex)
-        for p in self.projectors:
-            p = np.asarray(p, dtype=complex)
-            if p.shape != (dim, dim):
-                raise RegisterError("projector dimension mismatch with targets")
-            if np.max(np.abs(p @ p - p)) > ATOL_PROJECTOR:
-                raise RegisterError("projector is not idempotent within 1e-10")
-            if np.max(np.abs(p - p.conj().T)) > ATOL_PROJECTOR:
-                raise RegisterError("projector is not Hermitian within 1e-10")
-            total += p
-        if np.max(np.abs(total - np.eye(dim))) > ATOL_PROJECTOR:
-            raise RegisterError("projectors do not sum to identity within 1e-10")
+        if len(self.outcome_of) != 2 ** len(self.targets):
+            raise RegisterError("outcome table needs one entry per basis state of targets")
+        if sorted(set(self.outcome_of)) != list(range(len(self.outcome_labels))):
+            raise RegisterError("every outcome index must name a label and every "
+                                "label must own a basis state")
 
     def index_of(self, label) -> int:
         return self.outcome_labels.index(label)
@@ -286,30 +282,30 @@ def apply_unitary(reg: QuantumRegister, unitary: np.ndarray, targets) -> Quantum
     return _apply_matrix(reg, unitary, targets)
 
 
-def expectation(reg: QuantumRegister, mat: np.ndarray, targets) -> float:
-    """Real part of <M> on the targeted qubits."""
-    targets = _check_targets(reg, targets)
-    if reg.is_pure:
-        work = reg.copy()
-        _apply_matrix(work, np.asarray(mat, dtype=complex), targets)
-        return float(np.real(np.vdot(reg.amplitudes, work.amplitudes)))
-    n = reg.n_qubits
-    row_axes = [_axis_of(q, n) for q in targets]
-    flat = _apply_on_axes(reg.amplitudes.reshape(-1), np.asarray(mat, complex), row_axes, 2 * n)
-    return float(np.real(np.trace(flat.reshape(reg.dim, reg.dim))))
+def target_index(n_qubits: int, targets) -> np.ndarray:
+    """Index of the ``targets`` sub-state (``targets[0]`` lowest) of every basis state."""
+    idx = np.arange(2**n_qubits)
+    sub = np.zeros_like(idx)
+    for m, q in enumerate(targets):
+        sub |= ((idx >> q) & 1) << m
+    return sub
 
 
 def measure(reg: QuantumRegister, ps: ProjectorSet, rng, force=None):
-    """Projective measurement by the Born rule.
+    """Projective measurement by the Born rule on a diagonal ProjectorSet.
 
-    Returns ``(label, probability, register)``; the register is updated in
-    place to the renormalized post-measurement state (non-destructive).
-    ``force`` selects a specific outcome label (post-selection); it errors
-    when that outcome has probability below 1e-14 and consumes no rng draw.
+    The outcome probabilities are the basis-state populations summed per
+    outcome of the table; the collapse zeroes every basis state of the
+    other outcomes.  Returns ``(label, probability, register)``; the
+    register is updated in place to the renormalized post-measurement
+    state (non-destructive).  ``force`` selects a specific outcome label
+    (post-selection); it errors when that outcome has probability below
+    1e-14 and consumes no rng draw.
     """
-    _check_targets(reg, ps.targets)
-    probs = np.array([expectation(reg, p, ps.targets) for p in ps.projectors])
-    probs = np.clip(probs, 0.0, None)
+    targets = _check_targets(reg, ps.targets)
+    outcome = np.asarray(ps.outcome_of)[target_index(reg.n_qubits, targets)]
+    probs = np.bincount(outcome, weights=reg.populations,
+                        minlength=len(ps.outcome_labels)).clip(0.0, None)
     total = probs.sum()
     if total < MIN_PROBABILITY:
         raise RegisterError("all outcome probabilities below 1e-14: invalid state")
@@ -324,11 +320,11 @@ def measure(reg: QuantumRegister, ps: ProjectorSet, rng, force=None):
         k = min(k, len(probs) - 1)
 
     p_k = probs[k]
-    _apply_matrix(reg, np.asarray(ps.projectors[k], complex), ps.targets)
+    keep = outcome == k
     if reg.is_pure:
-        reg.amplitudes /= math.sqrt(p_k)
+        reg.amplitudes = np.where(keep, reg.amplitudes, 0) / math.sqrt(p_k)
     else:
-        reg.amplitudes /= p_k
+        reg.amplitudes = np.where(np.outer(keep, keep), reg.amplitudes, 0) / p_k
     return ps.outcome_labels[k], float(p_k / total), reg
 
 
@@ -391,11 +387,6 @@ def partial_trace(reg: QuantumRegister, keep) -> QuantumRegister:
 # ---------------------------------------------------------------------------
 # comparison helpers
 # ---------------------------------------------------------------------------
-
-def overlap(a, b) -> complex:
-    """<a|b> for pure state vectors."""
-    return complex(np.vdot(np.asarray(a), np.asarray(b)))
-
 
 def fidelity(a, b) -> float:
     """State fidelity, ignoring global phase.

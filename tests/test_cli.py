@@ -1,5 +1,6 @@
 """Configuration handling, artifact reproducibility, exit codes, reports."""
 
+import importlib.util
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from dfsqc.config import (
 )
 from dfsqc.scenarios import emit_report, run_scenario
 
+ROOT = Path(__file__).resolve().parents[1]
 
 FID_CFG = """\
 kind: fidelity-sweep
@@ -107,6 +109,28 @@ class TestConfig:
                 "kind: fidelity-sweep\nsweep: {points: 0}\n")
         with pytest.raises(ConfigError):
             ScenarioConfig.from_yaml("kind: protocol-run\nprotocol: frobnicate\n")
+
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ConfigError, match="unknown key 'trails'"):
+            ScenarioConfig.from_yaml("kind: protocol-run\ntrails: 5\n")
+        with pytest.raises(ConfigError, match="kapa_mhz"):
+            ScenarioConfig.from_yaml(FID_CFG.replace("kappa_mhz", "kapa_mhz"))
+        # a key that belongs to another kind is unknown here
+        with pytest.raises(ConfigError, match="unknown key 'realizations'"):
+            ScenarioConfig.from_yaml(LEAK_CFG + "realizations: 300\n")
+        with pytest.raises(ConfigError, match="mapping"):
+            ScenarioConfig.from_yaml("kind: decoupling\necho: 3\n")
+
+    def test_benchmark_configs_validate(self):
+        # the shipped configs are loaded by tests/test_golden.py
+        spec = importlib.util.spec_from_file_location(
+            "workloads", ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            configs, _ = workloads.generate(name, 1, 20)
+            for raw in configs:
+                ScenarioConfig.from_dict(raw)
 
     def test_invalid_yaml_rejected(self):
         with pytest.raises(ConfigError, match="YAML"):
@@ -200,6 +224,13 @@ class TestCliEntry:
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         path = self.write(tmp_path, "kind: bogus\n")
         assert main(["simulate", path]) == 2
+
+    def test_misspelt_keys_exit_2(self, tmp_path):
+        out = str(tmp_path / "out")
+        for text in ("kind: protocol-run\nname: typo\nprotocol: bsm\ntrails: 5\n",
+                     DECOUPLING_CFG.replace("echo:\n", "echo:\n  n_cylces: 2\n")):
+            assert main(["simulate", self.write(tmp_path, text), "--out", out]) == 2
+        assert not Path(out).exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.yaml")]) == 2

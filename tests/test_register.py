@@ -26,7 +26,13 @@ from dfsqc.register import (
     tensor,
     trace_distance,
 )
-from dfsqc.logical import joint_ones_projectors, pair_ket, parity_projectors
+from dfsqc.logical import (
+    LogicalQubit,
+    joint_ones_projectors,
+    logical_support,
+    pair_ket,
+    parity_projectors,
+)
 
 
 def bell_pair():
@@ -186,15 +192,109 @@ class TestMeasure:
 
 
 class TestProjectorSet:
-    def test_rejects_non_idempotent(self):
-        bad = np.array([[0.5, 0.0], [0.0, 0.5]])
-        with pytest.raises(RegisterError, match="idempotent"):
-            ProjectorSet([bad, np.eye(2) - bad], ["a", "b"], [0])
+    def test_rejects_wrong_table_length(self):
+        with pytest.raises(RegisterError, match="one entry per basis state"):
+            ProjectorSet((0, 1, 1), ("a", "b"), (0, 1))
+        with pytest.raises(RegisterError, match="one entry per basis state"):
+            ProjectorSet((0, 1, 1, 0), ("a", "b"), (0,))
 
-    def test_rejects_incomplete(self):
-        p = np.diag([1.0, 0.0])
-        with pytest.raises(RegisterError, match="identity"):
-            ProjectorSet([p, p], ["a", "b"], [0])
+    def test_rejects_empty_or_unknown_label(self):
+        with pytest.raises(RegisterError, match="label"):
+            ProjectorSet((0, 0, 0, 0), ("a", "b"), (0, 1))  # "b" owns no state
+        with pytest.raises(RegisterError, match="label"):
+            ProjectorSet((0, 1, 2, 0), ("a", "b"), (0, 1))  # 2 names no label
+
+
+def _bits(n, q):
+    """Value of qubit q in every basis state of n qubits."""
+    return (np.arange(2**n) >> q) & 1
+
+
+def _dense_projectors(n, kind, a, b):
+    """Full-register diagonal projectors, written out from their definitions."""
+    ba, bb = _bits(n, a), _bits(n, b)
+    if kind == "ordered":  # a: |00>, b: a=1 and b=0, c: b=1
+        masks = [(ba == 0) & (bb == 0), (ba == 1) & (bb == 0), bb == 1]
+    elif kind == "joint_ones":  # P1 = |11><11|
+        masks = [(ba == 1) & (bb == 1)]
+    else:  # P3 = |00><00| + |11><11|
+        masks = [ba == bb]
+    projs = [np.diag(m.astype(float)) for m in masks]
+    if len(projs) == 1:
+        projs.append(np.eye(2**n) - projs[0])
+    return projs
+
+
+class TestMeasureAgainstDenseProjectors:
+    N = 5
+    TARGETS = [(3, 1), (0, 4), (4, 2), (1, 0)]
+    # "ordered" is not symmetric in its two targets, so it pins targets[0]
+    # as the lowest bit of the outcome table
+    SETS = {"joint_ones": joint_ones_projectors, "parity": parity_projectors,
+            "ordered": lambda ab: ProjectorSet((0, 1, 2, 2), ("a", "b", "c"), ab)}
+
+    def states(self, seed):
+        psi = random_state(self.N, seed)
+        rho = sum(w * np.outer(v, v.conj()) for w, v in
+                  zip((0.5, 0.3, 0.2), (psi, random_state(self.N, seed + 1),
+                                        random_state(self.N, seed + 2))))
+        return psi, rho
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("kind", ["joint_ones", "parity", "ordered"])
+    def test_every_forced_outcome(self, kind, mixed):
+        for seed, (a, b) in enumerate(self.TARGETS):
+            psi, rho = self.states(100 + 10 * seed)
+            state = rho if mixed else psi
+            ps = self.SETS[kind]((a, b))
+            for label, proj in zip(ps.outcome_labels,
+                                   _dense_projectors(self.N, kind, a, b)):
+                if mixed:
+                    p_ref = np.real(np.trace(proj @ rho))
+                    post_ref = proj @ rho @ proj / p_ref
+                else:
+                    p_ref = np.real(np.vdot(psi, proj @ psi))
+                    post_ref = proj @ psi / math.sqrt(p_ref)
+                reg = QuantumRegister(self.N, state.copy())
+                got, p, _ = measure(reg, ps, None, force=label)
+                assert got == label
+                assert abs(p - p_ref) < 1e-14
+                np.testing.assert_allclose(reg.amplitudes, post_ref, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_sampled_outcome_uses_one_draw_in_label_order(self, mixed):
+        for seed, (a, b) in enumerate(self.TARGETS):
+            psi, rho = self.states(200 + 10 * seed)
+            state = rho if mixed else psi
+            for kind, make in self.SETS.items():
+                projs = _dense_projectors(self.N, kind, a, b)
+                probs = [np.real(np.trace(p @ rho)) if mixed
+                         else np.real(np.vdot(psi, p @ psi)) for p in projs]
+                rng, follow = np.random.default_rng(seed), np.random.default_rng(seed)
+                draw = follow.random() * sum(probs)
+                expected = int(np.sum(np.cumsum(probs) <= draw))
+                ps = make((a, b))
+                label, p, _ = measure(QuantumRegister(self.N, state.copy()), ps, rng)
+                assert label == ps.outcome_labels[expected]
+                assert abs(p - probs[expected] / sum(probs)) < 1e-14
+                assert rng.random() == follow.random()  # exactly one draw consumed
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_logical_support(self, mixed):
+        pairs = [LogicalQubit(3, 0), LogicalQubit(1, 4)]
+        for seed in range(4):
+            psi, rho = self.states(300 + 10 * seed)
+            proj = np.eye(2**self.N)
+            for q in pairs:
+                proj = proj @ np.diag(
+                    (_bits(self.N, q.atom_a) != _bits(self.N, q.atom_b)).astype(float))
+            if mixed:
+                ref = np.real(np.trace(proj @ rho))
+                reg = QuantumRegister(self.N, rho)
+            else:
+                ref = np.real(np.vdot(psi, proj @ psi))
+                reg = QuantumRegister(self.N, psi)
+            assert abs(logical_support(reg, pairs) - ref) < 1e-14
 
 
 class TestPartialTrace:
