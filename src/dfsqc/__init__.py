@@ -3,7 +3,7 @@ atoms coupled to a single-sided optical cavity.
 
 Subpackages
 -----------
-register   dense state-vector / density-matrix engine with seeded measurement
+register   dense state-vector engine with seeded measurement
 logical    two-atom DFS encoding, logical gates and logical measurements
 cavity     pulse-level cavity input-output model and CZ gate fidelity
 noise      dephasing spectra, echo filter functions, transport noise

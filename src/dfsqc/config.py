@@ -64,6 +64,12 @@ SCHEMA = {
     "leakage-demo": {"random_inputs": None},
 }
 KINDS = tuple(SCHEMA)
+# kind -> default sweep grid (start, stop, points, log-spaced)
+GRID_DEFAULTS = {
+    "fidelity-sweep": (0.1, 4.0, 20, False),
+    "g-sweep": (0.5, 1.0, 11, False),
+    "transport-noise": (0.02, 0.2, 5, True),
+}
 
 
 class ConfigError(ValueError):
@@ -165,12 +171,13 @@ class ScenarioConfig:
         kind = str(sec.get("kind", "odd_cat"))
         return PulseSpec.gaussian(ratio / params.kappa, alpha, kind)
 
-    def sweep_grid(self, default_start, default_stop, default_points,
-                   log_spaced=False):
+    def sweep_grid(self):
+        """The kind's sweep grid: the ``sweep`` section over GRID_DEFAULTS."""
+        start, stop, points, log_spaced = GRID_DEFAULTS[self.kind]
         sec = self.section("sweep")
-        start = float(sec.get("start", default_start))
-        stop = float(sec.get("stop", default_stop))
-        points = int(sec.get("points", default_points))
+        start = float(sec.get("start", start))
+        stop = float(sec.get("stop", stop))
+        points = int(sec.get("points", points))
         if points < 1:
             raise ConfigError("sweep grid must not be empty")
         if log_spaced:
@@ -178,6 +185,23 @@ class ScenarioConfig:
                 raise ConfigError("log grid needs positive bounds")
             return np.geomspace(start, stop, points)
         return np.linspace(start, stop, points)
+
+    def echo(self):
+        """``(dt_cutoff_products, n_cycles)`` of a decoupling scenario."""
+        sec = self.section("echo")
+        n_cycles = int(sec.get("n_cycles", 1))
+        if n_cycles < 1:
+            raise ConfigError("echo n_cycles must be >= 1")
+        products = sec.get("dt_cutoff_product")
+        if products is None:
+            products = np.geomspace(0.01, 0.1, 5)
+        try:
+            products = [float(p) for p in products]
+        except (TypeError, ValueError):
+            raise ConfigError("echo dt_cutoff_product must be a list of numbers") from None
+        if not products or min(products) <= 0:
+            raise ConfigError("echo dt_cutoff_product values must be positive")
+        return products, n_cycles
 
     def noise_spectrum(self):
         from .noise import NoiseSpectrum
@@ -221,20 +245,19 @@ class ScenarioConfig:
         if self.kind in ("fidelity-sweep", "g-sweep"):
             self.physics()
             self.pulse()
-            if self.kind == "fidelity-sweep":
-                grid = self.sweep_grid(0.1, 4.0, 20)
-                if np.any(grid < 0):
-                    raise ConfigError("mean photon numbers must be >= 0")
-            else:
-                grid = self.sweep_grid(0.5, 1.0, 11)
-                if np.any(grid <= 0):
-                    raise ConfigError("coupling ratios must be positive")
+            grid = self.sweep_grid()
+            if self.kind == "fidelity-sweep" and np.any(grid < 0):
+                raise ConfigError("mean photon numbers must be >= 0")
+            if self.kind == "g-sweep" and np.any(grid <= 0):
+                raise ConfigError("coupling ratios must be positive")
         elif self.kind == "decoupling":
             self.noise_spectrum()
+            self.echo()
             if int(self.data.get("realizations", 10000)) < 100:
                 raise ConfigError("decoupling needs at least 100 realizations")
         elif self.kind == "transport-noise":
             self.transport_noise()
+            self.sweep_grid()
         elif self.kind == "protocol-run":
             protocol = str(self.data.get("protocol", "teleported-cnot"))
             if protocol not in ("teleported-cnot", "bsm", "hadamard"):

@@ -153,6 +153,9 @@ H_L = _pair_op(
     }
 )
 
+# basis change taking the logical y eigenstates to the z eigenstates
+HS_DAG_L = H_L @ S_L.conj().T
+
 PAULI_L = {"I": np.eye(4, dtype=complex), "X": X_L, "Y": Y_L, "Z": Z_L}
 
 # 2x2 logical-basis matrices for oracle comparisons
@@ -249,7 +252,7 @@ def logical_z_measurement(reg: QuantumRegister, q: LogicalQubit, rng, force=None
 _BASIS_CHANGE = {
     "Z": np.eye(4, dtype=complex),
     "X": H_L,
-    "Y": H_L @ S_L.conj().T,
+    "Y": HS_DAG_L,
 }
 _BASIS_LABELS = {
     "Z": {"z+": "z+", "z-": "z-"},

@@ -13,7 +13,8 @@ prepared ancilla through one physical CZ, measure, correct.  The +L
 ancilla preparation is a primitive (direct state injection).  All
 measurement helpers accept a ``force`` label so every outcome branch can
 be enumerated deterministically in tests and reports; forced branches are
-post-selected projections and consume no randomness.
+post-selected projections and consume no randomness.  Every random draw
+comes from the run's own stream ``run.rng``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .register import (
 from .register import _apply_matrix  # targeted non-unitary application
 from .logical import (
     H_L,
-    S_L,
+    HS_DAG_L,
     LeakageError,
     LogicalQubit,
     apply_pair_unitary,
@@ -192,9 +193,6 @@ class ProtocolRun:
     def record_lines(self) -> list:
         return [e.line() for e in self.record]
 
-    def _gen(self, rng):
-        return self.rng if rng is None else as_generator(rng)
-
     # -- noisy CZ map ------------------------------------------------------
     def _cz_map(self) -> np.ndarray:
         """Diagonal amplitude/phase map on two addressed atoms.
@@ -225,7 +223,7 @@ class ProtocolRun:
 # transport and scheduling
 # ---------------------------------------------------------------------------
 
-def transport(run: ProtocolRun, step: TransportStep, noisy=None, rng=None):
+def transport(run: ProtocolRun, step: TransportStep):
     """Move atoms; in noisy mode each touched logical qubit dephases.
 
     The differential phase per qubit is Gaussian with variance
@@ -244,20 +242,15 @@ def transport(run: ProtocolRun, step: TransportStep, noisy=None, rng=None):
     run.log("transport", moved_in=step.atoms_in, moved_out=step.atoms_out,
             duration=step.duration)
 
-    if noisy is None:
-        noisy = run.mode == "noisy" and run.transport_noise is not None
-    if not noisy:
-        return run
     tn = run.transport_noise
-    if tn is None:
-        raise SchedulingError("noisy transport requires transport_noise settings")
+    if run.mode != "noisy" or tn is None:
+        return run
     moved = set(step.atoms_in) | set(step.atoms_out)
     std = transport_phase_std(tn, step.duration)
-    gen = run._gen(rng)
     for name in run.layout:
         q = run.layout[name]
         if moved & set(q.atoms):
-            phi = gen.normal(0.0, std) if std > 0 else 0.0
+            phi = run.rng.normal(0.0, std) if std > 0 else 0.0
             apply_dephasing_channel(run.register, q, phi)
             run.log("transport_dephasing", qubit=name, phi=phi)
     return run
@@ -290,39 +283,38 @@ def physical_cz(run: ProtocolRun, atom_i: int, atom_j: int):
         m = run._cz_map()
         _apply_matrix(run.register, m, [atom_i, atom_j])
         amps = run.register.amplitudes
-        if run.register.is_pure:
-            run.register.amplitudes = amps / np.linalg.norm(amps)
-        else:
-            run.register.amplitudes = amps / np.real(np.trace(amps))
+        run.register.amplitudes = amps / np.linalg.norm(amps)
     run.log("physical_cz", atoms=(atom_i, atom_j), mode=run.mode)
     return run
 
 
-def _maybe_flip_label(run: ProtocolRun, ps_labels, label, gen):
-    """Homodyne discrimination error: flip the reported label only."""
-    if not run.homodyne_error:
-        return label, False
-    alpha = abs(run.pulse.alpha) if run.pulse is not None else 1.0
-    p_err = 0.5 * math.erfc(math.sqrt(2.0) * alpha)
-    if gen.random() < p_err:
-        other = [l for l in ps_labels if l != label][0]
-        return other, True
-    return label, False
+def _measure_pair(run: ProtocolRun, op: str, ps, force):
+    """Measure ``ps`` on the register, report the label and log it.
+
+    With ``homodyne_error`` the reported label (never the state) is flipped
+    with the homodyne discrimination error probability, one extra draw.
+    """
+    label, p, _ = measure(run.register, ps, run.rng, force=force)
+    flipped = False
+    if run.homodyne_error:
+        alpha = abs(run.pulse.alpha) if run.pulse is not None else 1.0
+        p_err = 0.5 * math.erfc(math.sqrt(2.0) * alpha)
+        if run.rng.random() < p_err:
+            label = [l for l in ps.outcome_labels if l != label][0]
+            flipped = True
+    run.log(op, atoms=ps.targets, outcome=label, p=p,
+            **({"label_flip": True} if flipped else {}))
+    return label, run
 
 
-def measure_p12(run: ProtocolRun, atom_i: int, atom_j: int, rng=None, force=None):
+def measure_p12(run: ProtocolRun, atom_i: int, atom_j: int, force=None):
     """Joint projection {|11><11|, rest} with both atoms in the cavity."""
     _ensure_in_cavity(run, (atom_i, atom_j))
-    gen = run._gen(rng)
     ps = joint_ones_projectors((atom_i, atom_j))
-    label, p, _ = measure(run.register, ps, gen, force=force)
-    reported, flipped = _maybe_flip_label(run, ps.outcome_labels, label, gen)
-    run.log("measure_p12", atoms=(atom_i, atom_j), outcome=reported, p=p,
-            **({"label_flip": True} if flipped else {}))
-    return reported, run
+    return _measure_pair(run, "measure_p12", ps, force)
 
 
-def measure_p34(run: ProtocolRun, atom_i: int, atom_j: int, rng=None, force=None):
+def measure_p34(run: ProtocolRun, atom_i: int, atom_j: int, force=None):
     """Parity projection via two sequential single-atom reflections.
 
     Schedule: atom_i alone in the cavity, reflect; swap with atom_j,
@@ -332,20 +324,15 @@ def measure_p34(run: ProtocolRun, atom_i: int, atom_j: int, rng=None, force=None
     transport(run, TransportStep((atom_i,) if atom_i not in run.in_cavity else (),
                                  others))
     transport(run, TransportStep((atom_j,), (atom_i,)))
-    gen = run._gen(rng)
     ps = parity_projectors((atom_i, atom_j))
-    label, p, _ = measure(run.register, ps, gen, force=force)
-    reported, flipped = _maybe_flip_label(run, ps.outcome_labels, label, gen)
-    run.log("measure_p34", atoms=(atom_i, atom_j), outcome=reported, p=p,
-            **({"label_flip": True} if flipped else {}))
-    return reported, run
+    return _measure_pair(run, "measure_p34", ps, force)
 
 
 # ---------------------------------------------------------------------------
 # logical single-qubit protocols
 # ---------------------------------------------------------------------------
 
-def logical_hadamard(run: ProtocolRun, sys_a, ancilla_b, rng=None, force=None):
+def logical_hadamard(run: ProtocolRun, sys_a, ancilla_b, force=None):
     """Measurement-based Hadamard: output appears on the ancilla.
 
     The ancilla must be prepared in |+_L>.  One physical CZ couples atom 1
@@ -357,7 +344,7 @@ def logical_hadamard(run: ProtocolRun, sys_a, ancilla_b, rng=None, force=None):
     _ensure_in_cavity(run, (qa.atom_a, qb.atom_a))
     physical_cz(run, qa.atom_a, qb.atom_a)
     _ensure_in_cavity(run, qa.atoms)  # the x measurement reflects off both atoms
-    res = logical_basis_measurement(run.register, qa, "X", run._gen(rng), force=force)
+    res = logical_basis_measurement(run.register, qa, "X", run.rng, force=force)
     run.log("measure_logical_x", atoms=qa.atoms, outcome=res.label,
             p=res.probability)
     if res.label == "leak":
@@ -371,7 +358,7 @@ def logical_hadamard(run: ProtocolRun, sys_a, ancilla_b, rng=None, force=None):
 
 
 def arbitrary_logical_rotation(run: ProtocolRun, q, alpha: float, beta: float,
-                               sigma: float, rng=None, forces=(None, None)):
+                               sigma: float, forces=(None, None)):
     """U_z(alpha) H_L U_z(beta) H_L U_z(sigma) via two ancilla rounds.
 
     Allocates two fresh +L ancillas; the returned LogicalQubit holds the
@@ -380,12 +367,12 @@ def arbitrary_logical_rotation(run: ProtocolRun, q, alpha: float, beta: float,
     q = run.qubit(q)
     logical_z_rotation(run.register, q, sigma)
     anc1 = run.allocate_pair(_fresh_name(run, "rot_anc1"), "+L")
-    label1, _ = logical_hadamard(run, q, anc1, rng, force=forces[0])
+    label1, _ = logical_hadamard(run, q, anc1, force=forces[0])
     if label1 == "leak":
         return "leak", anc1
     logical_z_rotation(run.register, anc1, beta)
     anc2 = run.allocate_pair(_fresh_name(run, "rot_anc2"), "+L")
-    label2, _ = logical_hadamard(run, anc1, anc2, rng, force=forces[1])
+    label2, _ = logical_hadamard(run, anc1, anc2, force=forces[1])
     if label2 == "leak":
         return "leak", anc2
     logical_z_rotation(run.register, anc2, alpha)
@@ -409,12 +396,11 @@ _BELL_KINDS = {
     # kind: (per-qubit basis change, {pi3 label, pi4 label})
     "parity": (None, {"pi3": "phi", "pi4": "psi"}),
     "phase": (H_L, {"pi3": "plus", "pi4": "minus"}),
-    "yy": (H_L @ S_L.conj().T, {"pi3": "yy+", "pi4": "yy-"}),
+    "yy": (HS_DAG_L, {"pi3": "yy+", "pi4": "yy-"}),
 }
 
 
-def bell_subspace_measurement(run: ProtocolRun, q1, q2, which="parity",
-                              rng=None, force=None):
+def bell_subspace_measurement(run: ProtocolRun, q1, q2, which="parity", force=None):
     """Non-destructive projection onto a two-dimensional Bell subspace.
 
     parity: {phi+, phi-} vs {psi+, psi-} via the parity projection on the
@@ -439,7 +425,7 @@ def bell_subspace_measurement(run: ProtocolRun, q1, q2, which="parity",
     if change is not None:
         apply_pair_unitary(run.register, q1, change)
         apply_pair_unitary(run.register, q2, change)
-    pi_label, _ = measure_p34(run, q1.atom_a, q2.atom_a, rng, force=pi_force)
+    pi_label, _ = measure_p34(run, q1.atom_a, q2.atom_a, force=pi_force)
     if change is not None:
         apply_pair_unitary(run.register, q1, change.conj().T)
         apply_pair_unitary(run.register, q2, change.conj().T)
@@ -453,7 +439,7 @@ _BSM_LABEL = {("phi", "plus"): "phi+", ("phi", "minus"): "phi-",
               ("psi", "plus"): "psi+", ("psi", "minus"): "psi-"}
 
 
-def full_bsm(run: ProtocolRun, q1, q2, rng=None, force=None):
+def full_bsm(run: ProtocolRun, q1, q2, force=None):
     """Full logical Bell-state measurement: parity then phase projection.
 
     The two subspace projections commute, so each logical Bell state is
@@ -465,8 +451,8 @@ def full_bsm(run: ProtocolRun, q1, q2, rng=None, force=None):
         key = force.lower()
         f1 = "phi" if key.startswith("phi") else "psi"
         f2 = "plus" if key.endswith("+") else "minus"
-    l1, _ = bell_subspace_measurement(run, q1, q2, "parity", rng, force=f1)
-    l2, _ = bell_subspace_measurement(run, q1, q2, "phase", rng, force=f2)
+    l1, _ = bell_subspace_measurement(run, q1, q2, "parity", force=f1)
+    l2, _ = bell_subspace_measurement(run, q1, q2, "phase", force=f2)
     label = _BSM_LABEL[(l1, l2)]
     run.log("full_bsm", qubits=(run.qubit(q1).atoms, run.qubit(q2).atoms),
             outcome=label)
@@ -496,7 +482,7 @@ _XI_CORRECTIONS = {
 }
 
 
-def prepare_xi(run: ProtocolRun, a_prime, a, b, b_prime, rng=None, force=None):
+def prepare_xi(run: ProtocolRun, a_prime, a, b, b_prime, force=None):
     """Project the seed state onto the teleported-CNOT resource.
 
     Expects |+_L> on A', |phi+> on (A, B) and |0_L> on B'.  The parity
@@ -508,10 +494,8 @@ def prepare_xi(run: ProtocolRun, a_prime, a, b, b_prime, rng=None, force=None):
     qs = {"a_prime": run.qubit(a_prime), "a": run.qubit(a),
           "b": run.qubit(b), "b_prime": run.qubit(b_prime)}
     f1, f2 = force if force is not None else (None, None)
-    l1, _ = bell_subspace_measurement(run, qs["a"], qs["a_prime"], "parity",
-                                      rng, force=f1)
-    l2, _ = bell_subspace_measurement(run, qs["b"], qs["b_prime"], "phase",
-                                      rng, force=f2)
+    l1, _ = bell_subspace_measurement(run, qs["a"], qs["a_prime"], "parity", force=f1)
+    l2, _ = bell_subspace_measurement(run, qs["b"], qs["b_prime"], "phase", force=f2)
     for target, which in _XI_CORRECTIONS[(l1, l2)]:
         logical_pauli(run.register, qs[target], which)
         run.log("correction", target=qs[target].atoms, which=which,
@@ -530,8 +514,7 @@ def _cnot_conjugated(pa, pb):
     return (xa, za ^ zb), (xa ^ xb, zb)
 
 
-def teleported_cnot(run: ProtocolRun, control, target, resource, rng=None,
-                    force=None):
+def teleported_cnot(run: ProtocolRun, control, target, resource, force=None):
     """Deterministic logical CNOT by gate teleportation.
 
     ``resource`` names four logical qubits (A, A', B, B') holding the
@@ -542,8 +525,8 @@ def teleported_cnot(run: ProtocolRun, control, target, resource, rng=None,
     """
     a, a_prime, b, b_prime = (run.qubit(x) for x in resource)
     fa, fb = force if force is not None else (None, None)
-    la, _ = full_bsm(run, control, a, rng, force=fa)
-    lb, _ = full_bsm(run, target, b, rng, force=fb)
+    la, _ = full_bsm(run, control, a, force=fa)
+    lb, _ = full_bsm(run, target, b, force=fb)
     corr_a, corr_b = _cnot_conjugated(_BYPRODUCT[la], _BYPRODUCT[lb])
     for q, (x, z) in ((a_prime, corr_a), (b_prime, corr_b)):
         if z:
@@ -562,7 +545,7 @@ def teleported_cnot(run: ProtocolRun, control, target, resource, rng=None,
 # leakage detection
 # ---------------------------------------------------------------------------
 
-def leakage_detect(run: ProtocolRun, sys_a, ancilla_b, rng=None, force=None):
+def leakage_detect(run: ProtocolRun, sys_a, ancilla_b, force=None):
     """Conclusive leakage check that never disturbs the logical component.
 
     Parity measurements on atoms (2, 4) and then (1, 4): equal outcomes
@@ -571,7 +554,7 @@ def leakage_detect(run: ProtocolRun, sys_a, ancilla_b, rng=None, force=None):
     ``force`` may be "leak" or "clean" (post-selects the second parity).
     """
     qa, qb = run.qubit(sys_a), run.qubit(ancilla_b)
-    l1, _ = measure_p34(run, qa.atom_b, qb.atom_b, rng)
+    l1, _ = measure_p34(run, qa.atom_b, qb.atom_b)
     f2 = None
     if force == "leak":
         f2 = l1
@@ -579,7 +562,7 @@ def leakage_detect(run: ProtocolRun, sys_a, ancilla_b, rng=None, force=None):
         f2 = "pi4" if l1 == "pi3" else "pi3"
     elif force is not None:
         raise ValueError("force must be 'leak' or 'clean'")
-    l2, _ = measure_p34(run, qa.atom_a, qb.atom_b, rng, force=f2)
+    l2, _ = measure_p34(run, qa.atom_a, qb.atom_b, force=f2)
     if l1 == l2:
         run.log("leakage_detect", outcome=(l1, l2), verdict="leak")
         return "leak", run

@@ -1,4 +1,9 @@
-"""Dense quantum-state engine for small registers of two-level atoms.
+"""Dense state-vector engine for small registers of two-level atoms.
+
+A register is one pure state: every protocol follows a single measurement
+trajectory (sampled or forced Born-rule outcomes, sampled dephasing phases,
+renormalized lossy gates), so no density matrix is ever evolved.  Only
+:func:`reduced_state` returns one, as a plain array.
 
 Conventions (fixed once, inherited by every other module):
 
@@ -25,13 +30,11 @@ call sequence replay identically.  Forced measurements consume no draw.
 from __future__ import annotations
 
 import math
-import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 ATOL_UNITARY = 1e-10
-ATOL_NORM = 1e-12
 MIN_PROBABILITY = 1e-14
 MAX_QUBITS = 16  # dense amplitudes only; protocols never need more than 12
 
@@ -52,26 +55,10 @@ class RegisterError(ValueError):
     """Raised for contract violations on register operations."""
 
 
-@dataclass(frozen=True)
-class RngSeed:
-    """64-bit seed; identical seed + call sequence replays identically."""
-
-    seed: int
-
-    def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-
 def as_generator(rng) -> np.random.Generator:
-    """Accept an RngSeed, an int seed, or a Generator."""
+    """Accept an int seed or a Generator."""
     if isinstance(rng, np.random.Generator):
         return rng
-    if isinstance(rng, RngSeed):
-        return rng.generator()
     if isinstance(rng, (int, np.integer)):
         return np.random.default_rng(int(rng))
     raise TypeError(f"cannot build rng stream from {type(rng).__name__}")
@@ -79,73 +66,32 @@ def as_generator(rng) -> np.random.Generator:
 
 @dataclass
 class QuantumRegister:
-    """State of ``n_qubits`` two-level atoms, pure (vector) or mixed (matrix).
-
-    ``labels`` carries the physical-atom identifiers in qubit order.
-    """
+    """Pure state of ``n_qubits`` two-level atoms as a dense amplitude vector."""
 
     n_qubits: int
     amplitudes: np.ndarray
-    labels: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.n_qubits < 1 or self.n_qubits > MAX_QUBITS:
             raise RegisterError(f"n_qubits must be in [1, {MAX_QUBITS}]")
-        dim = 2**self.n_qubits
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape not in ((dim,), (dim, dim)):
+        if self.amplitudes.shape != (self.dim,):
             raise RegisterError(
                 f"amplitudes shape {self.amplitudes.shape} does not match "
                 f"{self.n_qubits} qubits"
             )
-        if not self.labels:
-            self.labels = list(range(self.n_qubits))
-        if len(self.labels) != self.n_qubits:
-            raise RegisterError("labels length must equal n_qubits")
 
-    # -- mode helpers ----------------------------------------------------
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
 
     @property
-    def is_pure(self) -> bool:
-        return self.amplitudes.ndim == 1
-
-    @property
     def populations(self) -> np.ndarray:
-        """Weight of every basis state: |amplitude|^2, or the density diagonal."""
-        if self.is_pure:
-            return np.abs(self.amplitudes) ** 2
-        return np.real(np.diagonal(self.amplitudes))
+        """Weight |amplitude|^2 of every basis state."""
+        return np.abs(self.amplitudes) ** 2
 
     def copy(self) -> "QuantumRegister":
-        return QuantumRegister(self.n_qubits, self.amplitudes.copy(), list(self.labels))
-
-    def to_mixed(self) -> "QuantumRegister":
-        """Return a density-matrix copy (projector of a pure state)."""
-        if self.is_pure:
-            rho = np.outer(self.amplitudes, self.amplitudes.conj())
-            return QuantumRegister(self.n_qubits, rho, list(self.labels))
-        return self.copy()
-
-    def validate(self):
-        """Check the normalization / Hermiticity invariants."""
-        if self.is_pure:
-            norm = float(np.sum(np.abs(self.amplitudes) ** 2))
-            if abs(norm - 1.0) > ATOL_NORM * 10:
-                raise RegisterError(f"pure state norm {norm} drifted from 1")
-        else:
-            rho = self.amplitudes
-            if np.max(np.abs(rho - rho.conj().T)) > 1e-12 * 10:
-                raise RegisterError("density matrix is not Hermitian")
-            tr = float(np.real(np.trace(rho)))
-            if abs(tr - 1.0) > ATOL_NORM * 10:
-                raise RegisterError(f"density matrix trace {tr} drifted from 1")
-            eigs = np.linalg.eigvalsh(rho)
-            if eigs.min() < -1e-10:
-                raise RegisterError(f"density matrix has eigenvalue {eigs.min()}")
-        return self
+        return QuantumRegister(self.n_qubits, self.amplitudes.copy())
 
 
 @dataclass(frozen=True)
@@ -204,10 +150,8 @@ def kron_all(blocks) -> np.ndarray:
 
 def tensor(a: QuantumRegister, b: QuantumRegister) -> QuantumRegister:
     """Combine registers; ``a`` keeps its qubit indices, ``b`` is shifted up."""
-    if a.is_pure != b.is_pure:
-        a, b = a.to_mixed(), b.to_mixed()
     amps = np.kron(b.amplitudes, a.amplitudes)
-    return QuantumRegister(a.n_qubits + b.n_qubits, amps, list(a.labels) + list(b.labels))
+    return QuantumRegister(a.n_qubits + b.n_qubits, amps)
 
 
 def random_state(n_qubits: int, rng) -> np.ndarray:
@@ -257,21 +201,13 @@ def _check_targets(reg: QuantumRegister, targets):
 def _apply_matrix(reg: QuantumRegister, mat: np.ndarray, targets) -> QuantumRegister:
     """Apply ``mat`` (not necessarily unitary) on ``targets``; no checks."""
     n = reg.n_qubits
-    if reg.is_pure:
-        axes = [_axis_of(q, n) for q in targets]
-        reg.amplitudes = _apply_on_axes(reg.amplitudes, mat, axes, n)
-    else:
-        row_axes = [_axis_of(q, n) for q in targets]
-        col_axes = [n + _axis_of(q, n) for q in targets]
-        flat = reg.amplitudes.reshape(-1)
-        flat = _apply_on_axes(flat, mat, row_axes, 2 * n)
-        flat = _apply_on_axes(flat, mat.conj(), col_axes, 2 * n)
-        reg.amplitudes = flat.reshape(reg.dim, reg.dim)
+    axes = [_axis_of(q, n) for q in targets]
+    reg.amplitudes = _apply_on_axes(reg.amplitudes, mat, axes, n)
     return reg
 
 
 def apply_unitary(reg: QuantumRegister, unitary: np.ndarray, targets) -> QuantumRegister:
-    """Apply a unitary on the listed qubits (pure: psi -> U psi; mixed: U rho U+)."""
+    """Apply a unitary on the listed qubits: psi -> U psi."""
     targets = _check_targets(reg, targets)
     unitary = np.asarray(unitary, dtype=complex)
     dim = 2 ** len(targets)
@@ -320,98 +256,46 @@ def measure(reg: QuantumRegister, ps: ProjectorSet, rng, force=None):
         k = min(k, len(probs) - 1)
 
     p_k = probs[k]
-    keep = outcome == k
-    if reg.is_pure:
-        reg.amplitudes = np.where(keep, reg.amplitudes, 0) / math.sqrt(p_k)
-    else:
-        reg.amplitudes = np.where(np.outer(keep, keep), reg.amplitudes, 0) / p_k
+    reg.amplitudes = np.where(outcome == k, reg.amplitudes, 0) / math.sqrt(p_k)
     return ps.outcome_labels[k], float(p_k / total), reg
 
 
-def reduced_state(reg: QuantumRegister, keep) -> QuantumRegister:
-    """Reduced density matrix over ``keep``; efficient for pure states.
+def reduced_state(reg: QuantumRegister, keep) -> np.ndarray:
+    """Reduced density matrix over ``keep`` (``keep[0]`` lowest bit).
 
-    Pure registers are contracted directly (no full density matrix is
-    formed); mixed registers defer to :func:`partial_trace`.
+    The amplitudes are contracted directly; the full density matrix of the
+    register is never formed.
     """
-    if not reg.is_pure:
-        return partial_trace(reg, keep)
     keep = list(keep)
     if not keep:
         raise RegisterError("keep set must not be empty")
     _check_targets(reg, keep)
     n = reg.n_qubits
-    k = len(keep)
     t = reg.amplitudes.reshape([2] * n)
     axes = [_axis_of(q, n) for q in keep]
-    dest = list(range(k))[::-1]
-    x = np.moveaxis(t, axes, dest).reshape(2**k, -1)
-    return QuantumRegister(k, x @ x.conj().T, [reg.labels[q] for q in keep])
-
-
-def partial_trace(reg: QuantumRegister, keep) -> QuantumRegister:
-    """Reduced density matrix over ``keep`` (mixed mode required).
-
-    The reduced register orders its qubits as listed in ``keep``.
-    """
-    if reg.is_pure:
-        raise RegisterError("partial_trace requires mixed mode; call to_mixed() first")
-    keep = list(keep)
-    if not keep:
-        raise RegisterError("keep set must not be empty")
-    _check_targets(reg, keep)
-
-    n = reg.n_qubits
-    letters = string.ascii_letters
-    if 2 * n > len(letters):
-        raise RegisterError("register too large for einsum contraction")
-    row = {}
-    col = {}
-    pool = iter(letters)
-    for q in range(n):
-        row[q] = next(pool)
-        col[q] = next(pool) if q in keep else row[q]
-    in_sub = "".join(row[n - 1 - j] for j in range(n)) + "".join(
-        col[n - 1 - j] for j in range(n)
-    )
-    out_sub = "".join(row[q] for q in reversed(keep)) + "".join(
-        col[q] for q in reversed(keep)
-    )
-    rho = np.einsum(
-        f"{in_sub}->{out_sub}", reg.amplitudes.reshape([2] * (2 * n))
-    )
-    m = len(keep)
-    return QuantumRegister(m, rho.reshape(2**m, 2**m), [reg.labels[q] for q in keep])
+    x = np.moveaxis(t, axes, list(range(len(keep)))[::-1]).reshape(2 ** len(keep), -1)
+    return x @ x.conj().T
 
 
 # ---------------------------------------------------------------------------
 # comparison helpers
 # ---------------------------------------------------------------------------
 
-def fidelity(a, b) -> float:
-    """State fidelity, ignoring global phase.
+def fidelity(psi, b) -> float:
+    """Fidelity of the pure state ``psi`` with ``b``, ignoring global phase.
 
-    Accepts vectors or density matrices (QuantumRegister or raw arrays).
+    ``b`` is a state vector, giving |<psi|b>|^2, or a density matrix,
+    giving <psi|b|psi>.
     """
-    a = a.amplitudes if isinstance(a, QuantumRegister) else np.asarray(a)
-    b = b.amplitudes if isinstance(b, QuantumRegister) else np.asarray(b)
-    if a.ndim == 1 and b.ndim == 1:
-        return float(abs(np.vdot(a, b)) ** 2)
-    if a.ndim == 1:
-        return float(np.real(np.vdot(a, b @ a)))
+    psi, b = np.asarray(psi), np.asarray(b)
     if b.ndim == 1:
-        return float(np.real(np.vdot(b, a @ b)))
-    from scipy.linalg import sqrtm
-
-    ra = sqrtm(a)
-    inner = sqrtm(ra @ b @ ra)
-    return float(np.real(np.trace(inner)) ** 2)
+        return float(abs(np.vdot(psi, b)) ** 2)
+    return float(np.real(np.vdot(psi, b @ psi)))
 
 
 def trace_distance(a, b) -> float:
     """0.5 * tr|a - b| for density matrices (vectors are promoted)."""
-    a = a.amplitudes if isinstance(a, QuantumRegister) else np.asarray(a)
-    b = b.amplitudes if isinstance(b, QuantumRegister) else np.asarray(b)
+    a, b = np.asarray(a), np.asarray(b)
     if a.ndim == 1:
         a = np.outer(a, a.conj())
     if b.ndim == 1:

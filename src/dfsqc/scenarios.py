@@ -105,7 +105,7 @@ def _working_point_fidelity(cfg: ScenarioConfig):
 def run_fidelity_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     started = time.monotonic()
     f_ref, params, pulse = _working_point_fidelity(cfg)
-    grid = cfg.sweep_grid(0.1, 4.0, 20)
+    grid = cfg.sweep_grid()
     fids = _pmap(lambda nb: cz_gate_fidelity(
         None, pulse.with_alpha(math.sqrt(nb)), params), list(grid), threads)
     rows = [(float(nb), float(f)) for nb, f in zip(grid, fids)]
@@ -130,7 +130,7 @@ def run_fidelity_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 
 def run_g_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     _, params, pulse = _working_point_fidelity(cfg)
-    grid = cfg.sweep_grid(0.5, 1.0, 11)
+    grid = cfg.sweep_grid()
 
     def point(ratio: float):
         scaled = params.scaled_g(ratio)
@@ -164,12 +164,8 @@ def run_g_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 def run_decoupling(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     spectrum = cfg.noise_spectrum()
     n_real = int(cfg.data.get("realizations", 10000))
-    echo_sec = cfg.section("echo")
-    n_cycles = int(echo_sec.get("n_cycles", 1))
-    products = echo_sec.get("dt_cutoff_product")
-    if products is None:
-        products = list(np.geomspace(0.01, 0.1, 5))
-    dts = [float(p) / spectrum.cutoff for p in products]
+    products, n_cycles = cfg.echo()
+    dts = [p / spectrum.cutoff for p in products]
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(dts))
 
@@ -210,7 +206,7 @@ def narrow_line_spectrum(omega0: float, width: float, power: float = 1.0) -> Noi
 
 def run_transport_noise(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     tn_base = cfg.transport_noise()
-    grid = cfg.sweep_grid(0.02, 0.2, 5, log_spaced=True)
+    grid = cfg.sweep_grid()
 
     def point(prod: float):
         omega0 = prod / tn_base.tau_T
@@ -270,8 +266,8 @@ def _teleport_once(c4: np.ndarray, seed: int, force=None):
         "xi_branch": f"{xi_branch[0]}/{xi_branch[1]}",
         "bell_a": la,
         "bell_b": lb,
-        "fidelity": fidelity(ideal, reduced.amplitudes),
-        "reduced": reduced.amplitudes,
+        "fidelity": fidelity(ideal, reduced),
+        "reduced": reduced,
         "record": run.record_lines(),
     }
 
@@ -343,7 +339,7 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
             branch, out = logical_hadamard(run, "sys", "anc")
             target = H2 @ v
             reduced = reduced_state(run.register, [out.atom_a, out.atom_b])
-            fid = fidelity(pair_ket((target[0], target[1])), reduced.amplitudes)
+            fid = fidelity(pair_ket((target[0], target[1])), reduced)
             return (i, branch, float(fid))
 
         rows = _pmap(point, range(trials), threads)
@@ -372,7 +368,7 @@ def run_leakage_demo(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
         verdict, _ = leakage_detect(run, "sys", "anc")
         if verdict == "clean":
             reduced = reduced_state(run.register, [0, 1])
-            fid = fidelity(vec, reduced.amplitudes)
+            fid = fidelity(vec, reduced)
         else:
             fid = float("nan")
         good = verdict == expect and (verdict == "leak" or fid >= 1.0 - 1e-10)

@@ -145,7 +145,7 @@ def test_criterion_5_protocol_correctness():
                 [("sys", pair_ket((v[0], v[1]))), ("anc", "+L")], seed=0)
             _, out = logical_hadamard(run, "sys", "anc", force=force)
             red = reduced_state(run.register, [out.atom_a, out.atom_b])
-            worst_h = min(worst_h, fidelity(target, red.amplitudes))
+            worst_h = min(worst_h, fidelity(target, red))
     assert worst_h >= 1.0 - 1e-10, f"Hadamard fidelity {worst_h}"
 
     # full BSM identifies each Bell state with certainty, non-destructively
@@ -176,7 +176,7 @@ def test_criterion_5_protocol_correctness():
                                 ("a", "a_prime", "b", "b_prime"),
                                 force=(la, lb))
                 red = reduced_state(branch.register, keep)
-                worst_td = max(worst_td, trace_distance(ideal, red.amplitudes))
+                worst_td = max(worst_td, trace_distance(ideal, red))
     assert worst_td < 1e-10, f"teleported CNOT trace distance {worst_td}"
     print(f"[PASS] criterion 5: CZ process error {cz_err:.1e} < 1e-10; "
           f"Hadamard fidelity >= {worst_h:.12f} on 100 inputs x 2 branches; "
@@ -200,7 +200,7 @@ def test_criterion_6_leakage_detection():
         verdict, _ = leakage_detect(run, "sys", "anc")
         assert verdict == "clean", "logical input flagged as leak"
         red = reduced_state(run.register, [0, 1])
-        worst = min(worst, fidelity(vec, red.amplitudes))
+        worst = min(worst, fidelity(vec, red))
     assert worst >= 1.0 - 1e-10, f"restoration fidelity {worst}"
     print(f"[PASS] criterion 6: leak verdict certain on |00>/|11>; clean "
           f"verdict with restoration fidelity >= {worst:.12f} on 104 "

@@ -222,8 +222,16 @@ class TestCliEntry:
         assert "leakage_conclusive" in text and "PASS" in text
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
-        path = self.write(tmp_path, "kind: bogus\n")
-        assert main(["simulate", path]) == 2
+        out = str(tmp_path / "out")
+        # sweep and echo values must be checked by validation, not first
+        # by the running scenario (exit 3, or a TypeError for the scalar)
+        for text in ("kind: bogus\n",
+                     "kind: transport-noise\nsweep: {points: 0}\n",
+                     "kind: decoupling\necho: {n_cycles: 0}\n",
+                     "kind: decoupling\necho: {dt_cutoff_product: [0.0, 0.1]}\n",
+                     "kind: decoupling\necho: {dt_cutoff_product: 0.05}\n"):
+            assert main(["simulate", self.write(tmp_path, text), "--out", out]) == 2
+        assert not Path(out).exists()
 
     def test_misspelt_keys_exit_2(self, tmp_path):
         out = str(tmp_path / "out")

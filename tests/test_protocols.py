@@ -263,14 +263,14 @@ class TestLogicalHadamard:
         run = ProtocolRun.create([("sys", "0L"), ("anc", "+L")], seed=1)
         label, out = logical_hadamard(run, "sys", "anc")
         red = reduced_state(run.register, [out.atom_a, out.atom_b])
-        assert fidelity(pair_ket("+L"), red.amplitudes) >= 1 - 1e-12
+        assert fidelity(pair_ket("+L"), red) >= 1 - 1e-12
 
     def test_minus_maps_to_one(self):
         # oracle: H @ (1,-1)/sqrt2 = (0, 1)
         run = ProtocolRun.create([("sys", "-L"), ("anc", "+L")], seed=1)
         _, out = logical_hadamard(run, "sys", "anc")
         red = reduced_state(run.register, [out.atom_a, out.atom_b])
-        assert fidelity(pair_ket("1L"), red.amplitudes) >= 1 - 1e-12
+        assert fidelity(pair_ket("1L"), red) >= 1 - 1e-12
 
     def test_both_branches_on_random_inputs(self):
         rng = np.random.default_rng(6)
@@ -283,7 +283,7 @@ class TestLogicalHadamard:
                     [("sys", pair_ket((v[0], v[1]))), ("anc", "+L")], seed=0)
                 _, out = logical_hadamard(run, "sys", "anc", force=force)
                 red = reduced_state(run.register, [out.atom_a, out.atom_b])
-                assert fidelity(target, red.amplitudes) >= 1 - 1e-10
+                assert fidelity(target, red) >= 1 - 1e-10
 
     def test_double_hadamard_is_identity(self):
         rng = np.random.default_rng(9)
@@ -293,7 +293,7 @@ class TestLogicalHadamard:
         _, mid = logical_hadamard(run, "sys", "anc1")
         _, out = logical_hadamard(run, mid, "anc2")
         red = reduced_state(run.register, [out.atom_a, out.atom_b])
-        assert fidelity(pair_ket((v[0], v[1])), red.amplitudes) >= 1 - 1e-10
+        assert fidelity(pair_ket((v[0], v[1])), red) >= 1 - 1e-10
 
     def test_system_is_consumed(self):
         run = ProtocolRun.create([("sys", "0L"), ("anc", "+L")], seed=2)
@@ -301,7 +301,7 @@ class TestLogicalHadamard:
         sysq = run.layout["sys"]
         red = reduced_state(run.register, [sysq.atom_a, sysq.atom_b])
         eigen = pair_ket("+L") if label == "x+" else pair_ket("-L")
-        assert fidelity(eigen, red.amplitudes) >= 1 - 1e-10
+        assert fidelity(eigen, red) >= 1 - 1e-10
 
     def test_leaked_input_aborts(self):
         run = ProtocolRun.create([("sys", "2L"), ("anc", "+L")], seed=2)
@@ -325,14 +325,14 @@ class TestArbitraryRotation:
         rng = np.random.default_rng(10)
         v = random_logical_vec(rng)
         red = self.run_rotation(v, (0.0, 0.0, 0.0))
-        assert fidelity(pair_ket((v[0], v[1])), red.amplitudes) >= 1 - 1e-10
+        assert fidelity(pair_ket((v[0], v[1])), red) >= 1 - 1e-10
 
     def test_quarter_x_rotation(self):
         v = np.array([1.0, 0.0])
         target2 = self.oracle(0.0, math.pi / 4, 0.0) @ v
         red = self.run_rotation(v, (0.0, math.pi / 4, 0.0))
         assert fidelity(pair_ket((target2[0], target2[1])),
-                        red.amplitudes) >= 1 - 1e-10
+                        red) >= 1 - 1e-10
 
     def test_generic_angles_against_matrix_oracle(self):
         rng = np.random.default_rng(13)
@@ -342,7 +342,7 @@ class TestArbitraryRotation:
             target2 = self.oracle(*angles) @ v
             red = self.run_rotation(v, angles, forces=forces)
             assert fidelity(pair_ket((target2[0], target2[1])),
-                            red.amplitudes) >= 1 - 1e-10
+                            red) >= 1 - 1e-10
 
 
 class TestBellMeasurements:
@@ -439,7 +439,7 @@ class TestLogicalCz:
         run = two_pair_run(encode_two(vec))
         logical_cz(run, "q1", "q2")
         red = reduced_state(run.register, [0, 1])
-        purity = float(np.real(np.trace(red.amplitudes @ red.amplitudes)))
+        purity = float(np.real(np.trace(red @ red)))
         assert purity == pytest.approx(0.5, abs=1e-10)
 
 
@@ -535,18 +535,18 @@ class TestTeleportedCnot:
         for la in BELL_LABELS:
             for lb in BELL_LABELS:
                 red = self.run_once(c4, force=(la, lb))
-                assert fidelity(encode_two(_unit(3)), red.amplitudes) >= 1 - 1e-10
+                assert fidelity(encode_two(_unit(3)), red) >= 1 - 1e-10
 
     def test_control_zero_is_identity(self):
         red = self.run_once(_unit(0), seed=5)
-        assert fidelity(encode_two(_unit(0)), red.amplitudes) >= 1 - 1e-10
+        assert fidelity(encode_two(_unit(0)), red) >= 1 - 1e-10
 
     def test_plus_control_makes_bell_state(self):
         c4 = np.zeros(4, dtype=complex)
         c4[0] = c4[1] = 1 / math.sqrt(2)  # |+L 0L>
         red = self.run_once(c4, seed=6)
         target = (encode_two(_unit(0)) + encode_two(_unit(3))) / math.sqrt(2)
-        assert fidelity(target, red.amplitudes) >= 1 - 1e-10
+        assert fidelity(target, red) >= 1 - 1e-10
 
     def test_random_inputs_against_direct_cnot(self):
         rng = np.random.default_rng(30)
@@ -554,12 +554,12 @@ class TestTeleportedCnot:
         for trial in range(25):
             c4 = random_logical_vec(rng, 4)
             red = self.run_once(c4, seed=trial)
-            assert fidelity(encode_two(cnot @ c4), red.amplitudes) >= 1 - 1e-10
+            assert fidelity(encode_two(cnot @ c4), red) >= 1 - 1e-10
 
     def test_branch_independence(self):
         rng = np.random.default_rng(31)
         c4 = random_logical_vec(rng, 4)
-        outs = [self.run_once(c4, force=(la, lb)).amplitudes
+        outs = [self.run_once(c4, force=(la, lb))
                 for la in BELL_LABELS for lb in BELL_LABELS]
         worst = max(trace_distance(outs[0], o) for o in outs[1:])
         assert worst < 1e-10
@@ -575,7 +575,7 @@ class TestTeleportedCnot:
         ctrl, a = run.layout["ctrl"], run.layout["a"]
         red = reduced_state(run.register, [ctrl.atom_a, ctrl.atom_b,
                                            a.atom_a, a.atom_b])
-        assert fidelity(bell_ket(la), red.amplitudes) >= 1 - 1e-10
+        assert fidelity(bell_ket(la), red) >= 1 - 1e-10
 
 
 class TestLeakageDetect:
@@ -598,19 +598,19 @@ class TestLeakageDetect:
             verdict, _ = leakage_detect(run, "sys", "anc")
             assert verdict == "clean"
             red = reduced_state(run.register, [0, 1])
-            assert fidelity(vec, red.amplitudes) >= 1 - 1e-10
+            assert fidelity(vec, red) >= 1 - 1e-10
 
     def test_superposition_collapses_by_born_rule(self):
         vec = (pair_ket("0L") + pair_ket("2L")) / math.sqrt(2)
         run = self.make_run(vec, seed=1)
         verdict, _ = leakage_detect(run, "sys", "anc", force="clean")
         red = reduced_state(run.register, [0, 1])
-        assert fidelity(pair_ket("0L"), red.amplitudes) >= 1 - 1e-10
+        assert fidelity(pair_ket("0L"), red) >= 1 - 1e-10
         run = self.make_run(vec, seed=1)
         verdict, _ = leakage_detect(run, "sys", "anc", force="leak")
         assert verdict == "leak"
         red = reduced_state(run.register, [0, 1])
-        assert fidelity(pair_ket("2L"), red.amplitudes) >= 1 - 1e-10
+        assert fidelity(pair_ket("2L"), red) >= 1 - 1e-10
 
     def test_verdict_statistics(self):
         vec = (pair_ket("0L") + pair_ket("2L")) / math.sqrt(2)

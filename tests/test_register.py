@@ -1,4 +1,4 @@
-"""State-engine contracts: unitaries, Born-rule measurement, partial trace."""
+"""State-engine contracts: unitaries, Born-rule measurement, reduced states."""
 
 import math
 
@@ -11,14 +11,12 @@ from dfsqc.register import (
     ProjectorSet,
     QuantumRegister,
     RegisterError,
-    RngSeed,
     apply_unitary,
     basis_index,
     fidelity,
     ket,
     kron_all,
     measure,
-    partial_trace,
     random_state,
     random_unitary,
     reduced_state,
@@ -80,14 +78,6 @@ class TestApplyUnitary:
             apply_unitary(reg, random_unitary(2**k, rng), targets)
             assert abs(np.linalg.norm(reg.amplitudes) - 1.0) < 1e-12
 
-    def test_trace_preserved_in_mixed_mode(self):
-        rng = np.random.default_rng(12)
-        reg = QuantumRegister(2, random_state(2, rng)).to_mixed()
-        for _ in range(200):
-            apply_unitary(reg, random_unitary(2, rng), [int(rng.integers(2))])
-            assert abs(np.trace(reg.amplitudes) - 1.0) < 1e-12
-        reg.validate()
-
     def test_disjoint_targets_commute(self):
         rng = np.random.default_rng(13)
         ua, ub = random_unitary(2, rng), random_unitary(2, rng)
@@ -101,15 +91,21 @@ class TestApplyUnitary:
         np.testing.assert_allclose(r1.amplitudes, r2.amplitudes, atol=1e-12)
 
     def test_pure_and_mixed_agree(self):
+        # psi -> U psi on targets [2, 0] against rho -> U rho U+ with U
+        # embedded densely: targets[0] = qubit 2 is the low bit of U's index
         rng = np.random.default_rng(14)
         psi = random_state(3, rng)
         u = random_unitary(4, rng)
         pure = QuantumRegister(3, psi.copy())
         apply_unitary(pure, u, [2, 0])
-        mixed = QuantumRegister(3, psi.copy()).to_mixed()
-        apply_unitary(mixed, u, [2, 0])
+        bits = [(np.arange(8) >> q) & 1 for q in range(3)]
+        sub = bits[2] + 2 * bits[0]
+        full = np.where(bits[1][:, None] == bits[1][None, :],
+                        u[sub[:, None], sub[None, :]], 0)
+        rho = np.outer(psi, psi.conj())
         np.testing.assert_allclose(
-            mixed.amplitudes, pure.to_mixed().amplitudes, atol=1e-12
+            np.outer(pure.amplitudes, pure.amplitudes.conj()),
+            full @ rho @ full.conj().T, atol=1e-12
         )
 
 
@@ -170,7 +166,7 @@ class TestMeasure:
 
     def test_same_seed_same_outcomes(self):
         def sequence(seed):
-            rng = RngSeed(seed).generator()
+            rng = np.random.default_rng(seed)
             out = []
             reg = QuantumRegister(2, (ket("00") + ket("11")) / math.sqrt(2))
             for _ in range(20):
@@ -181,14 +177,6 @@ class TestMeasure:
 
         assert sequence(123) == sequence(123)
         assert sequence(123) != sequence(124)
-
-    def test_mixed_mode_measurement(self):
-        reg = QuantumRegister(2, (ket("00") + ket("01")) / math.sqrt(2)).to_mixed()
-        label, p, _ = measure(reg, parity_projectors((0, 1)), 1, force="pi3")
-        assert abs(p - 0.5) < 1e-12
-        np.testing.assert_allclose(
-            reg.amplitudes, np.outer(ket("00"), ket("00").conj()), atol=1e-12
-        )
 
 
 class TestProjectorSet:
@@ -233,105 +221,100 @@ class TestMeasureAgainstDenseProjectors:
     SETS = {"joint_ones": joint_ones_projectors, "parity": parity_projectors,
             "ordered": lambda ab: ProjectorSet((0, 1, 2, 2), ("a", "b", "c"), ab)}
 
-    def states(self, seed):
-        psi = random_state(self.N, seed)
-        rho = sum(w * np.outer(v, v.conj()) for w, v in
-                  zip((0.5, 0.3, 0.2), (psi, random_state(self.N, seed + 1),
-                                        random_state(self.N, seed + 2))))
-        return psi, rho
-
-    @pytest.mark.parametrize("mixed", [False, True])
     @pytest.mark.parametrize("kind", ["joint_ones", "parity", "ordered"])
-    def test_every_forced_outcome(self, kind, mixed):
+    def test_every_forced_outcome(self, kind):
         for seed, (a, b) in enumerate(self.TARGETS):
-            psi, rho = self.states(100 + 10 * seed)
-            state = rho if mixed else psi
+            psi = random_state(self.N, 100 + 10 * seed)
             ps = self.SETS[kind]((a, b))
             for label, proj in zip(ps.outcome_labels,
                                    _dense_projectors(self.N, kind, a, b)):
-                if mixed:
-                    p_ref = np.real(np.trace(proj @ rho))
-                    post_ref = proj @ rho @ proj / p_ref
-                else:
-                    p_ref = np.real(np.vdot(psi, proj @ psi))
-                    post_ref = proj @ psi / math.sqrt(p_ref)
-                reg = QuantumRegister(self.N, state.copy())
+                p_ref = np.real(np.vdot(psi, proj @ psi))
+                post_ref = proj @ psi / math.sqrt(p_ref)
+                reg = QuantumRegister(self.N, psi.copy())
                 got, p, _ = measure(reg, ps, None, force=label)
                 assert got == label
                 assert abs(p - p_ref) < 1e-14
                 np.testing.assert_allclose(reg.amplitudes, post_ref, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("mixed", [False, True])
-    def test_sampled_outcome_uses_one_draw_in_label_order(self, mixed):
+    def test_sampled_outcome_uses_one_draw_in_label_order(self):
         for seed, (a, b) in enumerate(self.TARGETS):
-            psi, rho = self.states(200 + 10 * seed)
-            state = rho if mixed else psi
+            psi = random_state(self.N, 200 + 10 * seed)
             for kind, make in self.SETS.items():
                 projs = _dense_projectors(self.N, kind, a, b)
-                probs = [np.real(np.trace(p @ rho)) if mixed
-                         else np.real(np.vdot(psi, p @ psi)) for p in projs]
+                probs = [np.real(np.vdot(psi, p @ psi)) for p in projs]
                 rng, follow = np.random.default_rng(seed), np.random.default_rng(seed)
                 draw = follow.random() * sum(probs)
                 expected = int(np.sum(np.cumsum(probs) <= draw))
                 ps = make((a, b))
-                label, p, _ = measure(QuantumRegister(self.N, state.copy()), ps, rng)
+                label, p, _ = measure(QuantumRegister(self.N, psi.copy()), ps, rng)
                 assert label == ps.outcome_labels[expected]
                 assert abs(p - probs[expected] / sum(probs)) < 1e-14
                 assert rng.random() == follow.random()  # exactly one draw consumed
 
-    @pytest.mark.parametrize("mixed", [False, True])
-    def test_logical_support(self, mixed):
+    def test_logical_support(self):
         pairs = [LogicalQubit(3, 0), LogicalQubit(1, 4)]
         for seed in range(4):
-            psi, rho = self.states(300 + 10 * seed)
+            psi = random_state(self.N, 300 + 10 * seed)
             proj = np.eye(2**self.N)
             for q in pairs:
                 proj = proj @ np.diag(
                     (_bits(self.N, q.atom_a) != _bits(self.N, q.atom_b)).astype(float))
-            if mixed:
-                ref = np.real(np.trace(proj @ rho))
-                reg = QuantumRegister(self.N, rho)
-            else:
-                ref = np.real(np.vdot(psi, proj @ psi))
-                reg = QuantumRegister(self.N, psi)
-            assert abs(logical_support(reg, pairs) - ref) < 1e-14
+            ref = np.real(np.vdot(psi, proj @ psi))
+            assert abs(logical_support(QuantumRegister(self.N, psi), pairs) - ref) < 1e-14
+
+
+def _dense_partial_trace(psi, n, keep):
+    """Partial trace of |psi><psi| summed element by element over the rest."""
+    rest = [q for q in range(n) if q not in keep]
+    dim = 2 ** len(keep)
+    out = np.zeros((dim, dim), dtype=complex)
+    rho = np.outer(psi, psi.conj())
+    for i in range(2**n):
+        for j in range(2**n):
+            if all((i >> q) & 1 == (j >> q) & 1 for q in rest):
+                r = sum(((i >> q) & 1) << m for m, q in enumerate(keep))
+                c = sum(((j >> q) & 1) << m for m, q in enumerate(keep))
+                out[r, c] += rho[i, j]
+    return out
 
 
 class TestPartialTrace:
+    """``reduced_state`` is the partial trace of a pure register."""
+
     def test_product_state(self):
-        rho = QuantumRegister(2, ket("01")).to_mixed()
-        red = partial_trace(rho, [0])
-        np.testing.assert_allclose(red.amplitudes, np.diag([1.0, 0.0]), atol=1e-14)
+        red = reduced_state(QuantumRegister(2, ket("01")), [0])
+        np.testing.assert_allclose(red, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_bell_state_is_maximally_mixed(self):
-        rho = QuantumRegister(2, bell_pair()).to_mixed()
+        reg = QuantumRegister(2, bell_pair())
         for q in (0, 1):
-            red = partial_trace(rho, [q])
-            np.testing.assert_allclose(red.amplitudes, np.eye(2) / 2, atol=1e-13)
+            np.testing.assert_allclose(reduced_state(reg, [q]), np.eye(2) / 2,
+                                       atol=1e-13)
 
     def test_logical_blocks(self):
         # trace out atoms 2,3 of |0_L><0_L| x |+_L><+_L| leaves |01><01|
-        state = kron_all([pair_ket("0L"), pair_ket("+L")])
-        rho = QuantumRegister(4, state).to_mixed()
-        red = partial_trace(rho, [0, 1])
+        reg = QuantumRegister(4, kron_all([pair_ket("0L"), pair_ket("+L")]))
         np.testing.assert_allclose(
-            red.amplitudes, np.outer(ket("01"), ket("01").conj()), atol=1e-13
+            reduced_state(reg, [0, 1]), np.outer(ket("01"), ket("01").conj()),
+            atol=1e-13
         )
 
-    def test_requires_mixed_and_nonempty(self):
-        with pytest.raises(RegisterError, match="mixed"):
-            partial_trace(QuantumRegister(2, ket("00")), [0])
+    def test_rejects_empty_or_bad_keep(self):
+        reg = QuantumRegister(2, ket("00"))
         with pytest.raises(RegisterError, match="empty"):
-            partial_trace(QuantumRegister(2, ket("00")).to_mixed(), [])
+            reduced_state(reg, [])
+        with pytest.raises(RegisterError, match="duplicate"):
+            reduced_state(reg, [1, 1])
 
     def test_reduced_state_matches_partial_trace(self):
         rng = np.random.default_rng(31)
-        psi = random_state(4, rng)
-        reg = QuantumRegister(4, psi)
-        for keep in ([0], [2, 1], [3, 0, 2]):
-            fast = reduced_state(reg, keep)
-            slow = partial_trace(reg.to_mixed(), keep)
-            np.testing.assert_allclose(fast.amplitudes, slow.amplitudes, atol=1e-13)
+        for _ in range(3):
+            psi = random_state(4, rng)
+            reg = QuantumRegister(4, psi)
+            for keep in ([0], [2, 1], [1, 2], [3, 0, 2], [0, 2, 3], [2, 3, 0]):
+                np.testing.assert_allclose(reduced_state(reg, keep),
+                                           _dense_partial_trace(psi, 4, keep),
+                                           atol=1e-13)
 
 
 class TestHelpers:
@@ -347,6 +330,11 @@ class TestHelpers:
         joined = tensor(a, b)
         assert np.argmax(np.abs(joined.amplitudes)) == basis_index("10")
 
+    def test_rejects_density_matrix(self):
+        # the register holds one pure state; a 2-D array is not one
+        with pytest.raises(RegisterError, match="shape"):
+            QuantumRegister(2, np.eye(4) / 4)
+
     def test_rz_convention(self):
         # full-angle convention: exp(-i a sigma_z)
         m = rz(0.3)
@@ -358,9 +346,9 @@ class TestHelpers:
         assert fidelity(psi, psi) == pytest.approx(1.0)
         assert fidelity(psi, phi) == pytest.approx(0.0)
         assert trace_distance(psi, phi) == pytest.approx(1.0)
-        mixed = QuantumRegister(2, psi).to_mixed()
-        assert fidelity(psi, mixed) == pytest.approx(1.0)
-        assert fidelity(np.eye(4) / 4, np.eye(4) / 4) == pytest.approx(1.0, abs=1e-9)
+        # a density-matrix second argument gives <psi|rho|psi>
+        assert fidelity(psi, np.outer(psi, psi.conj())) == pytest.approx(1.0)
+        assert fidelity(psi, np.eye(4) / 4) == pytest.approx(0.25)
 
     def test_global_phase_ignored(self):
         psi = random_state(2, 5)
