@@ -22,7 +22,7 @@ and ``seed``, and a key the kind does not list is rejected:
       model (band-limited-white), tau_co_ms (1.0), cutoff_hz (100.0),
       table_path (table model only)
     echo:               # decoupling
-      dt_cutoff_product ([0.01 .. 0.1]), n_cycles (1)
+      dt_cutoff_product ([0.01 .. 0.1]; two or more distinct), n_cycles (1)
     realizations (10000)         # decoupling
     transport:          # transport-noise
       tau_t_us (100.0), d_um (10.0)
@@ -201,6 +201,9 @@ class ScenarioConfig:
             raise ConfigError("echo dt_cutoff_product must be a list of numbers") from None
         if not products or min(products) <= 0:
             raise ConfigError("echo dt_cutoff_product values must be positive")
+        if len(set(products)) < 2:
+            # the suppression slope is a fit over at least two products
+            raise ConfigError("echo dt_cutoff_product needs two or more distinct values")
         return products, n_cycles
 
     def noise_spectrum(self):

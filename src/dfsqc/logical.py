@@ -23,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .register import (
-    SX,
     SZ,
     ProjectorSet,
     QuantumRegister,
@@ -31,8 +30,8 @@ from .register import (
     apply_unitary,
     kron_all,
     measure,
+    row_table,
     rz,
-    target_index,
 )
 
 
@@ -229,13 +228,13 @@ def logical_z_measurement(reg: QuantumRegister, q: LogicalQubit, rng, force=None
     """
     forced = {None: (None, None), "z+": ("pi1", "pi2"), "z-": ("pi2", "pi1"),
               "leak": ("pi2", "pi2")}[force]
-    ps = joint_ones_projectors(q)
-    apply_unitary(reg, SX, [q.atom_a])
-    first, p1, reg = measure(reg, ps, rng, force=forced[0])
-    apply_unitary(reg, SX, [q.atom_a])
-    apply_unitary(reg, SX, [q.atom_b])
-    second, p2, reg = measure(reg, ps, rng, force=forced[1])
-    apply_unitary(reg, SX, [q.atom_b])
+    # A sigma_x before and after {P1, P2} only relabels its outcome table:
+    # on atom_a P1 becomes |0_L><0_L|, on atom_b it becomes |1_L><1_L|.
+    # Each is still its own measurement with its own draw.
+    first, p1, reg = measure(reg, ProjectorSet((1, 1, 0, 1), ("pi1", "pi2"), q.atoms),
+                             rng, force=forced[0])
+    second, p2, reg = measure(reg, ProjectorSet((1, 0, 1, 1), ("pi1", "pi2"), q.atoms),
+                              rng, force=forced[1])
 
     pair = (first, second)
     if pair == ("pi1", "pi2"):
@@ -285,8 +284,8 @@ def logical_basis_measurement(reg: QuantumRegister, q: LogicalQubit, basis: str,
 
 def logical_support(reg: QuantumRegister, qubits) -> float:
     """Probability weight of the state inside the logical span of every pair."""
-    inside = np.ones(reg.dim, dtype=bool)
-    for q in qubits:
-        pair = target_index(reg.n_qubits, q.atoms)
-        inside &= (pair == IDX_0L) | (pair == IDX_1L)
-    return float(np.sum(np.where(inside, reg.populations, 0.0)))
+    atoms = [a for q in qubits for a in q.atoms]
+    weights = reg.populations[row_table(reg.n_qubits, atoms)].sum(axis=1)
+    # one axis per pair; its indices IDX_1L = 1 and IDX_0L = 2 span the logical space
+    inside = (slice(IDX_1L, IDX_0L + 1),) * len(qubits)
+    return float(weights.reshape((4,) * len(qubits))[inside].sum())

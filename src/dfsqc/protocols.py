@@ -28,6 +28,7 @@ from .register import (
     CZ2,
     SX,
     QuantumRegister,
+    apply_diagonal,
     apply_unitary,
     as_generator,
     fidelity,
@@ -35,7 +36,6 @@ from .register import (
     measure,
     tensor,
 )
-from .register import _apply_matrix  # targeted non-unitary application
 from .logical import (
     H_L,
     HS_DAG_L,
@@ -105,7 +105,6 @@ class ProtocolRun:
     rng: np.random.Generator = None
     record: list = field(default_factory=list)
     in_cavity: set = field(default_factory=set)
-    _seq: int = 0
     _cz_cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -169,7 +168,7 @@ class ProtocolRun:
             homodyne_error=self.homodyne_error,
             rng=self.rng if seed is None else np.random.default_rng(seed),
             record=list(self.record), in_cavity=set(self.in_cavity),
-            _seq=self._seq, _cz_cache=self._cz_cache)
+            _cz_cache=self._cz_cache)
         return clone
 
     def allocate_pair(self, name: str, state="+L") -> LogicalQubit:
@@ -185,9 +184,8 @@ class ProtocolRun:
 
     # -- bookkeeping ------------------------------------------------------
     def log(self, op: str, **detail):
-        entry = LogEntry(self._seq, op, detail)
+        entry = LogEntry(len(self.record), op, detail)
         self.record.append(entry)
-        self._seq += 1
         return entry
 
     def record_lines(self) -> list:
@@ -195,12 +193,12 @@ class ProtocolRun:
 
     # -- noisy CZ map ------------------------------------------------------
     def _cz_map(self) -> np.ndarray:
-        """Diagonal amplitude/phase map on two addressed atoms.
+        """Diagonal of the amplitude/phase map on two addressed atoms.
 
-        Entry for atom values (va, vb): magnitude is the cat-branch norm
-        conditioned on no spontaneous emission, phase is the conditional
-        reflection phase theta.  Tends to the exact CZ as g -> inf,
-        gamma -> 0.
+        Entry ``va + 2*vb`` for atom values (va, vb): magnitude is the
+        cat-branch norm conditioned on no spontaneous emission, phase is the
+        conditional reflection phase theta.  Tends to the exact CZ as
+        g -> inf, gamma -> 0.
         """
         if self.cavity is None or self.pulse is None:
             raise SchedulingError("noisy mode requires cavity and pulse settings")
@@ -215,7 +213,7 @@ class ProtocolRun:
             for (va, vb), comp in comps.items():
                 amp = math.sqrt(_branch_norm_sq(x, comp.energy_ratio))
                 m[va + 2 * vb] = amp * np.exp(1j * comp.theta)
-            self._cz_cache[key] = np.diag(m)
+            self._cz_cache[key] = m
         return self._cz_cache[key]
 
 
@@ -280,8 +278,7 @@ def physical_cz(run: ProtocolRun, atom_i: int, atom_j: int):
     if run.mode == "ideal" or run.cavity is None:
         apply_unitary(run.register, CZ2, [atom_i, atom_j])
     else:
-        m = run._cz_map()
-        _apply_matrix(run.register, m, [atom_i, atom_j])
+        apply_diagonal(run.register, run._cz_map(), [atom_i, atom_j])
         amps = run.register.amplitudes
         run.register.amplitudes = amps / np.linalg.norm(amps)
     run.log("physical_cz", atoms=(atom_i, atom_j), mode=run.mode)

@@ -14,13 +14,15 @@ Conventions (fixed once, inherited by every other module):
   atom-numbering used throughout: atom 1 of a protocol diagram is qubit 0.
 * A matrix applied to ``targets=[q0, q1, ...]`` is indexed with
   ``targets[0]`` as the least significant bit of its row/column index.
-* Registers are value-like: operations mutate ``amplitudes`` in place and
-  return the same object; use :meth:`QuantumRegister.copy` to branch.
+* Registers are value-like: operations replace ``amplitudes`` by a new
+  array and return the same object; use :meth:`QuantumRegister.copy` to branch.
+* Targets are addressed through one cached :func:`row_table`: an operation
+  gathers ``amps[rows]`` and, if it changes the state, scatters a new array.
 
 Measurements: every projector the protocols measure is diagonal in the
 computational basis, so a :class:`ProjectorSet` is an outcome table over the
-basis states of its targets, and ``measure`` works on basis-state weights
-and boolean masks.
+basis states of its targets, and ``measure`` sums the weights of the
+target sub-states per outcome and keeps the rows of the chosen one.
 
 Randomness: every sampled measurement consumes exactly one ``rng.random()``
 draw (outcomes ordered as in the ProjectorSet), so a fixed seed and a fixed
@@ -29,6 +31,7 @@ call sequence replay identically.  Forced measurements consume no draw.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -169,78 +172,82 @@ def random_unitary(dim: int, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# targeted matrix application
+# targeted operations through a cached row table
 # ---------------------------------------------------------------------------
 
-def _axis_of(qubit: int, total_axes: int) -> int:
-    # C-order reshape puts the highest qubit on axis 0
-    return total_axes - 1 - qubit
+ROW_TABLES = 64  # cached (n_qubits, targets) tables; shipped + golden configs use 23
 
 
-def _apply_on_axes(flat: np.ndarray, mat: np.ndarray, axes, total_axes: int) -> np.ndarray:
-    k = len(axes)
-    t = flat.reshape([2] * total_axes)
-    dest = list(range(k))[::-1]  # axes[0] becomes the fastest-varying bit
-    t = np.moveaxis(t, axes, dest)
-    rest = t.shape[k:]
-    t = mat @ t.reshape(2**k, -1)
-    t = np.moveaxis(t.reshape([2] * k + list(rest)), dest, axes)
-    return t.reshape(flat.shape)
+def row_table(n_qubits: int, targets) -> np.ndarray:
+    """Read-only ``(2**k, 2**(n-k))`` table of basis states by targets sub-state.
+
+    Row ``s`` lists, in increasing order, the basis states whose ``targets``
+    sub-state (``targets[0]`` lowest) is ``s``, so ``amps[rows]`` is the
+    state as a ``2**k``-row matrix on the targets.
+    """
+    return _row_table(n_qubits, tuple(int(q) for q in targets))
 
 
-def _check_targets(reg: QuantumRegister, targets):
-    targets = [int(q) for q in targets]
+@functools.lru_cache(maxsize=ROW_TABLES)
+def _row_table(n_qubits: int, targets: tuple) -> np.ndarray:
     if len(set(targets)) != len(targets):
-        raise RegisterError(f"duplicate targets {targets}")
+        raise RegisterError(f"duplicate targets {list(targets)}")
     for q in targets:
-        if not 0 <= q < reg.n_qubits:
-            raise RegisterError(f"target {q} out of range for {reg.n_qubits} qubits")
-    return targets
-
-
-def _apply_matrix(reg: QuantumRegister, mat: np.ndarray, targets) -> QuantumRegister:
-    """Apply ``mat`` (not necessarily unitary) on ``targets``; no checks."""
-    n = reg.n_qubits
-    axes = [_axis_of(q, n) for q in targets]
-    reg.amplitudes = _apply_on_axes(reg.amplitudes, mat, axes, n)
-    return reg
-
-
-def apply_unitary(reg: QuantumRegister, unitary: np.ndarray, targets) -> QuantumRegister:
-    """Apply a unitary on the listed qubits: psi -> U psi."""
-    targets = _check_targets(reg, targets)
-    unitary = np.asarray(unitary, dtype=complex)
-    dim = 2 ** len(targets)
-    if unitary.shape != (dim, dim):
-        raise RegisterError(f"unitary shape {unitary.shape} != ({dim}, {dim})")
-    if np.max(np.abs(unitary.conj().T @ unitary - np.eye(dim))) > ATOL_UNITARY:
-        raise RegisterError("matrix is not unitary within 1e-10")
-    return _apply_matrix(reg, unitary, targets)
-
-
-def target_index(n_qubits: int, targets) -> np.ndarray:
-    """Index of the ``targets`` sub-state (``targets[0]`` lowest) of every basis state."""
+        if not 0 <= q < n_qubits:
+            raise RegisterError(f"target {q} out of range for {n_qubits} qubits")
     idx = np.arange(2**n_qubits)
     sub = np.zeros_like(idx)
     for m, q in enumerate(targets):
         sub |= ((idx >> q) & 1) << m
-    return sub
+    rows = np.argsort(sub, kind="stable").reshape(2 ** len(targets), -1)
+    rows.flags.writeable = False
+    return rows
+
+
+def _scatter(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    out = np.empty(rows.size, dtype=complex)
+    out[rows] = values
+    return out
+
+
+def apply_unitary(reg: QuantumRegister, unitary: np.ndarray, targets) -> QuantumRegister:
+    """Apply a unitary on the listed qubits: psi -> U psi."""
+    rows = row_table(reg.n_qubits, targets)
+    unitary = np.asarray(unitary, dtype=complex)
+    dim = rows.shape[0]
+    if unitary.shape != (dim, dim):
+        raise RegisterError(f"unitary shape {unitary.shape} != ({dim}, {dim})")
+    if np.max(np.abs(unitary.conj().T @ unitary - np.eye(dim))) > ATOL_UNITARY:
+        raise RegisterError("matrix is not unitary within 1e-10")
+    reg.amplitudes = _scatter(rows, unitary @ reg.amplitudes[rows])
+    return reg
+
+
+def apply_diagonal(reg: QuantumRegister, diagonal: np.ndarray, targets) -> QuantumRegister:
+    """psi -> D psi, D = diag(``diagonal``) on ``targets``; not renormalized."""
+    rows = row_table(reg.n_qubits, targets)
+    diagonal = np.asarray(diagonal, dtype=complex)
+    if diagonal.shape != (rows.shape[0],):
+        raise RegisterError(f"diagonal shape {diagonal.shape} != ({rows.shape[0]},)")
+    reg.amplitudes = _scatter(rows, diagonal[:, None] * reg.amplitudes[rows])
+    return reg
 
 
 def measure(reg: QuantumRegister, ps: ProjectorSet, rng, force=None):
     """Projective measurement by the Born rule on a diagonal ProjectorSet.
 
-    The outcome probabilities are the basis-state populations summed per
+    The outcome probabilities are the target sub-state weights summed per
     outcome of the table; the collapse zeroes every basis state of the
     other outcomes.  Returns ``(label, probability, register)``; the
-    register is updated in place to the renormalized post-measurement
+    register is updated to the renormalized post-measurement
     state (non-destructive).  ``force`` selects a specific outcome label
     (post-selection); it errors when that outcome has probability below
     1e-14 and consumes no rng draw.
     """
-    targets = _check_targets(reg, ps.targets)
-    outcome = np.asarray(ps.outcome_of)[target_index(reg.n_qubits, targets)]
-    probs = np.bincount(outcome, weights=reg.populations,
+    rows = row_table(reg.n_qubits, ps.targets)
+    x = reg.amplitudes[rows]
+    weights = (np.abs(x) ** 2).sum(axis=1)
+    probs = np.bincount(ps.outcome_of, weights=weights,
                         minlength=len(ps.outcome_labels)).clip(0.0, None)
     total = probs.sum()
     if total < MIN_PROBABILITY:
@@ -256,7 +263,10 @@ def measure(reg: QuantumRegister, ps: ProjectorSet, rng, force=None):
         k = min(k, len(probs) - 1)
 
     p_k = probs[k]
-    reg.amplitudes = np.where(outcome == k, reg.amplitudes, 0) / math.sqrt(p_k)
+    # rows of outcome k scaled by 1/sqrt(p_k), all others zeroed; numpy
+    # divides a complex by a real through this same reciprocal
+    scale = np.where(np.asarray(ps.outcome_of) == k, 1.0 / math.sqrt(p_k), 0.0)
+    reg.amplitudes = _scatter(rows, x * scale[:, None])
     return ps.outcome_labels[k], float(p_k / total), reg
 
 
@@ -266,14 +276,9 @@ def reduced_state(reg: QuantumRegister, keep) -> np.ndarray:
     The amplitudes are contracted directly; the full density matrix of the
     register is never formed.
     """
-    keep = list(keep)
-    if not keep:
+    if len(keep) == 0:
         raise RegisterError("keep set must not be empty")
-    _check_targets(reg, keep)
-    n = reg.n_qubits
-    t = reg.amplitudes.reshape([2] * n)
-    axes = [_axis_of(q, n) for q in keep]
-    x = np.moveaxis(t, axes, list(range(len(keep)))[::-1]).reshape(2 ** len(keep), -1)
+    x = reg.amplitudes[row_table(reg.n_qubits, keep)]
     return x @ x.conj().T
 
 

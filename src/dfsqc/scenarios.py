@@ -41,7 +41,7 @@ from .noise import (
     monte_carlo_dephasing,
     suppression_factor,
 )
-from .register import fidelity, kron_all, reduced_state, trace_distance
+from .register import fidelity, kron_all, random_state, reduced_state, trace_distance
 from .logical import BELL_LABELS, bell_ket, pair_ket
 from .protocols import ProtocolRun, full_bsm, logical_hadamard, prepare_xi, teleported_cnot, leakage_detect
 from .logical import H2
@@ -245,11 +245,6 @@ def cnot_matrix() -> np.ndarray:
     return m
 
 
-def _random_state(rng, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
 def _teleport_once(c4: np.ndarray, seed: int, force=None):
     run = ProtocolRun.create(
         [(("ctrl", "tgt"), encode_two(c4)),
@@ -280,7 +275,7 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
                    for s in np.random.SeedSequence(cfg.seed).spawn(trials)]
 
     if protocol == "teleported-cnot":
-        inputs = [_random_state(rng, 4) for _ in range(trials)]
+        inputs = [random_state(2, rng) for _ in range(trials)]
 
         def point(i: int):
             res = _teleport_once(inputs[i], trial_seeds[i])
@@ -296,7 +291,7 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
         # branch independence: all 16 forced Bell outcomes on fixed inputs
         max_dist = 0.0
         for probe in range(3):
-            c4 = _random_state(np.random.default_rng(cfg.seed + 7 + probe), 4)
+            c4 = random_state(2, cfg.seed + 7 + probe)
             outs = []
             for la in BELL_LABELS:
                 for lb in BELL_LABELS:
@@ -330,7 +325,7 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
                               rows, checks)
 
     if protocol == "hadamard":
-        inputs = [_random_state(rng, 2) for _ in range(trials)]
+        inputs = [random_state(1, rng) for _ in range(trials)]
 
         def point(i: int):
             v = inputs[i]
@@ -358,7 +353,7 @@ def run_leakage_demo(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
              ("2L", "leak"), ("3L", "leak")]
     inputs = [(name, pair_ket(name), expect) for name, expect in cases]
     for i in range(n_random):
-        v = _random_state(rng, 2)
+        v = random_state(1, rng)
         inputs.append((f"random_{i}", pair_ket((v[0], v[1])), "clean"))
 
     rows, ok = [], True

@@ -229,7 +229,10 @@ class TestCliEntry:
                      "kind: transport-noise\nsweep: {points: 0}\n",
                      "kind: decoupling\necho: {n_cycles: 0}\n",
                      "kind: decoupling\necho: {dt_cutoff_product: [0.0, 0.1]}\n",
-                     "kind: decoupling\necho: {dt_cutoff_product: 0.05}\n"):
+                     "kind: decoupling\necho: {dt_cutoff_product: 0.05}\n",
+                     # one product, or one repeated, leaves no slope to fit
+                     "kind: decoupling\necho: {dt_cutoff_product: [0.05]}\n",
+                     "kind: decoupling\necho: {dt_cutoff_product: [0.05, 0.05]}\n"):
             assert main(["simulate", self.write(tmp_path, text), "--out", out]) == 2
         assert not Path(out).exists()
 

@@ -6,10 +6,14 @@ metadata) written for ``configs/<name>.yaml``, or for the small
 exactly; numeric columns may drift only within the tolerance listed for
 that column below, so a numeric refactor shows either no change or a
 declared, bounded one.  A column missing from both tables fails the test.
+``tests/golden/teleported-cnot.outcomes.log`` is the outcome log of that
+config: every field must match exactly except the branch probabilities
+``p=``, which get the ``fidelity`` tolerance.
 """
 
 import csv
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -85,3 +89,24 @@ def test_csv_matches_golden(name, tmp_path):
                 assert g == w, f"{head} row {i}: {g} != {w}"
             else:
                 assert _close(g, w, *TOLERANCES[head]), f"{head} row {i}: {g} vs {w}"
+
+
+def _log_fields(path: Path):
+    # fields are "key=value"; a value may hold spaces, as in "((0, 1),(6, 7))"
+    return [dict(field.split("=", 1) for field in re.split(r" (?=\w+=)", line))
+            for line in path.read_text().splitlines()]
+
+
+def test_outcome_log_matches_golden(tmp_path):
+    cfg = ScenarioConfig.from_file(_config_path("teleported-cnot"))
+    _, paths = run_scenario(cfg, tmp_path)
+    got = _log_fields(paths["outcomes.log"])
+    want = _log_fields(GOLDEN / "teleported-cnot.outcomes.log")
+    assert len(got) == len(want), "event count changed"
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert list(g) == list(w), f"line {i}: fields changed"
+        for key in w:
+            if key == "p":
+                assert _close(g[key], w[key], *TOLERANCES["fidelity"]), f"line {i}"
+            else:
+                assert g[key] == w[key], f"line {i} {key}: {g[key]} != {w[key]}"

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from dfsqc.register import (
+    SX,
     QuantumRegister,
     RegisterError,
     apply_unitary,
     fidelity,
     ket,
+    measure,
     random_state,
     rz,
 )
@@ -22,6 +24,7 @@ from dfsqc.logical import (
     Z_L,
     LogicalQubit,
     bell_ket,
+    joint_ones_projectors,
     logical_basis_measurement,
     logical_block,
     logical_pauli,
@@ -195,6 +198,29 @@ class TestZMeasurement:
                 idx = 0 if force == "z+" else 1
                 assert res.probability == pytest.approx(abs(v[idx]) ** 2, abs=1e-12)
                 assert fidelity(target, res.register.amplitudes) >= 1.0 - 1e-12
+
+    def test_matches_the_sigma_x_sequence(self):
+        # the physical sequence sigma_x; {P1,P2}; sigma_x sigma_x; {P1,P2};
+        # sigma_x, written out on a non-adjacent, reversed pair of 5 atoms
+        q = LogicalQubit(4, 1)
+        ps = joint_ones_projectors(q)
+        for seed in range(4):
+            psi = random_state(5, 40 + seed)
+            for force, pair in (("z+", ("pi1", "pi2")), ("z-", ("pi2", "pi1")),
+                                ("leak", ("pi2", "pi2"))):
+                ref = QuantumRegister(5, psi.copy())
+                apply_unitary(ref, SX, [q.atom_a])
+                _, p1, _ = measure(ref, ps, None, force=pair[0])
+                apply_unitary(ref, SX, [q.atom_a])
+                apply_unitary(ref, SX, [q.atom_b])
+                _, p2, _ = measure(ref, ps, None, force=pair[1])
+                apply_unitary(ref, SX, [q.atom_b])
+                res = logical_z_measurement(QuantumRegister(5, psi.copy()), q,
+                                            None, force=force)
+                assert res.outcomes == pair
+                assert res.probability == pytest.approx(p1 * p2, abs=1e-15)
+                np.testing.assert_allclose(res.register.amplitudes,
+                                           ref.amplitudes, rtol=0, atol=1e-15)
 
     def test_leak_branch_keeps_coherence(self):
         vec = (ket("00") + 1j * ket("11")) / math.sqrt(2)

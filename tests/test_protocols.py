@@ -125,6 +125,19 @@ class TestPhysicalCz:
         c00 = abs(np.vdot(kron_all([pair_ket("0L"), pair_ket("0L")]), amps))
         assert c11 > c00
 
+    def test_noisy_cz_leaves_inputs_unmodified(self):
+        p = CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ)
+        pulse = PulseSpec.gaussian(200 / p.kappa, 1.26, "odd_cat")
+        run = two_pair_run(encode_two(np.ones(4) / 2), mode="noisy", cavity=p,
+                           pulse=pulse)
+        transport(run, TransportStep((0, 2)))
+        before = run.register.amplitudes
+        saved, cz_map = before.copy(), run._cz_map().copy()
+        physical_cz(run, 0, 2)
+        assert not np.allclose(run.register.amplitudes, saved)
+        np.testing.assert_array_equal(before, saved)
+        np.testing.assert_array_equal(run._cz_map(), cz_map)
+
     def test_cz_map_follows_the_pulse(self):
         # a cached map must never be handed to another pulse, even one that
         # reuses the id() of a pulse dropped earlier

@@ -11,6 +11,7 @@ from dfsqc.register import (
     ProjectorSet,
     QuantumRegister,
     RegisterError,
+    apply_diagonal,
     apply_unitary,
     basis_index,
     fidelity,
@@ -20,6 +21,7 @@ from dfsqc.register import (
     random_state,
     random_unitary,
     reduced_state,
+    row_table,
     rz,
     tensor,
     trace_distance,
@@ -261,6 +263,55 @@ class TestMeasureAgainstDenseProjectors:
                     (_bits(self.N, q.atom_a) != _bits(self.N, q.atom_b)).astype(float))
             ref = np.real(np.vdot(psi, proj @ psi))
             assert abs(logical_support(QuantumRegister(self.N, psi), pairs) - ref) < 1e-14
+
+
+class TestRowTable:
+    N = 5
+    TARGETS = [(0,), (4,), (0, 1), (1, 0), (4, 2), (3, 0, 2), (2, 4, 0, 3),
+               (4, 3, 2, 1, 0)]
+
+    @pytest.mark.parametrize("targets", TARGETS, ids=str)
+    def test_rows_group_basis_states_by_target_sub_state(self, targets):
+        rows = row_table(self.N, targets)
+        k = len(targets)
+        assert rows.shape == (2**k, 2 ** (self.N - k))
+        assert sorted(rows.ravel()) == list(range(2**self.N))  # a permutation
+        sub = sum(_bits(self.N, q) << m for m, q in enumerate(targets))
+        assert (sub[rows] == np.arange(2**k)[:, None]).all()  # row s: sub-state s
+        rest = np.arange(2**self.N) & ~sum(1 << q for q in targets)
+        assert (rest[rows] == rest[rows[0]]).all()  # a column shares the rest bits
+
+    def test_cached_and_read_only(self):
+        rows = row_table(self.N, [4, 2])
+        assert row_table(self.N, (4, 2)) is rows
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+
+    def test_apply_diagonal_matches_dense(self):
+        rng = np.random.default_rng(17)
+        psi = random_state(self.N, rng)
+        diag = rng.normal(size=4) + 1j * rng.normal(size=4)
+        sub = _bits(self.N, 3) + 2 * _bits(self.N, 0)
+        reg = apply_diagonal(QuantumRegister(self.N, psi.copy()), diag, [3, 0])
+        np.testing.assert_allclose(reg.amplitudes, diag[sub] * psi, rtol=0, atol=1e-15)
+        with pytest.raises(RegisterError, match="diagonal"):
+            apply_diagonal(reg, np.ones(2), [3, 0])
+
+    def test_operations_leave_inputs_and_table_unmodified(self):
+        psi = random_state(self.N, 9)
+        targets = (3, 1)
+        table = row_table(self.N, targets).copy()
+        for op in (lambda r: apply_unitary(r, random_unitary(4, 1), targets),
+                   lambda r: apply_diagonal(r, [1, 0.5, 0.5j, -1], targets),
+                   lambda r: measure(r, parity_projectors(targets), 2),
+                   lambda r: reduced_state(r, targets)):
+            given = psi.copy()
+            reg = QuantumRegister(self.N, given)
+            assert reg.amplitudes is given  # shared, so a write into it shows
+            op(reg)
+            np.testing.assert_array_equal(given, psi)
+            np.testing.assert_array_equal(row_table(self.N, targets), table)
 
 
 def _dense_partial_trace(psi, n, keep):
