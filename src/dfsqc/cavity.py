@@ -331,16 +331,15 @@ def _as_weights(eps) -> dict:
     return {c: abs(v) ** 2 for c, v in amp.items()}
 
 
-def cz_output_state(eps, ps: PulseSpec, p: CavityParams) -> dict:
-    """Reflection data for each logical component of the CZ input state.
+def cz_output_state(ps: PulseSpec, p: CavityParams) -> dict:
+    """Reflection data for each logical component (m, n) of the CZ input.
 
-    ``eps`` are the four atomic amplitudes (uniform 1/2 when None).  The
-    odd-cat branches +/-alpha propagate through the same linear response,
-    so one spectral pass per component suffices.
+    The data do not depend on the atomic amplitudes, which only weight the
+    components.  The odd-cat branches +/-alpha propagate through the same
+    linear response, so one spectral pass per component suffices.
     """
     if ps.kind != "odd_cat":
         raise CavityModelError("the CZ probe pulse must be an odd cat")
-    _as_weights(eps)  # validates amplitudes
     out = {}
     for (m, n) in COMPONENTS:
         nc = (m == 0) + (n == 0)
@@ -387,7 +386,7 @@ def cz_gate_fidelity(eps, ps: PulseSpec, p: CavityParams) -> float:
     terms to sinh ratios per component.
     """
     weights = _as_weights(eps)
-    comps = cz_output_state(eps, ps, p)
+    comps = cz_output_state(ps, p)
     x = ps.mean_photon_number
     num = 0.0 + 0j
     den = 0.0

@@ -37,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the config seed")
     sim.add_argument("--out", default="out", help="output directory")
     sim.add_argument("--threads", type=int, default=1,
-                     help="worker threads for independent grid points")
+                     help="worker threads for the decoupling echo Monte Carlo "
+                          "(other kinds run serially)")
 
     rep = sub.add_parser("report", help="summarize artifacts in a directory")
     rep.add_argument("directory")

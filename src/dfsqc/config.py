@@ -70,6 +70,13 @@ GRID_DEFAULTS = {
     "g-sweep": (0.5, 1.0, 11, False),
     "transport-noise": (0.02, 0.2, 5, True),
 }
+# plain top-level value -> default; ScenarioConfig.value converts to its type
+VALUE_DEFAULTS = {
+    "realizations": 10000,
+    "protocol": "teleported-cnot",
+    "trials": 100,
+    "random_inputs": 50,
+}
 
 
 class ConfigError(ValueError):
@@ -146,6 +153,14 @@ class ScenarioConfig:
         if not isinstance(val, dict):
             raise ConfigError(f"section {key!r} must be a mapping")
         return val
+
+    def value(self, key: str):
+        """A plain top-level value: the config's entry or VALUE_DEFAULTS."""
+        default = VALUE_DEFAULTS[key]
+        try:
+            return type(default)(self.data.get(key, default))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key!r} must be a {type(default).__name__}") from None
 
     def physics(self):
         from .cavity import CavityParams
@@ -256,18 +271,18 @@ class ScenarioConfig:
         elif self.kind == "decoupling":
             self.noise_spectrum()
             self.echo()
-            if int(self.data.get("realizations", 10000)) < 100:
+            if self.value("realizations") < 100:
                 raise ConfigError("decoupling needs at least 100 realizations")
         elif self.kind == "transport-noise":
             self.transport_noise()
             self.sweep_grid()
         elif self.kind == "protocol-run":
-            protocol = str(self.data.get("protocol", "teleported-cnot"))
+            protocol = self.value("protocol")
             if protocol not in ("teleported-cnot", "bsm", "hadamard"):
                 raise ConfigError(f"unknown protocol {protocol!r}")
-            if int(self.data.get("trials", 100)) < 1:
+            if self.value("trials") < 1:
                 raise ConfigError("trials must be >= 1")
         elif self.kind == "leakage-demo":
-            if int(self.data.get("random_inputs", 50)) < 0:
+            if self.value("random_inputs") < 0:
                 raise ConfigError("random_inputs must be >= 0")
         return self

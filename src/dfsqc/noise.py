@@ -174,7 +174,6 @@ class EchoSequence:
 
     dt: float
     n_cycles: int = 1
-    pulse: str = "X_L"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -191,60 +190,13 @@ class EchoSequence:
 # synthesis
 # ---------------------------------------------------------------------------
 
-class NoiseRealization(NamedTuple):
-    """One draw of eps(t) as a cosine sum; integrals are exact."""
-
-    freqs: np.ndarray
-    amps: np.ndarray
-    phases: np.ndarray
-
-    def sample(self, times) -> np.ndarray:
-        t = np.asarray(times, dtype=float)
-        return np.cos(np.outer(t, self.freqs) + self.phases) @ self.amps
-
-    def integral(self, t0: float, t1: float) -> float:
-        w = self.freqs
-        val = (np.sin(w * t1 + self.phases) - np.sin(w * t0 + self.phases)) / w
-        return float(val @ self.amps)
-
-
 def _component_grid(spectrum: NoiseSpectrum, n_components: int):
+    """Midpoint frequencies w_k and cosine amplitudes A_k = 2 sqrt(S(w_k) dw)."""
     band = spectrum.band()
     dw = band / n_components
     freqs = (np.arange(n_components) + 0.5) * dw
     amps = 2.0 * np.sqrt(spectrum.psd(freqs) * dw)
     return freqs, amps
-
-
-def draw_realization(spectrum: NoiseSpectrum, rng, n_components: int = 2048):
-    freqs, amps = _component_grid(spectrum, n_components)
-    phases = as_generator(rng).uniform(0.0, TWO_PI, n_components)
-    return NoiseRealization(freqs, amps, phases)
-
-
-def synthesize_noise(spectrum: NoiseSpectrum, duration: float, dt: float, rng,
-                     n_components: int = 2048) -> np.ndarray:
-    """Sampled eps(t) on arange steps of dt covering [0, duration)."""
-    if dt <= 0 or duration <= 0:
-        raise NoiseModelError("duration and dt must be positive")
-    if dt >= math.pi / spectrum.band():
-        raise NoiseModelError(
-            f"dt = {dt:.3g} violates Nyquist for band {spectrum.band():.3g} rad/s"
-        )
-    n = int(round(duration / dt))
-    times = np.arange(n) * dt
-    if spectrum.total_power == 0.0:
-        return np.zeros(n)
-    return draw_realization(spectrum, rng, n_components).sample(times)
-
-
-def periodogram(trace: np.ndarray, dt: float):
-    """Two-sided PSD estimate matching the S(w) normalization."""
-    n = len(trace)
-    spec = np.fft.rfft(trace) * dt
-    w = np.fft.rfftfreq(n, dt) * TWO_PI
-    psd = np.abs(spec) ** 2 / (TWO_PI * n * dt)
-    return w, psd
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +393,4 @@ def apply_dephasing_channel(reg: QuantumRegister, q: LogicalQubit, phi: float):
     """
     apply_unitary(reg, rz(phi / 4.0), [q.atom_a])
     apply_unitary(reg, rz(-phi / 4.0), [q.atom_b])
-    return reg
-
-
-def apply_collective_phase(reg: QuantumRegister, q: LogicalQubit, phi: float):
-    """Same z phase on both atoms; acts trivially on the logical span."""
-    apply_unitary(reg, rz(phi), [q.atom_a])
-    apply_unitary(reg, rz(phi), [q.atom_b])
     return reg

@@ -207,7 +207,7 @@ class ProtocolRun:
         key = (self.cavity.g, self.cavity.kappa, self.cavity.gamma,
                self.cavity.g2, self.pulse)
         if key not in self._cz_cache:
-            comps = cz_output_state(None, self.pulse, self.cavity)
+            comps = cz_output_state(self.pulse, self.cavity)
             x = self.pulse.mean_photon_number
             m = np.zeros(4, dtype=complex)
             for (va, vb), comp in comps.items():

@@ -163,14 +163,6 @@ def random_state(n_qubits: int, rng) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def random_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-random unitary via QR with phase fixing."""
-    rng = as_generator(rng)
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 # ---------------------------------------------------------------------------
 # targeted operations through a cached row table
 # ---------------------------------------------------------------------------

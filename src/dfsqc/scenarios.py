@@ -14,8 +14,10 @@ outcome record of one sample trial.  Each line is one protocol event:
 with measurement outcomes (pi labels), branch probabilities ``p=...`` and
 applied corrections (``op=correction ... trigger=...``) in order.
 
-Identical config + seed produce byte-identical CSVs; worker threads only
-parallelize independent grid points and results are merged in grid order.
+Identical config + seed produce byte-identical CSVs.  Threads only pay
+for the decoupling echo Monte Carlo, so ``threads`` spreads its grid
+points over a pool (merged in grid order, one seeded stream per point)
+and every other kind ignores it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, rate_to_mhz
-from .cavity import CavityParams, cz_gate_fidelity, photon_loss
+from .cavity import CavityParams, cz_gate_fidelity, fidelity_sweep, photon_loss
 from .noise import (
     EchoSequence,
     NoiseSpectrum,
@@ -68,6 +70,11 @@ class ScenarioResult:
 
 
 def _pmap(fn, items, threads: int):
+    """``[fn(x) for x in items]``, on a pool of ``threads`` workers if > 1.
+
+    The serial branch matters: even one pooled worker costs its thread a
+    malloc arena of its own, which shows in the echo Monte Carlo peak RSS.
+    """
     if threads <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -96,19 +103,13 @@ UNITS_NOTE = {
 # scenario implementations
 # ---------------------------------------------------------------------------
 
-def _working_point_fidelity(cfg: ScenarioConfig):
-    params = cfg.physics()
-    pulse = cfg.pulse(params)
-    return cz_gate_fidelity(None, pulse, params), params, pulse
-
-
 def run_fidelity_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     started = time.monotonic()
-    f_ref, params, pulse = _working_point_fidelity(cfg)
-    grid = cfg.sweep_grid()
-    fids = _pmap(lambda nb: cz_gate_fidelity(
-        None, pulse.with_alpha(math.sqrt(nb)), params), list(grid), threads)
-    rows = [(float(nb), float(f)) for nb, f in zip(grid, fids)]
+    params = cfg.physics()
+    pulse = cfg.pulse(params)
+    f_ref = cz_gate_fidelity(None, pulse, params)
+    rows = [(float(nb), float(f)) for nb, f in
+            fidelity_sweep(cfg.sweep_grid(), pulse, params, vary="nbar")]
     elapsed = time.monotonic() - started
 
     nbar_ref = pulse.mean_photon_number
@@ -129,16 +130,13 @@ def run_fidelity_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 
 
 def run_g_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
-    _, params, pulse = _working_point_fidelity(cfg)
-    grid = cfg.sweep_grid()
-
-    def point(ratio: float):
+    params = cfg.physics()
+    pulse = cfg.pulse(params)
+    rows = []
+    for ratio, f in fidelity_sweep(cfg.sweep_grid(), pulse, params, vary="g_ratio"):
         scaled = params.scaled_g(ratio)
-        f = cz_gate_fidelity(None, pulse, scaled)
         eta = photon_loss(pulse, scaled.with_coupled(1))
-        return (float(ratio), rate_to_mhz(scaled.g), float(f), float(eta))
-
-    rows = _pmap(point, list(grid), threads)
+        rows.append((float(ratio), rate_to_mhz(scaled.g), float(f), float(eta)))
     fids = [r[2] for r in rows]
     delta = max(fids) - min(fids)
 
@@ -163,7 +161,7 @@ def run_g_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 
 def run_decoupling(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     spectrum = cfg.noise_spectrum()
-    n_real = int(cfg.data.get("realizations", 10000))
+    n_real = cfg.value("realizations")
     products, n_cycles = cfg.echo()
     dts = [p / spectrum.cutoff for p in products]
 
@@ -217,7 +215,7 @@ def run_transport_noise(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult
         return (float(prod), float(sup), float(predicted),
                 float(sup / predicted))
 
-    rows = _pmap(point, list(grid), threads)
+    rows = [point(prod) for prod in grid]
     worst = max(abs(r[3] - 1.0) for r in rows)
     checks = [Check("transport_suppression", worst <= 0.2,
                     f"worst |suppression/(tau*w0)^2*8 - 1| = {worst:.1%} (limit 20%)")]
@@ -268,8 +266,8 @@ def _teleport_once(c4: np.ndarray, seed: int, force=None):
 
 
 def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
-    protocol = str(cfg.data.get("protocol", "teleported-cnot"))
-    trials = int(cfg.data.get("trials", 100))
+    protocol = cfg.value("protocol")
+    trials = cfg.value("trials")
     rng = np.random.default_rng(cfg.seed)
     trial_seeds = [int(s.generate_state(1)[0])
                    for s in np.random.SeedSequence(cfg.seed).spawn(trials)]
@@ -282,7 +280,7 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
             return (i, res["xi_branch"], res["bell_a"], res["bell_b"],
                     float(res["fidelity"]), res["record"])
 
-        results = _pmap(point, range(trials), threads)
+        results = [point(i) for i in range(trials)]
         rows = [r[:5] for r in results]
         min_fid = min(r[4] for r in rows)
         # outcome log of the first trial, one line per protocol event
@@ -317,7 +315,7 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
             fid = fidelity(bell_ket(label), run.register.amplitudes)
             return (i, label, found, float(fid))
 
-        rows = _pmap(point, range(trials), threads)
+        rows = [point(i) for i in range(trials)]
         ok = all(r[1] == r[2] and r[3] >= 1.0 - 1e-10 for r in rows)
         checks = [Check("bsm_identification", ok,
                         "each Bell state identified with certainty, non-destructively")]
@@ -337,7 +335,7 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
             fid = fidelity(pair_ket((target[0], target[1])), reduced)
             return (i, branch, float(fid))
 
-        rows = _pmap(point, range(trials), threads)
+        rows = [point(i) for i in range(trials)]
         min_fid = min(r[2] for r in rows)
         checks = [Check("hadamard_fidelity", min_fid >= 1.0 - 1e-10,
                         f"min fidelity vs H_L = {min_fid:.12f}")]
@@ -347,7 +345,7 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 
 
 def run_leakage_demo(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
-    n_random = int(cfg.data.get("random_inputs", 50))
+    n_random = cfg.value("random_inputs")
     rng = np.random.default_rng(cfg.seed)
     cases = [("0L", "clean"), ("1L", "clean"), ("+L", "clean"), ("-L", "clean"),
              ("2L", "leak"), ("3L", "leak")]

@@ -9,7 +9,15 @@ import time
 
 import numpy as np
 
-from dfsqc.register import fidelity, rz, apply_unitary, QuantumRegister, reduced_state, trace_distance
+from dfsqc.register import (
+    QuantumRegister,
+    apply_unitary,
+    fidelity,
+    random_state,
+    reduced_state,
+    rz,
+    trace_distance,
+)
 from dfsqc.logical import BELL_LABELS, LogicalQubit, bell_ket, pair_ket
 from dfsqc.cavity import CavityParams, PulseSpec, cz_gate_fidelity, fidelity_sweep, photon_loss
 from dfsqc.noise import (
@@ -45,11 +53,6 @@ REALISTIC = CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ)
 
 def standard_pulse(alpha=1.26):
     return PulseSpec.gaussian(200 / REALISTIC.kappa, alpha, "odd_cat")
-
-
-def random_logical_vec(rng, dim):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
 
 
 def test_criterion_1_fig2a_reproduction():
@@ -137,7 +140,7 @@ def test_criterion_5_protocol_correctness():
     h2 = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     worst_h = 1.0
     for _ in range(100):
-        v = random_logical_vec(rng, 2)
+        v = random_state(1, rng)
         target2 = h2 @ v
         target = pair_ket((target2[0], target2[1]))
         for force in ("x+", "x-"):
@@ -160,7 +163,7 @@ def test_criterion_5_protocol_correctness():
     rng = np.random.default_rng(2)
     worst_td = 0.0
     for _ in range(100):
-        c4 = random_logical_vec(rng, 4)
+        c4 = random_state(2, rng)
         base = ProtocolRun.create(
             [(("ctrl", "tgt"), encode_two(c4)),
              ("a_prime", "+L"), (("a", "b"), "phi+"), ("b_prime", "0L")],
@@ -194,7 +197,7 @@ def test_criterion_6_leakage_detection():
     rng = np.random.default_rng(3)
     worst = 1.0
     inputs = [pair_ket(n) for n in ("0L", "1L", "+L", "-L")]
-    inputs += [pair_ket(tuple(random_logical_vec(rng, 2))) for _ in range(100)]
+    inputs += [pair_ket(tuple(random_state(1, rng))) for _ in range(100)]
     for i, vec in enumerate(inputs):
         run = ProtocolRun.create([("sys", vec), ("anc", "+L")], seed=i)
         verdict, _ = leakage_detect(run, "sys", "anc")
@@ -212,7 +215,7 @@ def test_criterion_7_dfs_immunity():
     q = LogicalQubit(0, 1)
     worst = 1.0
     for _ in range(200):
-        v = random_logical_vec(rng, 2)
+        v = random_state(1, rng)
         psi = pair_ket((v[0], v[1]))
         reg = QuantumRegister(2, psi.copy())
         phi = rng.uniform(-20, 20)

@@ -223,21 +223,21 @@ class TestPropagatePulse:
 
 class TestCzOutput:
     def test_component_coupling_counts(self):
-        comps = cz_output_state(None, standard_pulse(), realistic_params())
+        comps = cz_output_state(standard_pulse(), realistic_params())
         assert comps[(0, 0)].n_coupled == 2
         assert comps[(0, 1)].n_coupled == 1
         assert comps[(1, 0)].n_coupled == 1
         assert comps[(1, 1)].n_coupled == 0
 
     def test_bare_component_phase_flip(self):
-        comps = cz_output_state(None, standard_pulse(), realistic_params())
+        comps = cz_output_state(standard_pulse(), realistic_params())
         assert abs(comps[(1, 1)].theta) == pytest.approx(math.pi, abs=1e-6)
         assert abs(comps[(1, 1)].amp_ratio) == pytest.approx(1.0, abs=1e-12)
 
     def test_coupled_components_taylor_amplitude(self):
         # |amp_ratio| ~ 1 - kappa*gamma/(2 n g^2) from expanding r(0)
         p = realistic_params()
-        comps = cz_output_state(None, standard_pulse(), p)
+        comps = cz_output_state(standard_pulse(), p)
         for (m, n), comp in comps.items():
             if (m, n) == (1, 1):
                 continue
@@ -247,11 +247,11 @@ class TestCzOutput:
 
     def test_requires_odd_cat(self):
         with pytest.raises(CavityModelError, match="odd cat"):
-            cz_output_state(None, standard_pulse(kind="coherent"), realistic_params())
+            cz_output_state(standard_pulse(kind="coherent"), realistic_params())
 
     def test_rejects_unnormalized_amplitudes(self):
         with pytest.raises(CavityModelError, match="eps"):
-            cz_output_state([1.0, 1.0, 0.0, 0.0], standard_pulse(), realistic_params())
+            cz_gate_fidelity([1.0, 1.0, 0.0, 0.0], standard_pulse(), realistic_params())
 
 
 class TestCzFidelity:
@@ -278,7 +278,7 @@ class TestCzFidelity:
     def test_small_alpha_limit(self):
         # oracle: F -> |sum w Otilde|^2 / sum w E as alpha -> 0
         p = realistic_params()
-        comps = cz_output_state(None, standard_pulse(), p)
+        comps = cz_output_state(standard_pulse(), p)
         num = np.mean([c.ideal_overlap for c in comps.values()])
         den = np.mean([c.energy_ratio for c in comps.values()])
         limit = abs(num) ** 2 / den

@@ -190,7 +190,7 @@ class TestArtifacts:
         assert any("op=full_bsm" in line for line in log)
         assert any("op=measure_p34" in line and "p=" in line for line in log)
 
-    def test_threads_do_not_change_output(self, tmp_path):
+    def test_threads_do_not_change_output(self, tmp_path, monkeypatch):
         # one small config per scenario kind, every protocol included
         configs = [FID_CFG, LEAK_CFG, TRANSPORT_BAD_CFG, G_SWEEP_CFG,
                    DECOUPLING_CFG] + [
@@ -198,13 +198,30 @@ class TestArtifacts:
             f"protocol: {protocol}\ntrials: {trials}\n"
             for protocol, trials in (("hadamard", 120), ("bsm", 8),
                                      ("teleported-cnot", 4))]
+        # threads only pay for the echo Monte Carlo: no other kind, and no
+        # single-thread run, may enter a pool
+        pools = []
+        real_pool = dfsqc.scenarios.ThreadPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(dfsqc.scenarios, "ThreadPoolExecutor", counting_pool)
+        pooled = []
         for text in configs:
             cfg = ScenarioConfig.from_yaml(text)
             run_scenario(cfg, tmp_path / "a", threads=1)
+            assert pools == [], cfg.name
             run_scenario(cfg, tmp_path / "b", threads=3)
+            if pools:
+                pooled.append(cfg.kind)
+                assert pools == [3]
+                pools.clear()
             name = f"{cfg.name}.csv"
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), cfg.name
+        assert pooled == ["decoupling"]
 
 
 class TestCliEntry:
@@ -232,7 +249,10 @@ class TestCliEntry:
                      "kind: decoupling\necho: {dt_cutoff_product: 0.05}\n",
                      # one product, or one repeated, leaves no slope to fit
                      "kind: decoupling\necho: {dt_cutoff_product: [0.05]}\n",
-                     "kind: decoupling\necho: {dt_cutoff_product: [0.05, 0.05]}\n"):
+                     "kind: decoupling\necho: {dt_cutoff_product: [0.05, 0.05]}\n",
+                     # an empty or list value cannot become a count
+                     "kind: protocol-run\ntrials:\n",
+                     "kind: decoupling\nrealizations: [1000]\n"):
             assert main(["simulate", self.write(tmp_path, text), "--out", out]) == 2
         assert not Path(out).exists()
 

@@ -1,33 +1,30 @@
-"""Noise synthesis, filter functions, transport spectrum, dephasing channel."""
+"""Noise components, filter functions, transport spectrum, dephasing channel."""
 
 import math
 
 import numpy as np
 import pytest
 
-from dfsqc.register import QuantumRegister, fidelity
+from dfsqc.register import QuantumRegister, apply_unitary, fidelity, rz
 from dfsqc.logical import LogicalQubit, pair_ket
 from dfsqc.noise import (
     EchoSequence,
     NoiseModelError,
     NoiseSpectrum,
     TransportNoise,
-    apply_collective_phase,
     apply_dephasing_channel,
     default_spectrum,
-    draw_realization,
     echo_suppression_analytic,
     echo_variance_analytic,
     filter_function_dfs,
     free_variance_analytic,
     monte_carlo_dephasing,
-    periodogram,
     suppression_factor,
-    synthesize_noise,
     transport_phase_std,
     transport_spectrum,
     transported_power,
 )
+from dfsqc.noise import _component_grid
 from dfsqc.scenarios import narrow_line_spectrum
 
 Q = LogicalQubit(0, 1)
@@ -68,60 +65,39 @@ class TestSpectra:
 
 
 class TestSynthesis:
+    def test_component_power_matches_quadrature(self):
+        # each cosine carries the power of its band slice: A_k^2/2 = 2 S(w_k) dw
+        for s in (default_spectrum(),
+                  NoiseSpectrum.lorentzian(total_power=2e5, cutoff=100.0)):
+            freqs, amps = _component_grid(s, 512)
+            dw = s.band() / 512
+            np.testing.assert_allclose(freqs, (np.arange(512) + 0.5) * dw, rtol=1e-15)
+            np.testing.assert_allclose(amps**2 / 2, 2 * s.psd(freqs) * dw, rtol=1e-14)
+        # Parseval oracle: sum A_k^2/2 equals the quadrature of S
+        _, amps = _component_grid(default_spectrum(), 2048)
+        assert float(np.sum(amps**2) / 2) == pytest.approx(
+            default_spectrum().integrated_power(), rel=1e-6
+        )
+
     def test_zero_power_gives_zero_trace(self):
-        s = NoiseSpectrum.band_limited_white(total_power=0.0)
-        trace = synthesize_noise(s, 1.0, 1e-3, 1)
-        assert np.all(trace == 0.0)
+        for s in (NoiseSpectrum.band_limited_white(total_power=0.0),
+                  NoiseSpectrum.lorentzian(total_power=0.0)):
+            _, amps = _component_grid(s, 64)
+            assert np.all(amps == 0.0)
+
+    def test_sample_variance_near_total_power(self):
+        # free phase over T << 1/band is eps*T: its variance is total_power*T^2
+        s = default_spectrum()
+        seq = EchoSequence(1e-3 / s.cutoff)
+        stats = monte_carlo_dephasing(seq, s, 5000, 7)
+        assert stats.var_free / seq.total_time**2 == pytest.approx(s.total_power, rel=0.1)
 
     def test_determinism(self):
         s = default_spectrum()
-        t1 = synthesize_noise(s, 0.1, 1e-4, 99)
-        t2 = synthesize_noise(s, 0.1, 1e-4, 99)
-        np.testing.assert_array_equal(t1, t2)
-        t3 = synthesize_noise(s, 0.1, 1e-4, 100)
-        assert not np.array_equal(t1, t3)
-
-    def test_component_power_matches_quadrature(self):
-        # Parseval oracle: sum A_k^2/2 equals the quadrature of S
-        s = default_spectrum()
-        real = draw_realization(s, 5)
-        assert float(np.sum(real.amps**2) / 2) == pytest.approx(
-            s.integrated_power(), rel=1e-6
-        )
-
-    def test_sample_variance_near_total_power(self):
-        s = default_spectrum()
-        rng = np.random.default_rng(7)
-        # long trace, many components: sample variance ~ total power
-        trace = synthesize_noise(s, 2.0, 1e-3, rng, n_components=4096)
-        assert np.var(trace) == pytest.approx(s.total_power, rel=0.1)
-
-    def test_nyquist_violation(self):
-        s = default_spectrum()
-        with pytest.raises(NoiseModelError, match="Nyquist"):
-            synthesize_noise(s, 1.0, 1.0, 1)
-
-    def test_periodogram_matches_spectrum_in_band(self):
-        s = default_spectrum()
-        rng = np.random.default_rng(11)
-        duration, dt = 0.25, 4e-4
-        acc = None
-        n_avg = 500
-        for _ in range(n_avg):
-            trace = synthesize_noise(s, duration, dt, rng, n_components=1024)
-            w, psd = periodogram(trace, dt)
-            acc = psd if acc is None else acc + psd
-        acc /= n_avg
-        band = (w > 0.1 * s.cutoff) & (w < 0.85 * s.cutoff)
-        ratio = acc[band] / s.psd(w[band])
-        assert np.all(np.abs(ratio - 1.0) < 0.10)
-
-    def test_exact_segment_integrals(self):
-        real = draw_realization(default_spectrum(), 3, n_components=64)
-        ts = np.linspace(0.0, 0.01, 2001)
-        samples = real.sample(ts)
-        riemann = float(np.sum(samples[:-1] * np.diff(ts)))
-        assert real.integral(0.0, 0.01) == pytest.approx(riemann, rel=1e-3)
+        seq = EchoSequence(0.05 / s.cutoff)
+        a = monte_carlo_dephasing(seq, s, 200, 99)
+        assert monte_carlo_dephasing(seq, s, 200, 99) == a
+        assert monte_carlo_dephasing(seq, s, 200, 100) != a
 
 
 class TestFilterFunction:
@@ -280,7 +256,9 @@ class TestDephasingChannel:
             v /= np.linalg.norm(v)
             psi = pair_ket((v[0], v[1]))
             reg = QuantumRegister(2, psi.copy())
-            apply_collective_phase(reg, Q, rng.uniform(-8, 8))
+            phi = rng.uniform(-8, 8)
+            apply_unitary(reg, rz(phi), [Q.atom_a])
+            apply_unitary(reg, rz(phi), [Q.atom_b])
             assert fidelity(psi, reg.amplitudes) >= 1.0 - 1e-12
 
     def test_never_mixes_logical_and_leakage(self):

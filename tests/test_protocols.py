@@ -10,6 +10,7 @@ from dfsqc.register import (
     fidelity,
     ket,
     kron_all,
+    random_state,
     reduced_state,
     trace_distance,
 )
@@ -49,11 +50,6 @@ MHZ = 2 * math.pi * 1e6
 
 def two_pair_run(state, seed=0, **kw) -> ProtocolRun:
     return ProtocolRun.create([(("q1", "q2"), state)], seed=seed, **kw)
-
-
-def random_logical_vec(rng, dim=2):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
 
 
 def xi_state() -> np.ndarray:
@@ -99,7 +95,7 @@ class TestPhysicalCz:
         rng = np.random.default_rng(5)
         worst = 0.0
         for _ in range(10):
-            vec = random_logical_vec(rng, 4)
+            vec = random_state(2, rng)
             ideal = two_pair_run(encode_two(vec))
             transport(ideal, TransportStep((0, 2)))
             physical_cz(ideal, 0, 2)
@@ -288,7 +284,7 @@ class TestLogicalHadamard:
     def test_both_branches_on_random_inputs(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            v = random_logical_vec(rng)
+            v = random_state(1, rng)
             target2 = H2 @ v
             target = pair_ket((target2[0], target2[1]))
             for force in ("x+", "x-"):
@@ -300,7 +296,7 @@ class TestLogicalHadamard:
 
     def test_double_hadamard_is_identity(self):
         rng = np.random.default_rng(9)
-        v = random_logical_vec(rng)
+        v = random_state(1, rng)
         run = ProtocolRun.create([("sys", pair_ket((v[0], v[1]))),
                                   ("anc1", "+L"), ("anc2", "+L")], seed=3)
         _, mid = logical_hadamard(run, "sys", "anc1")
@@ -336,7 +332,7 @@ class TestArbitraryRotation:
 
     def test_zero_angles_identity(self):
         rng = np.random.default_rng(10)
-        v = random_logical_vec(rng)
+        v = random_state(1, rng)
         red = self.run_rotation(v, (0.0, 0.0, 0.0))
         assert fidelity(pair_ket((v[0], v[1])), red) >= 1 - 1e-10
 
@@ -351,7 +347,7 @@ class TestArbitraryRotation:
         rng = np.random.default_rng(13)
         angles = (math.pi / 4, math.pi / 4, math.pi / 4)
         for forces in itertools.product(("x+", "x-"), repeat=2):
-            v = random_logical_vec(rng)
+            v = random_state(1, rng)
             target2 = self.oracle(*angles) @ v
             red = self.run_rotation(v, angles, forces=forces)
             assert fidelity(pair_ket((target2[0], target2[1])),
@@ -565,13 +561,13 @@ class TestTeleportedCnot:
         rng = np.random.default_rng(30)
         cnot = cnot_matrix()
         for trial in range(25):
-            c4 = random_logical_vec(rng, 4)
+            c4 = random_state(2, rng)
             red = self.run_once(c4, seed=trial)
             assert fidelity(encode_two(cnot @ c4), red) >= 1 - 1e-10
 
     def test_branch_independence(self):
         rng = np.random.default_rng(31)
-        c4 = random_logical_vec(rng, 4)
+        c4 = random_state(2, rng)
         outs = [self.run_once(c4, force=(la, lb))
                 for la in BELL_LABELS for lb in BELL_LABELS]
         worst = max(trace_distance(outs[0], o) for o in outs[1:])
@@ -605,7 +601,7 @@ class TestLeakageDetect:
     def test_logical_inputs_clean_and_restored(self):
         rng = np.random.default_rng(40)
         inputs = [pair_ket(n) for n in ("0L", "1L", "+L", "-L")]
-        inputs += [pair_ket(tuple(random_logical_vec(rng))) for _ in range(100)]
+        inputs += [pair_ket(tuple(random_state(1, rng))) for _ in range(100)]
         for i, vec in enumerate(inputs):
             run = self.make_run(vec, seed=i)
             verdict, _ = leakage_detect(run, "sys", "anc")
@@ -637,7 +633,7 @@ class TestNormAndRecord:
     def test_norm_preserved_through_protocol_chain(self):
         rng = np.random.default_rng(50)
         run = ProtocolRun.create(
-            [(("ctrl", "tgt"), encode_two(random_logical_vec(rng, 4))),
+            [(("ctrl", "tgt"), encode_two(random_state(2, rng))),
              ("a_prime", "+L"), (("a", "b"), "phi+"), ("b_prime", "0L")],
             seed=3)
         prepare_xi(run, "a_prime", "a", "b", "b_prime")

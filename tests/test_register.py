@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from dfsqc.register import (
     CZ2,
@@ -19,7 +20,6 @@ from dfsqc.register import (
     kron_all,
     measure,
     random_state,
-    random_unitary,
     reduced_state,
     row_table,
     rz,
@@ -77,12 +77,12 @@ class TestApplyUnitary:
         for _ in range(1000):
             k = rng.integers(1, 4)
             targets = list(rng.choice(3, size=k, replace=False))
-            apply_unitary(reg, random_unitary(2**k, rng), targets)
+            apply_unitary(reg, unitary_group.rvs(2**k, random_state=rng), targets)
             assert abs(np.linalg.norm(reg.amplitudes) - 1.0) < 1e-12
 
     def test_disjoint_targets_commute(self):
         rng = np.random.default_rng(13)
-        ua, ub = random_unitary(2, rng), random_unitary(2, rng)
+        ua, ub = unitary_group.rvs(2, size=2, random_state=rng)
         psi = random_state(2, rng)
         r1 = QuantumRegister(2, psi.copy())
         apply_unitary(r1, ua, [0])
@@ -97,7 +97,7 @@ class TestApplyUnitary:
         # embedded densely: targets[0] = qubit 2 is the low bit of U's index
         rng = np.random.default_rng(14)
         psi = random_state(3, rng)
-        u = random_unitary(4, rng)
+        u = unitary_group.rvs(4, random_state=rng)
         pure = QuantumRegister(3, psi.copy())
         apply_unitary(pure, u, [2, 0])
         bits = [(np.arange(8) >> q) & 1 for q in range(3)]
@@ -302,7 +302,8 @@ class TestRowTable:
         psi = random_state(self.N, 9)
         targets = (3, 1)
         table = row_table(self.N, targets).copy()
-        for op in (lambda r: apply_unitary(r, random_unitary(4, 1), targets),
+        u = unitary_group.rvs(4, random_state=1)
+        for op in (lambda r: apply_unitary(r, u, targets),
                    lambda r: apply_diagonal(r, [1, 0.5, 0.5j, -1], targets),
                    lambda r: measure(r, parity_projectors(targets), 2),
                    lambda r: reduced_state(r, targets)):
