@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .register import QuantumRegister, apply_unitary, as_generator, rz
 from .logical import LogicalQubit
@@ -322,6 +321,10 @@ def transport_spectrum(omega, tn: TransportNoise, kernel_width: float | None = N
     overrides, and the kernel tends to a delta as it shrinks, recovering
     the bare sin^2 free-precession filter).
     """
+    # scipy.integrate pulls in ~0.5 s of scipy submodules; importing it here
+    # keeps it off the start-up path of every scenario, none of which calls this
+    from scipy.integrate import quad
+
     sd = 4.0 / tn.tau_T if kernel_width is None else float(kernel_width)
     if sd <= 0:
         raise NoiseModelError("kernel width must be positive")

@@ -188,9 +188,6 @@ class ProtocolRun:
         self.record.append(entry)
         return entry
 
-    def record_lines(self) -> list:
-        return [e.line() for e in self.record]
-
     # -- noisy CZ map ------------------------------------------------------
     def _cz_map(self) -> np.ndarray:
         """Diagonal of the amplitude/phase map on two addressed atoms.

@@ -168,6 +168,7 @@ def random_state(n_qubits: int, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 ROW_TABLES = 64  # cached (n_qubits, targets) tables; shipped + golden configs use 23
+UNITARY_VERDICTS = 256  # matrices by content: the constant gates plus recent rz
 
 
 def row_table(n_qubits: int, targets) -> np.ndarray:
@@ -202,6 +203,14 @@ def _scatter(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=UNITARY_VERDICTS)
+def _check_unitary(shape: tuple, data: bytes) -> None:
+    """Raise unless the matrix is unitary; only passing verdicts are cached."""
+    u = np.frombuffer(data, dtype=complex).reshape(shape)
+    if np.max(np.abs(u.conj().T @ u - np.eye(shape[0]))) > ATOL_UNITARY:
+        raise RegisterError("matrix is not unitary within 1e-10")
+
+
 def apply_unitary(reg: QuantumRegister, unitary: np.ndarray, targets) -> QuantumRegister:
     """Apply a unitary on the listed qubits: psi -> U psi."""
     rows = row_table(reg.n_qubits, targets)
@@ -209,8 +218,7 @@ def apply_unitary(reg: QuantumRegister, unitary: np.ndarray, targets) -> Quantum
     dim = rows.shape[0]
     if unitary.shape != (dim, dim):
         raise RegisterError(f"unitary shape {unitary.shape} != ({dim}, {dim})")
-    if np.max(np.abs(unitary.conj().T @ unitary - np.eye(dim))) > ATOL_UNITARY:
-        raise RegisterError("matrix is not unitary within 1e-10")
+    _check_unitary(unitary.shape, unitary.tobytes())
     reg.amplitudes = _scatter(rows, unitary @ reg.amplitudes[rows])
     return reg
 

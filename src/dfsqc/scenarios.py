@@ -261,7 +261,7 @@ def _teleport_once(c4: np.ndarray, seed: int, force=None):
         "bell_b": lb,
         "fidelity": fidelity(ideal, reduced),
         "reduced": reduced,
-        "record": run.record_lines(),
+        "record": run.record,
     }
 
 
@@ -284,7 +284,7 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
         rows = [r[:5] for r in results]
         min_fid = min(r[4] for r in rows)
         # outcome log of the first trial, one line per protocol event
-        sample_log = "\n".join(results[0][5]) + "\n"
+        sample_log = "\n".join(entry.line() for entry in results[0][5]) + "\n"
 
         # branch independence: all 16 forced Bell outcomes on fixed inputs
         max_dist = 0.0

@@ -74,6 +74,12 @@ echo:
   dt_cutoff_product: [0.02, 0.05, 0.1]
 """
 
+# one small config per scenario kind, every protocol included
+SMALL_CFGS = [FID_CFG, LEAK_CFG, TRANSPORT_BAD_CFG, G_SWEEP_CFG, DECOUPLING_CFG] + [
+    f"kind: protocol-run\nname: {protocol}\nseed: 5\n"
+    f"protocol: {protocol}\ntrials: {trials}\n"
+    for protocol, trials in (("hadamard", 120), ("bsm", 8), ("teleported-cnot", 4))]
+
 
 class TestConfig:
     def test_round_trip_lossless(self):
@@ -191,13 +197,6 @@ class TestArtifacts:
         assert any("op=measure_p34" in line and "p=" in line for line in log)
 
     def test_threads_do_not_change_output(self, tmp_path, monkeypatch):
-        # one small config per scenario kind, every protocol included
-        configs = [FID_CFG, LEAK_CFG, TRANSPORT_BAD_CFG, G_SWEEP_CFG,
-                   DECOUPLING_CFG] + [
-            f"kind: protocol-run\nname: {protocol}\nseed: 5\n"
-            f"protocol: {protocol}\ntrials: {trials}\n"
-            for protocol, trials in (("hadamard", 120), ("bsm", 8),
-                                     ("teleported-cnot", 4))]
         # threads only pay for the echo Monte Carlo: no other kind, and no
         # single-thread run, may enter a pool
         pools = []
@@ -209,7 +208,7 @@ class TestArtifacts:
 
         monkeypatch.setattr(dfsqc.scenarios, "ThreadPoolExecutor", counting_pool)
         pooled = []
-        for text in configs:
+        for text in SMALL_CFGS:
             cfg = ScenarioConfig.from_yaml(text)
             run_scenario(cfg, tmp_path / "a", threads=1)
             assert pools == [], cfg.name
@@ -284,14 +283,31 @@ class TestCliEntry:
     def test_report_missing_dir_exits_2(self, tmp_path):
         assert main(["report", str(tmp_path / "empty")]) == 2
 
-    def test_import_does_not_load_scipy_signal(self):
-        # importing scipy.signal costs more start-up time than all of dfsqc.cli
+    def test_cli_loads_no_scipy(self, tmp_path):
+        # scipy.integrate alone takes longer to import than numpy, PyYAML and
+        # dfsqc together; neither start-up nor any scenario kind may load scipy
         src = str(Path(dfsqc.__file__).resolve().parents[1])
-        code = "import sys, dfsqc.cli; print('scipy.signal' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
+        paths = [self.write(tmp_path, text, f"cfg{i}.yaml")
+                 for i, text in enumerate(SMALL_CFGS)]
+        code = (
+            "import json, sys, dfsqc.cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "at_import = scipy_modules()\n"
+            "out = sys.argv[1]\n"
+            "codes = [dfsqc.cli.main(['simulate', p, '--check', '--out', out])\n"
+            "         for p in sys.argv[2:]]\n"
+            "codes.append(dfsqc.cli.main(['report', out]))\n"
+            "print(json.dumps([at_import, codes, scipy_modules()]))\n")
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), *paths],
+                             check=True, capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
+        at_import, codes, after_runs = json.loads(out.stdout.splitlines()[-1])
+        assert at_import == []
+        # every config ran (only the transport one breaks its quadratic law),
+        # then the report
+        assert codes == [0, 0, 4, 0, 0, 0, 0, 0] + [0]
+        assert after_runs == []
 
 
 class TestReport:

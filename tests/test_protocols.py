@@ -643,7 +643,7 @@ class TestNormAndRecord:
     def test_record_lines_format(self):
         run = ProtocolRun.create([("sys", "0L"), ("anc", "+L")], seed=2)
         logical_hadamard(run, "sys", "anc")
-        lines = run.record_lines()
+        lines = [entry.line() for entry in run.record]
         assert lines, "record must not be empty"
         assert all(line.startswith("seq=") for line in lines)
         assert any("op=physical_cz" in line for line in lines)

@@ -64,6 +64,25 @@ class TestApplyUnitary:
         with pytest.raises(RegisterError, match="unitary"):
             apply_unitary(reg, np.array([[1, 0], [0, 2]]), [0])
 
+    def test_non_unitary_rejected_on_every_call(self):
+        # verdicts are cached by content, and only passing ones
+        reg = QuantumRegister(1, ket("0"))
+        for _ in range(3):
+            with pytest.raises(RegisterError, match="unitary"):
+                apply_unitary(reg, np.array([[1, 0], [0, 3]]), [0])
+        np.testing.assert_array_equal(reg.amplitudes, ket("0"))
+
+    def test_matrix_mutated_in_place_is_checked_again(self):
+        u = SX.copy()
+        reg = QuantumRegister(1, ket("0"))
+        apply_unitary(reg, u, [0])
+        u[1, 0] = 2.0
+        with pytest.raises(RegisterError, match="unitary"):
+            apply_unitary(reg, u, [0])
+        u[1, 0] = 1.0
+        apply_unitary(reg, u, [0])
+        np.testing.assert_allclose(reg.amplitudes, ket("0"), atol=1e-14)
+
     def test_rejects_bad_targets(self):
         reg = QuantumRegister(2, ket("00"))
         with pytest.raises(RegisterError):
