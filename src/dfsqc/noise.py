@@ -9,7 +9,12 @@ Spectral synthesis draws eps(t) = sum_k A_k cos(w_k t + theta_k) on a
 midpoint frequency grid with A_k = 2 sqrt(S(w_k) dw) (folding the two
 sides), so the sample variance reproduces total_power exactly and segment
 integrals of eps have closed forms (no time-discretization error in the
-accumulated phases).
+accumulated phases).  The Monte Carlo writes each segment integral by the
+midpoint identity, 2 A sin(w (t1 - t0)/2) cos(w (t0 + t1)/2 + theta)/w,
+and folds the signed sum over segments into a cosine and a sine
+coefficient per component (one pair for the echo phase, one for the free
+phase), so a realization costs cos(theta_k) and sin(theta_k) whatever the
+number of echo cycles.
 
 Echo sequence [dt, U_x, dt, U_x]: the +/- toggling of the accumulated
 phase gives the one-cycle filter |Y(w)|^2 = 16 dt^2 sin^4(w dt/2)/(w dt)^2,
@@ -39,6 +44,7 @@ from .logical import LogicalQubit
 
 TWO_PI = 2.0 * math.pi
 LORENTZIAN_BAND_FACTOR = 200.0  # hard synthesis cutoff, keeps 99.7% of power
+MC_CHUNK = 4096  # realizations drawn per rng call; fixes the draw stream
 
 
 class NoiseModelError(ValueError):
@@ -277,33 +283,42 @@ def monte_carlo_dephasing(seq: EchoSequence, spectrum: NoiseSpectrum,
 
     Per realization the echo phase is sum over cycles of (integral of eps
     over the first half) - (second half); the free phase integrates eps
-    over the whole record.  Segment integrals are evaluated in closed form
-    from the cosine components.
+    over the whole record.  By the midpoint identity the integral of
+    A cos(w t + th) over [t0, t1] is 2 A sin(w (t1 - t0)/2) cos(w m + th)/w
+    with m = (t0 + t1)/2, so the cancelling difference
+    sin(w t1 + th) - sin(w t0 + th) is never formed.  The two halves of
+    cycle c pair up to 4 A sin^2(w dt/2) sin(w tau_c + th)/w with
+    tau_c = (2c + 1) dt, and the free phase is one segment over [0, T].
+    Expanding in cos(th) and sin(th) folds both sums, once per call, into
+    per-component coefficients c[k] and s[k] with an echo and a free
+    column; a chunk of realizations then costs cos(th) @ c - sin(th) @ s,
+    two transcendentals per component whatever n_cycles is.  Phases are
+    drawn MC_CHUNK realizations at a time.
     """
     if n_realizations < 100:
         raise NoiseModelError("need at least 100 realizations")
     gen = as_generator(rng)
     freqs, amps = _component_grid(spectrum, n_components)
-    bounds = np.arange(2 * seq.n_cycles + 1) * seq.dt
-    signs = np.tile([1.0, -1.0], seq.n_cycles)
+    centers = np.multiply.outer(freqs, (2 * np.arange(seq.n_cycles) + 1) * seq.dt)
+    echo_amp = 4.0 * amps * np.sin(freqs * seq.dt / 2.0) ** 2 / freqs
+    half_t = freqs * seq.total_time / 2.0
+    free_amp = 2.0 * amps * np.sin(half_t) / freqs
+    c = np.column_stack([echo_amp * np.sin(centers).sum(axis=1),
+                         free_amp * np.cos(half_t)])
+    s = np.column_stack([-echo_amp * np.cos(centers).sum(axis=1),
+                         free_amp * np.sin(half_t)])
 
-    echo = np.empty(n_realizations)
-    free = np.empty(n_realizations)
-    chunk = max(1, min(n_realizations, 4096))
+    phase = np.empty((2, n_realizations))  # rows: echo, free
     done = 0
     while done < n_realizations:
-        m = min(chunk, n_realizations - done)
-        phases = gen.uniform(0.0, TWO_PI, size=(m, len(freqs)))
-        # segment integrals: (sin(w t_{i+1} + th) - sin(w t_i + th)) / w
-        sins = np.sin(phases[None, :, :] + np.multiply.outer(bounds, freqs)[:, None, :])
-        seg = (sins[1:] - sins[:-1]) / freqs  # (segments, m, components)
-        weighted = seg @ amps  # (segments, m)
-        echo[done:done + m] = signs @ weighted
-        free[done:done + m] = weighted.sum(axis=0)
+        m = min(MC_CHUNK, n_realizations - done)
+        theta = gen.uniform(0.0, TWO_PI, size=(m, len(freqs)))
+        cos_th = np.cos(theta)
+        sin_th = np.sin(theta, out=theta)
+        phase[:, done:done + m] = (cos_th @ c - sin_th @ s).T
         done += m
 
-    var_echo = float(np.var(echo, ddof=1))
-    var_free = float(np.var(free, ddof=1))
+    var_echo, var_free = (float(v) for v in np.var(phase, axis=1, ddof=1))
     factor = math.sqrt(2.0 / (n_realizations - 1))
     return DephasingStats(var_echo, var_free, var_echo * factor,
                           var_free * factor, n_realizations)

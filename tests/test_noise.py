@@ -179,6 +179,57 @@ class TestEchoVariance:
             monte_carlo_dephasing(EchoSequence(1e-4), default_spectrum(), 10, 1)
 
 
+def _longdouble_variances(seq, spectrum, n_realizations, seed, n_components=512):
+    """Echo and free variances from the segment-difference sums, in longdouble.
+
+    Same draws as one chunk of ``monte_carlo_dephasing``; the extended
+    precision absorbs the sin(w t1 + th) - sin(w t0 + th) cancellation.
+    """
+    ld = np.longdouble
+    freqs, amps = (np.asarray(a, dtype=ld) for a in _component_grid(spectrum, n_components))
+    phases = np.random.default_rng(seed).uniform(
+        0.0, 2 * math.pi, size=(n_realizations, n_components)).astype(ld)
+    echo = np.zeros(n_realizations, dtype=ld)
+    free = np.zeros(n_realizations, dtype=ld)
+    prev = np.sin(phases)
+    for j in range(1, 2 * seq.n_cycles + 1):
+        cur = np.sin(phases + freqs * (j * ld(seq.dt)))
+        seg = ((cur - prev) / freqs) @ amps
+        echo += seg if j % 2 else -seg
+        free += seg
+        prev = cur
+    return float(np.var(echo, ddof=1)), float(np.var(free, ddof=1))
+
+
+class TestMonteCarloSums:
+    @pytest.mark.parametrize("n_cycles", [1, 3])
+    def test_matches_longdouble_reference(self, n_cycles):
+        s = default_spectrum()
+        seq = EchoSequence(0.01 / s.cutoff, n_cycles)
+        stats = monte_carlo_dephasing(seq, s, 4000, 811)
+        ref_echo, ref_free = _longdouble_variances(seq, s, 4000, 811)
+        assert stats.var_echo == pytest.approx(ref_echo, rel=1e-13, abs=0)
+        assert stats.var_free == pytest.approx(ref_free, rel=1e-13, abs=0)
+
+    def test_draw_stream_unchanged(self):
+        # 5000 realizations span two chunks: (4096, K) then (904, K) uniforms
+        s = default_spectrum()
+        gen = np.random.default_rng(42)
+        monte_carlo_dephasing(EchoSequence(0.05 / s.cutoff), s, 5000, gen)
+        fresh = np.random.default_rng(42)
+        fresh.uniform(0.0, 2 * math.pi, size=(4096, 512))
+        fresh.uniform(0.0, 2 * math.pi, size=(904, 512))
+        assert gen.random() == fresh.random()
+
+    def test_free_phase_depends_only_on_record_length(self):
+        # both sequences integrate the same noise record over 4 dt
+        s = default_spectrum()
+        dt = 0.02 / s.cutoff
+        two = monte_carlo_dephasing(EchoSequence(dt, 2), s, 1000, 5)
+        one = monte_carlo_dephasing(EchoSequence(2 * dt, 1), s, 1000, 5)
+        assert two.var_free == pytest.approx(one.var_free, rel=1e-13, abs=0)
+
+
 class TestTransportSpectrum:
     def test_zero_base_spectrum(self):
         tn = TransportNoise(10e-6, 100e-6,
