@@ -131,15 +131,20 @@ def _pair_op(entries) -> np.ndarray:
     return m
 
 
+def _on_atom_a(m) -> np.ndarray:
+    """Pair operator ``I (x) m``: ``m`` on atom_a (the low bit), identity on atom_b."""
+    return np.multiply.outer(np.eye(2), m).swapaxes(1, 2).reshape(4, 4)
+
+
 # X_L: swap the two atoms (leakage states are fixed points)
 X_L = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 # Z_L realized as U_z(pi/2) times a global phase i, which is sigma_z on atom_a
-Z_L = np.kron(np.eye(2), SZ)  # diag over (bit_b, bit_a): [1,-1,1,-1]
+Z_L = _on_atom_a(SZ)  # diag over (bit_b, bit_a): [1,-1,1,-1]
 Y_L = 1j * X_L @ Z_L
 # S_L = diag(1, i) on the logical span: U_z(pi/4) times global phase e^{i pi/4}
-S_L = np.exp(1j * math.pi / 4) * np.kron(np.eye(2), rz(math.pi / 4))
+S_L = np.exp(1j * math.pi / 4) * _on_atom_a(rz(math.pi / 4))
 # Hadamard on the logical span, identity on the leakage span
 H_L = _pair_op(
     {

@@ -161,7 +161,7 @@ class ProtocolRun:
 
     def fork(self, seed=None) -> "ProtocolRun":
         """Independent copy for branch enumeration (fresh rng when seeded)."""
-        clone = ProtocolRun(
+        return ProtocolRun(
             register=self.register.copy(), layout=dict(self.layout),
             mode=self.mode, cavity=self.cavity, pulse=self.pulse,
             transport_noise=self.transport_noise,
@@ -169,7 +169,6 @@ class ProtocolRun:
             rng=self.rng if seed is None else np.random.default_rng(seed),
             record=list(self.record), in_cavity=set(self.in_cavity),
             _cz_cache=self._cz_cache)
-        return clone
 
     def allocate_pair(self, name: str, state="+L") -> LogicalQubit:
         """Append a fresh prepared pair to the register (direct injection)."""
@@ -521,6 +520,12 @@ def teleported_cnot(run: ProtocolRun, control, target, resource, force=None):
     fa, fb = force if force is not None else (None, None)
     la, _ = full_bsm(run, control, a, force=fa)
     lb, _ = full_bsm(run, target, b, force=fb)
+    return correct_cnot_byproducts(run, la, lb, a_prime, b_prime)
+
+
+def correct_cnot_byproducts(run: ProtocolRun, la, lb, a_prime, b_prime):
+    """Undo the Bell outcomes' byproducts, pushed through the CNOT, on A' and B'."""
+    a_prime, b_prime = run.qubit(a_prime), run.qubit(b_prime)
     corr_a, corr_b = _cnot_conjugated(_BYPRODUCT[la], _BYPRODUCT[lb])
     for q, (x, z) in ((a_prime, corr_a), (b_prime, corr_b)):
         if z:

@@ -143,17 +143,19 @@ def ket(bits: str) -> np.ndarray:
 def kron_all(blocks) -> np.ndarray:
     """Product state over blocks listed in increasing-qubit order.
 
-    ``blocks[0]`` occupies the lowest qubits, so the kron runs reversed.
+    ``blocks[0]`` occupies the lowest qubits, so each later block becomes
+    the high index of an outer product; the entries are the same products
+    a Kronecker product forms, bit for bit.
     """
     out = np.asarray(blocks[0], dtype=complex)
     for b in blocks[1:]:
-        out = np.kron(np.asarray(b, dtype=complex), out)
+        out = np.multiply.outer(np.asarray(b, dtype=complex), out).ravel()
     return out
 
 
 def tensor(a: QuantumRegister, b: QuantumRegister) -> QuantumRegister:
     """Combine registers; ``a`` keeps its qubit indices, ``b`` is shifted up."""
-    amps = np.kron(b.amplitudes, a.amplitudes)
+    amps = kron_all([a.amplitudes, b.amplitudes])
     return QuantumRegister(a.n_qubits + b.n_qubits, amps)
 
 
@@ -298,11 +300,12 @@ def fidelity(psi, b) -> float:
     return float(np.real(np.vdot(psi, b @ psi)))
 
 
-def trace_distance(a, b) -> float:
-    """0.5 * tr|a - b| for density matrices (vectors are promoted)."""
+def trace_distance(a, b):
+    """0.5 * tr|a - b| for density matrices (vectors promoted); per pair for stacks."""
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim == 1:
         a = np.outer(a, a.conj())
     if b.ndim == 1:
         b = np.outer(b, b.conj())
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b)), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist

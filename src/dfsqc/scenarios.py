@@ -14,6 +14,10 @@ outcome record of one sample trial.  Each line is one protocol event:
 with measurement outcomes (pi labels), branch probabilities ``p=...`` and
 applied corrections (``op=correction ... trigger=...``) in order.
 
+The teleported-CNOT branch-independence check compares all 16 forced Bell
+branches on three fixed inputs.  Forced measurements draw nothing, so the
+branches share the seed-0 register build and ``prepare_xi``, then fork.
+
 Identical config + seed produce byte-identical CSVs.  Threads only pay
 for the decoupling echo Monte Carlo, so ``threads`` spreads its grid
 points over a pool (merged in grid order, one seeded stream per point)
@@ -43,10 +47,10 @@ from .noise import (
     monte_carlo_dephasing,
     suppression_factor,
 )
-from .register import fidelity, kron_all, random_state, reduced_state, trace_distance
-from .logical import BELL_LABELS, bell_ket, pair_ket
-from .protocols import ProtocolRun, full_bsm, logical_hadamard, prepare_xi, teleported_cnot, leakage_detect
-from .logical import H2
+from .register import fidelity, random_state, reduced_state, trace_distance
+from .logical import BELL_LABELS, H2, IDX_0L, IDX_1L, bell_ket, pair_ket
+from .protocols import (ProtocolRun, correct_cnot_byproducts, full_bsm, logical_hadamard,
+                        prepare_xi, teleported_cnot, leakage_detect)
 
 
 @dataclass
@@ -226,43 +230,60 @@ def run_transport_noise(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult
 
 # -- protocol runs -----------------------------------------------------------
 
+# four-atom basis index of |m_L>|n_L>, listed at m + 2n
+_TWO_PAIR_INDEX = [i + 4 * j for j in (IDX_0L, IDX_1L) for i in (IDX_0L, IDX_1L)]
+
+
 def encode_two(c4: np.ndarray) -> np.ndarray:
     """Four-atom encoding of two logical qubits; index m + 2n, control low."""
     out = np.zeros(16, dtype=complex)
-    for n in (0, 1):
-        for m in (0, 1):
-            out += c4[m + 2 * n] * kron_all([pair_ket(f"{m}L"), pair_ket(f"{n}L")])
+    out[_TWO_PAIR_INDEX] = c4
     return out
 
 
 def cnot_matrix() -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    for c in (0, 1):
-        for t in (0, 1):
-            m[c + 2 * ((t + c) % 2), c + 2 * t] = 1.0
-    return m
+    """Logical CNOT on index m + 2n, control m: swaps entries 1 and 3."""
+    return np.eye(4, dtype=complex)[[0, 3, 2, 1]]
 
 
-def _teleport_once(c4: np.ndarray, seed: int, force=None):
+def _resource_run(c4: np.ndarray, seed: int):
+    """Input ``c4`` on (ctrl, tgt) next to the prepared teleportation resource."""
     run = ProtocolRun.create(
         [(("ctrl", "tgt"), encode_two(c4)),
          ("a_prime", "+L"), (("a", "b"), "phi+"), ("b_prime", "0L")],
         seed=seed)
     xi_branch, _ = prepare_xi(run, "a_prime", "a", "b", "b_prime")
-    (la, lb), _ = teleported_cnot(run, "ctrl", "tgt",
-                                  ("a", "a_prime", "b", "b_prime"), force=force)
+    return run, xi_branch
+
+
+def _output_state(run: ProtocolRun) -> np.ndarray:
     ap, bp = run.layout["a_prime"], run.layout["b_prime"]
-    keep = [ap.atom_a, ap.atom_b, bp.atom_a, bp.atom_b]
-    reduced = reduced_state(run.register, keep)
-    ideal = encode_two(cnot_matrix() @ c4)
-    return {
-        "xi_branch": f"{xi_branch[0]}/{xi_branch[1]}",
-        "bell_a": la,
-        "bell_b": lb,
-        "fidelity": fidelity(ideal, reduced),
-        "reduced": reduced,
-        "record": run.record,
-    }
+    return reduced_state(run.register, [ap.atom_a, ap.atom_b, bp.atom_a, bp.atom_b])
+
+
+def _teleport_once(i: int, c4: np.ndarray, seed: int):
+    """CSV row and outcome record of one sampled teleported-CNOT trial."""
+    run, (l1, l2) = _resource_run(c4, seed)
+    (la, lb), _ = teleported_cnot(run, "ctrl", "tgt", ("a", "a_prime", "b", "b_prime"))
+    fid = fidelity(encode_two(cnot_matrix() @ c4), _output_state(run))
+    return (i, f"{l1}/{l2}", la, lb, fid), run.record
+
+
+def forced_branch_states(c4: np.ndarray) -> np.ndarray:
+    """Outputs of the 16 forced Bell branches ``(la, lb)``, row-major: one
+    seed-0 run through ``prepare_xi``, forked after each Bell measurement.
+    """
+    run, _ = _resource_run(c4, 0)
+    outs = []
+    for la in BELL_LABELS:
+        after_a = run.fork()
+        full_bsm(after_a, "ctrl", "a", force=la)
+        for lb in BELL_LABELS:
+            branch = after_a.fork()
+            full_bsm(branch, "tgt", "b", force=lb)
+            correct_cnot_byproducts(branch, la, lb, "a_prime", "b_prime")
+            outs.append(_output_state(branch))
+    return np.array(outs)
 
 
 def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
@@ -275,28 +296,18 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     if protocol == "teleported-cnot":
         inputs = [random_state(2, rng) for _ in range(trials)]
 
-        def point(i: int):
-            res = _teleport_once(inputs[i], trial_seeds[i])
-            return (i, res["xi_branch"], res["bell_a"], res["bell_b"],
-                    float(res["fidelity"]), res["record"])
-
-        results = [point(i) for i in range(trials)]
-        rows = [r[:5] for r in results]
+        results = [_teleport_once(i, inputs[i], trial_seeds[i]) for i in range(trials)]
+        rows = [row for row, _ in results]
         min_fid = min(r[4] for r in rows)
         # outcome log of the first trial, one line per protocol event
-        sample_log = "\n".join(entry.line() for entry in results[0][5]) + "\n"
+        sample_log = "\n".join(entry.line() for entry in results[0][1]) + "\n"
 
-        # branch independence: all 16 forced Bell outcomes on fixed inputs
+        # branch independence: all 120 pairwise trace distances, batched
         max_dist = 0.0
+        i, j = np.triu_indices(len(BELL_LABELS) ** 2, 1)
         for probe in range(3):
-            c4 = random_state(2, cfg.seed + 7 + probe)
-            outs = []
-            for la in BELL_LABELS:
-                for lb in BELL_LABELS:
-                    outs.append(_teleport_once(c4, 0, force=(la, lb))["reduced"])
-            for i in range(len(outs)):
-                for j in range(i + 1, len(outs)):
-                    max_dist = max(max_dist, trace_distance(outs[i], outs[j]))
+            outs = forced_branch_states(random_state(2, cfg.seed + 7 + probe))
+            max_dist = max(max_dist, float(trace_distance(outs[i], outs[j]).max()))
         checks = [
             Check("cnot_fidelity", min_fid >= 1.0 - 1e-10,
                   f"min fidelity vs direct CNOT = {min_fid:.12f} over {trials} trials"),

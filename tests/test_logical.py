@@ -7,6 +7,7 @@ import pytest
 
 from dfsqc.register import (
     SX,
+    SZ,
     QuantumRegister,
     RegisterError,
     apply_unitary,
@@ -150,6 +151,12 @@ class TestPaulis:
         # Z_L = i * U_z(pi/2) as a physical two-atom operator
         uz = np.kron(np.eye(2), rz(math.pi / 2))
         np.testing.assert_allclose(Z_L, 1j * uz, atol=1e-14)
+
+    def test_atom_a_operators_are_kron_products_bit_for_bit(self):
+        # tobytes also compares the signed zeros off the diagonal
+        assert Z_L.tobytes() == np.kron(np.eye(2), SZ).tobytes()
+        s_l = np.exp(1j * math.pi / 4) * np.kron(np.eye(2), rz(math.pi / 4))
+        assert S_L.tobytes() == s_l.tobytes()
 
 
 class TestDfsImmunity:

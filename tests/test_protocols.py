@@ -43,7 +43,8 @@ from dfsqc.protocols import (
     teleported_cnot,
     transport,
 )
-from dfsqc.scenarios import cnot_matrix, encode_two
+from dfsqc.config import ScenarioConfig
+from dfsqc.scenarios import cnot_matrix, encode_two, forced_branch_states, run_protocol
 
 MHZ = 2 * math.pi * 1e6
 
@@ -458,6 +459,17 @@ def _unit(k):
     return v
 
 
+class TestEncodeTwo:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_four_term_kron_sum(self, seed):
+        c4 = random_state(2, seed)
+        want = np.zeros(16, dtype=complex)
+        for n in (0, 1):
+            for m in (0, 1):
+                want += c4[m + 2 * n] * np.kron(pair_ket(f"{n}L"), pair_ket(f"{m}L"))
+        assert np.array_equal(encode_two(c4), want)
+
+
 class TestPrepareXi:
     def make_run(self, seed=0):
         return ProtocolRun.create(
@@ -572,6 +584,29 @@ class TestTeleportedCnot:
                 for la in BELL_LABELS for lb in BELL_LABELS]
         worst = max(trace_distance(outs[0], o) for o in outs[1:])
         assert worst < 1e-10
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_shared_prefix_matches_independent_runs(self, seed):
+        c4 = random_state(2, seed)
+        shared = forced_branch_states(c4)
+        branches = itertools.product(BELL_LABELS, BELL_LABELS)
+        for k, force in enumerate(branches):
+            assert np.array_equal(shared[k], self.run_once(c4, force=force))
+
+    def test_scenario_builds_one_run_per_trial_and_probe(self, monkeypatch):
+        create, calls = ProtocolRun.create, []
+
+        def counting_create(*args, **kwargs):
+            calls.append(args)
+            return create(*args, **kwargs)
+
+        monkeypatch.setattr(ProtocolRun, "create", staticmethod(counting_create))
+        trials = 4
+        run_protocol(ScenarioConfig.from_yaml(
+            "kind: protocol-run\nname: tele\nseed: 4\n"
+            f"protocol: teleported-cnot\ntrials: {trials}\n"))
+        # one run per sampled trial, one shared run per branch probe
+        assert len(calls) == trials + 3
 
     def test_measured_pairs_left_in_bell_states(self):
         run = ProtocolRun.create(

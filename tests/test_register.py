@@ -388,6 +388,10 @@ class TestPartialTrace:
                                            atol=1e-13)
 
 
+def _complex_block(rng, size):
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
 class TestHelpers:
     def test_ket_convention(self):
         # leftmost char is qubit 0 = least significant bit
@@ -421,6 +425,36 @@ class TestHelpers:
         assert fidelity(psi, np.outer(psi, psi.conj())) == pytest.approx(1.0)
         assert fidelity(psi, np.eye(4) / 4) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_trace_distance_of_stacks_is_per_pair(self, dim):
+        rng = np.random.default_rng(dim)
+        a = _complex_block(rng, (6, dim, dim))
+        b = _complex_block(rng, (6, dim, dim))
+        a, b = a @ a.conj().transpose(0, 2, 1), b @ b.conj().transpose(0, 2, 1)
+        want = [trace_distance(x, y) for x, y in zip(a, b)]
+        assert np.array_equal(trace_distance(a, b), want)
+
     def test_global_phase_ignored(self):
         psi = random_state(2, 5)
         assert fidelity(psi, np.exp(0.7j) * psi) == pytest.approx(1.0)
+
+
+class TestProductStatesMatchKron:
+    """Product states are the same products as chained ``np.kron``, bit for bit."""
+
+    @pytest.mark.parametrize("sizes", [(2, 4, 16), (16, 2, 4, 2), (4, 16)])
+    def test_kron_all(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        blocks = [_complex_block(rng, n) for n in sizes]
+        want = blocks[0]
+        for b in blocks[1:]:
+            want = np.kron(b, want)
+        assert np.array_equal(kron_all(blocks), want)
+
+    @pytest.mark.parametrize("sizes", [(2, 4), (16, 2), (4, 16)])
+    def test_tensor(self, sizes):
+        rng = np.random.default_rng(7 * sum(sizes))
+        a, b = (_complex_block(rng, n) for n in sizes)
+        joined = tensor(QuantumRegister(a.size.bit_length() - 1, a),
+                        QuantumRegister(b.size.bit_length() - 1, b))
+        assert np.array_equal(joined.amplitudes, np.kron(b, a))
