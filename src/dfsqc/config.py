@@ -5,31 +5,15 @@ nu and converted internally to angular frequencies w = 2*pi*nu*1e6 rad/s;
 times are entered in microseconds.  Reports convert back, so a kappa
 entered as 2.4 stays 2.4 MHz on the way out.
 
-Schema (defaults in parentheses); every kind also takes ``kind``, ``name``
-and ``seed``, and a key the kind does not list is rejected:
-
-    kind: fidelity-sweep | g-sweep | decoupling | transport-noise |
-          protocol-run | leakage-demo
-    name: artifact base name (kind)
-    seed: integer (12345)
-    physics:            # fidelity-sweep, g-sweep
-      g_mhz (27.0), kappa_mhz (2.4), gamma_mhz (2.6)
-    pulse:              # fidelity-sweep, g-sweep
-      duration_over_kappa (200.0), alpha (1.26), kind (odd_cat)
-    sweep:              # fidelity-sweep, g-sweep, transport-noise
-      start, stop, points        # grid, scenario-specific meaning
-    noise:              # decoupling, transport-noise
-      model (band-limited-white), tau_co_ms (1.0), cutoff_hz (100.0),
-      table_path (table model only)
-    echo:               # decoupling
-      dt_cutoff_product ([0.01 .. 0.1]; two or more distinct), n_cycles (1)
-    realizations (10000)         # decoupling
-    transport:          # transport-noise
-      tau_t_us (100.0), d_um (10.0)
-    protocol:           # protocol-run
-      teleported-cnot | bsm | hadamard
-    trials (100)                 # protocol-run
-    random_inputs (50)           # leakage-demo
+``SCHEMA`` lists each kind's keys, each section's sub-keys and their
+defaults; every kind also takes ``kind``, ``name`` (default: the kind) and
+``seed`` (default 12345), and a key the kind does not list is rejected.
+Two rules the table does not show: ``noise.table_path`` applies to the
+``table`` noise model only, and ``echo.dt_cutoff_product`` needs two or
+more distinct values.  The transport-noise kind builds its own narrow noise
+line at each grid point, so its ``noise`` section is validated but changes
+no number, and neither does ``transport.d_um``, which only
+``TransportNoise.spatial_correlation`` reads.
 """
 
 from __future__ import annotations
@@ -44,43 +28,56 @@ import yaml
 MHZ = 2.0 * math.pi * 1e6
 US = 1e-6
 
-_SWEEP = {"start", "stop", "points"}
-_NOISE = {"model", "tau_co_ms", "cutoff_hz", "table_path"}
-_CAVITY = {
-    "physics": {"g_mhz", "kappa_mhz", "gamma_mhz"},
-    "pulse": {"duration_over_kappa", "alpha", "kind"},
-    "sweep": _SWEEP,
-}
-# kind -> allowed top-level keys besides kind/name/seed, each mapped to the
-# keys its section allows, or to None for a plain value
+# kind -> its keys besides kind/name/seed; a section maps its sub-keys to
+# their defaults.  A value converts to the type of its default; a tuple
+# lists the allowed values, the first being the default.
+TABLE_MODEL = "table"
+_NOISE = {"model": ("band-limited-white", "lorentzian", TABLE_MODEL),
+          "tau_co_ms": 1.0, "cutoff_hz": 100.0, "table_path": ""}
+_CAVITY = {"physics": {"g_mhz": 27.0, "kappa_mhz": 2.4, "gamma_mhz": 2.6},
+           "pulse": {"duration_over_kappa": 200.0, "alpha": 1.26 + 0j,
+                     "kind": ("odd_cat",)}}
 SCHEMA = {
-    "fidelity-sweep": _CAVITY,
-    "g-sweep": _CAVITY,
-    "decoupling": {"noise": _NOISE, "echo": {"dt_cutoff_product", "n_cycles"},
-                   "realizations": None},
-    "transport-noise": {"noise": _NOISE, "transport": {"tau_t_us", "d_um"},
-                        "sweep": _SWEEP},
-    "protocol-run": {"protocol": None, "trials": None},
-    "leakage-demo": {"random_inputs": None},
+    "fidelity-sweep": {**_CAVITY, "sweep": {"start": 0.1, "stop": 4.0, "points": 20}},
+    "g-sweep": {**_CAVITY, "sweep": {"start": 0.5, "stop": 1.0, "points": 11}},
+    "decoupling": {"noise": _NOISE,
+                   "echo": {"dt_cutoff_product": np.geomspace(0.01, 0.1, 5).tolist(),
+                            "n_cycles": 1},
+                   "realizations": 10000},
+    "transport-noise": {"noise": _NOISE, "transport": {"tau_t_us": 100.0, "d_um": 10.0},
+                        "sweep": {"start": 0.02, "stop": 0.2, "points": 5}},
+    "protocol-run": {"protocol": ("teleported-cnot", "bsm", "hadamard"), "trials": 100},
+    "leakage-demo": {"random_inputs": 50},
 }
 KINDS = tuple(SCHEMA)
-# kind -> default sweep grid (start, stop, points, log-spaced)
-GRID_DEFAULTS = {
-    "fidelity-sweep": (0.1, 4.0, 20, False),
-    "g-sweep": (0.5, 1.0, 11, False),
-    "transport-noise": (0.02, 0.2, 5, True),
-}
-# plain top-level value -> default; ScenarioConfig.value converts to its type
-VALUE_DEFAULTS = {
-    "realizations": 10000,
-    "protocol": "teleported-cnot",
-    "trials": 100,
-    "random_inputs": 50,
-}
 
 
 class ConfigError(ValueError):
     pass
+
+
+_TYPE_NAMES = {float: "a number", int: "an integer", complex: "a complex number",
+               str: "a string", list: "a list of numbers"}
+
+
+def _convert(name: str, val, default):
+    """``val`` converted to the type of ``default``, or ConfigError naming ``name``."""
+    if isinstance(default, tuple):
+        if val in default:
+            return val
+        raise ConfigError(f"{name!r} must be one of {list(default)}, not {val!r}")
+    try:
+        if isinstance(default, list):
+            # a blank list keeps the default
+            return [float(v) for v in (default if val is None else val)]
+        if isinstance(default, int) and isinstance(val, float) and not val.is_integer():
+            raise ValueError
+        if isinstance(default, str) and not isinstance(val, str):
+            raise TypeError
+        return type(default)(val)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(
+            f"{name!r} must be {_TYPE_NAMES[type(default)]}, not {val!r}") from None
 
 
 def rate_to_internal(nu_mhz: float) -> float:
@@ -124,8 +121,8 @@ class ScenarioConfig:
         raw = dict(raw)
         kind = raw.pop("kind")
         name = raw.pop("name", kind)
-        seed = raw.pop("seed", 12345)
-        cfg = cls(kind=kind, name=str(name), seed=int(seed), data=raw)
+        seed = _convert("seed", raw.pop("seed", 12345), 12345)
+        cfg = cls(kind=kind, name=str(name), seed=seed, data=raw)
         cfg.validate()
         return cfg
 
@@ -154,21 +151,21 @@ class ScenarioConfig:
             raise ConfigError(f"section {key!r} must be a mapping")
         return val
 
-    def value(self, key: str):
-        """A plain top-level value: the config's entry or VALUE_DEFAULTS."""
-        default = VALUE_DEFAULTS[key]
-        try:
-            return type(default)(self.data.get(key, default))
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key!r} must be a {type(default).__name__}") from None
+    def get(self, key: str, sub: str | None = None):
+        """Top-level ``key``, or ``sub`` of section ``key``: the given value
+        or else SCHEMA's default, converted to the default's type."""
+        default, given, name = SCHEMA[self.kind][key], self.data, key
+        if sub is not None:
+            default, given, name = default[sub], self.section(key), f"{key}.{sub}"
+            key = sub
+        fallback = default[0] if isinstance(default, tuple) else default
+        return _convert(name, given.get(key, fallback), default)
 
     def physics(self):
         from .cavity import CavityParams
 
-        sec = self.section("physics")
-        g = float(sec.get("g_mhz", 27.0))
-        kappa = float(sec.get("kappa_mhz", 2.4))
-        gamma = float(sec.get("gamma_mhz", 2.6))
+        g, kappa, gamma = (self.get("physics", k)
+                           for k in ("g_mhz", "kappa_mhz", "gamma_mhz"))
         if g <= 0 or kappa <= 0 or gamma <= 0:
             raise ConfigError("physics rates must be positive")
         return CavityParams(rate_to_internal(g), rate_to_internal(kappa),
@@ -177,25 +174,19 @@ class ScenarioConfig:
     def pulse(self, params=None):
         from .cavity import PulseSpec
 
-        sec = self.section("pulse")
         params = params if params is not None else self.physics()
-        ratio = float(sec.get("duration_over_kappa", 200.0))
+        ratio = self.get("pulse", "duration_over_kappa")
         if ratio <= 0:
             raise ConfigError("pulse duration must be positive")
-        alpha = complex(sec.get("alpha", 1.26))
-        kind = str(sec.get("kind", "odd_cat"))
-        return PulseSpec.gaussian(ratio / params.kappa, alpha, kind)
+        return PulseSpec.gaussian(ratio / params.kappa, self.get("pulse", "alpha"),
+                                  self.get("pulse", "kind"))
 
     def sweep_grid(self):
-        """The kind's sweep grid: the ``sweep`` section over GRID_DEFAULTS."""
-        start, stop, points, log_spaced = GRID_DEFAULTS[self.kind]
-        sec = self.section("sweep")
-        start = float(sec.get("start", start))
-        stop = float(sec.get("stop", stop))
-        points = int(sec.get("points", points))
+        """The kind's sweep grid, log-spaced for transport-noise."""
+        start, stop, points = (self.get("sweep", k) for k in ("start", "stop", "points"))
         if points < 1:
             raise ConfigError("sweep grid must not be empty")
-        if log_spaced:
+        if self.kind == "transport-noise":
             if start <= 0 or stop <= 0:
                 raise ConfigError("log grid needs positive bounds")
             return np.geomspace(start, stop, points)
@@ -203,17 +194,10 @@ class ScenarioConfig:
 
     def echo(self):
         """``(dt_cutoff_products, n_cycles)`` of a decoupling scenario."""
-        sec = self.section("echo")
-        n_cycles = int(sec.get("n_cycles", 1))
+        n_cycles = self.get("echo", "n_cycles")
         if n_cycles < 1:
             raise ConfigError("echo n_cycles must be >= 1")
-        products = sec.get("dt_cutoff_product")
-        if products is None:
-            products = np.geomspace(0.01, 0.1, 5)
-        try:
-            products = [float(p) for p in products]
-        except (TypeError, ValueError):
-            raise ConfigError("echo dt_cutoff_product must be a list of numbers") from None
+        products = self.get("echo", "dt_cutoff_product")
         if not products or min(products) <= 0:
             raise ConfigError("echo dt_cutoff_product values must be positive")
         if len(set(products)) < 2:
@@ -224,28 +208,23 @@ class ScenarioConfig:
     def noise_spectrum(self):
         from .noise import NoiseSpectrum
 
-        sec = self.section("noise")
-        model = str(sec.get("model", "band-limited-white"))
-        tau_co = float(sec.get("tau_co_ms", 1.0)) * 1e-3
-        cutoff = 2.0 * math.pi * float(sec.get("cutoff_hz", 100.0))
-        if model == "band-limited-white":
-            return NoiseSpectrum.band_limited_white(tau_co=tau_co, cutoff=cutoff)
-        if model == "lorentzian":
-            return NoiseSpectrum.lorentzian(tau_co=tau_co, cutoff=cutoff)
-        if model == "table":
-            path = sec.get("table_path")
+        model = self.get("noise", "model")
+        tau_co = self.get("noise", "tau_co_ms") * 1e-3
+        cutoff = 2.0 * math.pi * self.get("noise", "cutoff_hz")
+        if model == TABLE_MODEL:
+            path = self.get("noise", "table_path")
             if not path:
                 raise ConfigError("table model needs 'table_path'")
             return NoiseSpectrum.from_table_file(path)
-        raise ConfigError(f"unknown noise model {model!r}")
+        # the analytic models are NoiseSpectrum constructors of the same name
+        return getattr(NoiseSpectrum, model.replace("-", "_"))(tau_co=tau_co, cutoff=cutoff)
 
     def transport_noise(self):
         from .noise import TransportNoise
 
-        sec = self.section("transport")
-        tau_t = float(sec.get("tau_t_us", 100.0)) * US
-        d = float(sec.get("d_um", 10.0)) * 1e-6
-        return TransportNoise(d=d, tau_T=tau_t, base=self.noise_spectrum())
+        return TransportNoise(d=self.get("transport", "d_um") * 1e-6,
+                              tau_T=self.get("transport", "tau_t_us") * US,
+                              base=self.noise_spectrum())
 
     # -- validation ------------------------------------------------------
     def _check_keys(self):
@@ -253,8 +232,8 @@ class ScenarioConfig:
         for key in self.data:
             if key not in schema:
                 raise ConfigError(f"unknown key {key!r} for kind {self.kind!r}")
-            if schema[key] is not None:
-                unknown = sorted(set(self.section(key)) - schema[key])
+            if isinstance(schema[key], dict):
+                unknown = sorted(set(self.section(key)) - set(schema[key]))
                 if unknown:
                     raise ConfigError(f"unknown key(s) {unknown} in section {key!r}")
 
@@ -271,18 +250,16 @@ class ScenarioConfig:
         elif self.kind == "decoupling":
             self.noise_spectrum()
             self.echo()
-            if self.value("realizations") < 100:
+            if self.get("realizations") < 100:
                 raise ConfigError("decoupling needs at least 100 realizations")
         elif self.kind == "transport-noise":
             self.transport_noise()
             self.sweep_grid()
         elif self.kind == "protocol-run":
-            protocol = self.value("protocol")
-            if protocol not in ("teleported-cnot", "bsm", "hadamard"):
-                raise ConfigError(f"unknown protocol {protocol!r}")
-            if self.value("trials") < 1:
+            self.get("protocol")  # raises unless SCHEMA allows it
+            if self.get("trials") < 1:
                 raise ConfigError("trials must be >= 1")
         elif self.kind == "leakage-demo":
-            if self.value("random_inputs") < 0:
+            if self.get("random_inputs") < 0:
                 raise ConfigError("random_inputs must be >= 0")
         return self

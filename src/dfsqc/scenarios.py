@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ScenarioConfig, rate_to_mhz
+from .config import ScenarioConfig, rate_to_mhz
 from .cavity import CavityParams, cz_gate_fidelity, fidelity_sweep, photon_loss
 from .noise import (
     EchoSequence,
@@ -165,7 +165,7 @@ def run_g_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 
 def run_decoupling(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     spectrum = cfg.noise_spectrum()
-    n_real = cfg.value("realizations")
+    n_real = cfg.get("realizations")
     products, n_cycles = cfg.echo()
     dts = [p / spectrum.cutoff for p in products]
 
@@ -287,8 +287,8 @@ def forced_branch_states(c4: np.ndarray) -> np.ndarray:
 
 
 def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
-    protocol = cfg.value("protocol")
-    trials = cfg.value("trials")
+    protocol = cfg.get("protocol")
+    trials = cfg.get("trials")
     rng = np.random.default_rng(cfg.seed)
     trial_seeds = [int(s.generate_state(1)[0])
                    for s in np.random.SeedSequence(cfg.seed).spawn(trials)]
@@ -352,11 +352,9 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
                         f"min fidelity vs H_L = {min_fid:.12f}")]
         return ScenarioResult(["trial", "branch", "fidelity"], rows, checks)
 
-    raise ConfigError(f"unknown protocol {protocol!r}")
-
 
 def run_leakage_demo(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
-    n_random = cfg.value("random_inputs")
+    n_random = cfg.get("random_inputs")
     rng = np.random.default_rng(cfg.seed)
     cases = [("0L", "clean"), ("1L", "clean"), ("+L", "clean"), ("-L", "clean"),
              ("2L", "leak"), ("3L", "leak")]

@@ -8,16 +8,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dfsqc
+from dfsqc.cavity import CavityParams
 from dfsqc.cli import main
 from dfsqc.config import (
+    SCHEMA,
     ConfigError,
     ScenarioConfig,
     rate_to_internal,
     rate_to_mhz,
 )
+from dfsqc.noise import NoiseSpectrum, TransportNoise
 from dfsqc.scenarios import emit_report, run_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +84,57 @@ SMALL_CFGS = [FID_CFG, LEAK_CFG, TRANSPORT_BAD_CFG, G_SWEEP_CFG, DECOUPLING_CFG]
     f"protocol: {protocol}\ntrials: {trials}\n"
     for protocol, trials in (("hadamard", 120), ("bsm", 8), ("teleported-cnot", 4))]
 
+# every key of each kind set to its default (table_path applies to the table
+# noise model only)
+_CAVITY_DEFAULTS = {
+    "physics": {"g_mhz": 27.0, "kappa_mhz": 2.4, "gamma_mhz": 2.6},
+    "pulse": {"duration_over_kappa": 200.0, "alpha": 1.26, "kind": "odd_cat"},
+}
+_NOISE_DEFAULTS = {"model": "band-limited-white", "tau_co_ms": 1.0, "cutoff_hz": 100.0}
+EXPLICIT_DEFAULTS = {
+    "fidelity-sweep": {**_CAVITY_DEFAULTS,
+                       "sweep": {"start": 0.1, "stop": 4.0, "points": 20}},
+    "g-sweep": {**_CAVITY_DEFAULTS, "sweep": {"start": 0.5, "stop": 1.0, "points": 11}},
+    "decoupling": {"noise": _NOISE_DEFAULTS, "realizations": 10000,
+                   "echo": {"dt_cutoff_product": np.geomspace(0.01, 0.1, 5).tolist(),
+                            "n_cycles": 1}},
+    "transport-noise": {"noise": _NOISE_DEFAULTS,
+                        "transport": {"tau_t_us": 100.0, "d_um": 10.0},
+                        "sweep": {"start": 0.02, "stop": 0.2, "points": 5}},
+    "protocol-run": {"protocol": "teleported-cnot", "trials": 100},
+    "leakage-demo": {"random_inputs": 50},
+}
+_CAVITY_EXPECTED = (
+    CavityParams(rate_to_internal(27.0), rate_to_internal(2.4), rate_to_internal(2.6)),
+    200.0, 1.26, "odd_cat")
+_NOISE_EXPECTED = NoiseSpectrum.band_limited_white(tau_co=1e-3, cutoff=2 * math.pi * 100.0)
+EXPECTED_DEFAULTS = {
+    "fidelity-sweep": (*_CAVITY_EXPECTED, np.linspace(0.1, 4.0, 20).tolist()),
+    "g-sweep": (*_CAVITY_EXPECTED, np.linspace(0.5, 1.0, 11).tolist()),
+    "decoupling": (_NOISE_EXPECTED, np.geomspace(0.01, 0.1, 5).tolist(), 1, 10000),
+    "transport-noise": (TransportNoise(d=10.0 * 1e-6, tau_T=100.0 * 1e-6,
+                                       base=_NOISE_EXPECTED),
+                        np.geomspace(0.02, 0.2, 5).tolist()),
+    "protocol-run": ("teleported-cnot", 100),
+    "leakage-demo": (50,),
+}
+
+
+def read_defaults(cfg):
+    """What each kind's runner reads from its config, in comparable form."""
+    if cfg.kind in ("fidelity-sweep", "g-sweep"):
+        params = cfg.physics()
+        pulse = cfg.pulse(params)
+        return (params, round(pulse.T * params.kappa, 9), pulse.alpha, pulse.kind,
+                cfg.sweep_grid().tolist())
+    if cfg.kind == "decoupling":
+        return (cfg.noise_spectrum(), *cfg.echo(), cfg.get("realizations"))
+    if cfg.kind == "transport-noise":
+        return cfg.transport_noise(), cfg.sweep_grid().tolist()
+    if cfg.kind == "protocol-run":
+        return cfg.get("protocol"), cfg.get("trials")
+    return (cfg.get("random_inputs"),)
+
 
 class TestConfig:
     def test_round_trip_lossless(self):
@@ -137,6 +192,37 @@ class TestConfig:
             configs, _ = workloads.generate(name, 1, 20)
             for raw in configs:
                 ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("text, key", [
+        ("kind: fidelity-sweep\nphysics: {g_mhz: }\n", "physics.g_mhz"),
+        ("kind: fidelity-sweep\npulse: {alpha: [1]}\n", "pulse.alpha"),
+        ("kind: fidelity-sweep\npulse: {kind: coherent}\n", "pulse.kind"),
+        ("kind: g-sweep\nsweep: {points: 2.5}\n", "sweep.points"),
+        ("kind: decoupling\nnoise: {model: pink}\n", "noise.model"),
+        ("kind: decoupling\nnoise: {model: table, table_path: 5}\n", "noise.table_path"),
+        ("kind: protocol-run\ntrials: .inf\n", "trials"),
+        ("kind: leakage-demo\nseed: 1.7\n", "seed"),
+    ])
+    def test_malformed_value_names_its_key(self, text, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            ScenarioConfig.from_yaml(text)
+
+    def test_integral_float_counts_accepted(self):
+        cfg = ScenarioConfig.from_yaml("kind: protocol-run\nseed: 7.0\ntrials: 40.0\n")
+        assert (cfg.seed, cfg.get("trials")) == (7, 40)
+        assert type(cfg.seed) is int and type(cfg.get("trials")) is int
+
+    @pytest.mark.parametrize("kind", sorted(EXPLICIT_DEFAULTS))
+    def test_defaults_pinned(self, kind):
+        explicit = EXPLICIT_DEFAULTS[kind]
+        # the explicit config sets every key the kind accepts
+        assert explicit.keys() == SCHEMA[kind].keys()
+        for key, sub in explicit.items():
+            if isinstance(sub, dict):
+                assert set(sub) == set(SCHEMA[kind][key]) - {"table_path"}
+        bare = read_defaults(ScenarioConfig.from_dict({"kind": kind}))
+        assert bare == read_defaults(ScenarioConfig.from_dict({"kind": kind, **explicit}))
+        assert bare == EXPECTED_DEFAULTS[kind]
 
     def test_invalid_yaml_rejected(self):
         with pytest.raises(ConfigError, match="YAML"):
@@ -251,7 +337,20 @@ class TestCliEntry:
                      "kind: decoupling\necho: {dt_cutoff_product: [0.05, 0.05]}\n",
                      # an empty or list value cannot become a count
                      "kind: protocol-run\ntrials:\n",
-                     "kind: decoupling\nrealizations: [1000]\n"):
+                     "kind: decoupling\nrealizations: [1000]\n",
+                     "kind: fidelity-sweep\nphysics: {g_mhz: }\n",
+                     "kind: g-sweep\nsweep: {points: [3]}\n",
+                     "kind: decoupling\necho: {n_cycles: }\n",
+                     "kind: fidelity-sweep\npulse: {alpha: }\n",
+                     "kind: decoupling\nnoise: {cutoff_hz: [1]}\n",
+                     "kind: transport-noise\ntransport: {tau_t_us: }\n",
+                     "kind: leakage-demo\nseed: [1]\n",
+                     "kind: leakage-demo\nseed:\n",
+                     # a value outside the key's allowed set
+                     "kind: fidelity-sweep\npulse: {kind: coherent}\n",
+                     # a fractional count is not truncated
+                     "kind: protocol-run\ntrials: 2.5\n",
+                     "kind: leakage-demo\nseed: 1.7\n"):
             assert main(["simulate", self.write(tmp_path, text), "--out", out]) == 2
         assert not Path(out).exists()
 
