@@ -30,6 +30,7 @@ from .register import (
     apply_unitary,
     kron_all,
     measure,
+    measure_sequence,
     row_table,
     rz,
 )
@@ -131,9 +132,10 @@ def _pair_op(entries) -> np.ndarray:
     return m
 
 
-def _on_atom_a(m) -> np.ndarray:
-    """Pair operator ``I (x) m``: ``m`` on atom_a (the low bit), identity on atom_b."""
-    return np.multiply.outer(np.eye(2), m).swapaxes(1, 2).reshape(4, 4)
+def low_high(low, high) -> np.ndarray:
+    """``high (x) low``: ``low`` on the low bits of the index (atom_a, or a first pair)."""
+    n = low.shape[0] * high.shape[0]
+    return np.multiply.outer(high, low).swapaxes(1, 2).reshape(n, n)
 
 
 # X_L: swap the two atoms (leakage states are fixed points)
@@ -141,10 +143,10 @@ X_L = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 # Z_L realized as U_z(pi/2) times a global phase i, which is sigma_z on atom_a
-Z_L = _on_atom_a(SZ)  # diag over (bit_b, bit_a): [1,-1,1,-1]
+Z_L = low_high(SZ, np.eye(2))  # diag over (bit_b, bit_a): [1,-1,1,-1]
 Y_L = 1j * X_L @ Z_L
 # S_L = diag(1, i) on the logical span: U_z(pi/4) times global phase e^{i pi/4}
-S_L = np.exp(1j * math.pi / 4) * _on_atom_a(rz(math.pi / 4))
+S_L = np.exp(1j * math.pi / 4) * low_high(rz(math.pi / 4), np.eye(2))
 # Hadamard on the logical span, identity on the leakage span
 H_L = _pair_op(
     {
@@ -215,11 +217,38 @@ def parity_projectors(q_or_atoms) -> ProjectorSet:
     return ProjectorSet((0, 1, 1, 0), ("pi3", "pi4"), _atoms(q_or_atoms))
 
 
+# outcome of {P3, P4} on the atom_a bits (0 and 2) of a two-pair sub-state
+_ATOM_A_PARITY = tuple((s ^ (s >> 2)) & 1 for s in range(16))
+
+
+def atom_a_parity_projectors(q1: LogicalQubit, q2: LogicalQubit) -> ProjectorSet:
+    """{P3, P4} on (q1.atom_a, q2.atom_a), as a table over all four atoms of the pairs."""
+    return ProjectorSet(_ATOM_A_PARITY, ("pi3", "pi4"), q1.atoms + q2.atoms)
+
+
 class LogicalMeasurement(NamedTuple):
     label: str
     register: QuantumRegister
     outcomes: tuple
     probability: float
+
+
+# A sigma_x before and after {P1, P2} only relabels its outcome table:
+# on atom_a P1 becomes |0_L><0_L|, on atom_b it becomes |1_L><1_L|.
+def _z_sequence(q: LogicalQubit):
+    return (ProjectorSet((1, 1, 0, 1), ("pi1", "pi2"), q.atoms),
+            ProjectorSet((1, 0, 1, 1), ("pi1", "pi2"), q.atoms))
+
+
+_Z_FORCES = {None: (None, None), "z+": ("pi1", "pi2"), "z-": ("pi2", "pi1"),
+             "leak": ("pi2", "pi2")}
+_Z_LABELS = {pair: label for label, pair in _Z_FORCES.items() if label is not None}
+
+
+def _z_label(pair) -> str:
+    if pair not in _Z_LABELS:
+        raise RegisterError("outcome pair (pi1, pi1) observed: inconsistent state")
+    return _Z_LABELS[pair]
 
 
 def logical_z_measurement(reg: QuantumRegister, q: LogicalQubit, rng, force=None):
@@ -231,66 +260,52 @@ def logical_z_measurement(reg: QuantumRegister, q: LogicalQubit, rng, force=None
 
     ``force`` may be "z+", "z-" or "leak" to post-select the branch.
     """
-    forced = {None: (None, None), "z+": ("pi1", "pi2"), "z-": ("pi2", "pi1"),
-              "leak": ("pi2", "pi2")}[force]
-    # A sigma_x before and after {P1, P2} only relabels its outcome table:
-    # on atom_a P1 becomes |0_L><0_L|, on atom_b it becomes |1_L><1_L|.
-    # Each is still its own measurement with its own draw.
-    first, p1, reg = measure(reg, ProjectorSet((1, 1, 0, 1), ("pi1", "pi2"), q.atoms),
-                             rng, force=forced[0])
-    second, p2, reg = measure(reg, ProjectorSet((1, 0, 1, 1), ("pi1", "pi2"), q.atoms),
-                              rng, force=forced[1])
-
+    forced = _Z_FORCES[force]
+    # each relabeled projection is still its own measurement with its own draw
+    first_ps, second_ps = _z_sequence(q)
+    first, p1, reg = measure(reg, first_ps, rng, force=forced[0])
+    second, p2, reg = measure(reg, second_ps, rng, force=forced[1])
     pair = (first, second)
-    if pair == ("pi1", "pi2"):
-        label = "z+"
-    elif pair == ("pi2", "pi1"):
-        label = "z-"
-    elif pair == ("pi2", "pi2"):
-        label = "leak"
-    else:
-        raise RegisterError("outcome pair (pi1, pi1) observed: inconsistent state")
-    return LogicalMeasurement(label, reg, pair, p1 * p2)
+    return LogicalMeasurement(_z_label(pair), reg, pair, p1 * p2)
 
 
 _BASIS_CHANGE = {
-    "Z": np.eye(4, dtype=complex),
+    "Z": None,
     "X": H_L,
     "Y": HS_DAG_L,
 }
 _BASIS_LABELS = {
-    "Z": {"z+": "z+", "z-": "z-"},
-    "X": {"z+": "x+", "z-": "x-"},
-    "Y": {"z+": "y+", "z-": "y-"},
+    "Z": {"z+": "z+", "z-": "z-", "leak": "leak"},
+    "X": {"z+": "x+", "z-": "x-", "leak": "leak"},
+    "Y": {"z+": "y+", "z-": "y-", "leak": "leak"},
 }
 
 
 def logical_basis_measurement(reg: QuantumRegister, q: LogicalQubit, basis: str,
                               rng, force=None):
-    """Measure a logical Pauli observable via basis change + Z sequence.
+    """Measure a logical Pauli observable: the Z sequence in a changed frame.
 
-    X uses H_L, Y uses H_L S_L^dag; the inverse change restores the
-    post-measurement eigenstate.  Leak outcomes propagate unchanged.
+    X uses H_L, Y uses H_L S_L^dag.  Both measurements of the Z sequence,
+    with their two draws, run on one gather of the pair in that frame, and
+    the inverse change restores the post-measurement eigenstate before the
+    one scatter.  Leak outcomes propagate unchanged.
     """
     key = basis.upper()
     if key not in _BASIS_CHANGE:
         raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
-    v = _BASIS_CHANGE[key]
     labels = _BASIS_LABELS[key]
-    inv_force = {v: k for k, v in labels.items()}
-    z_force = None if force is None else ("leak" if force == "leak" else inv_force[force])
-
-    apply_pair_unitary(reg, q, v)
-    res = logical_z_measurement(reg, q, rng, force=z_force)
-    apply_pair_unitary(reg, q, v.conj().T)
-    label = "leak" if res.label == "leak" else labels[res.label]
-    return LogicalMeasurement(label, reg, res.outcomes, res.probability)
+    z_force = None if force is None else {v: k for k, v in labels.items()}[force]
+    (first, p1), (second, p2) = measure_sequence(
+        reg, _z_sequence(q), rng, _Z_FORCES[z_force], frame=_BASIS_CHANGE[key])
+    pair = (first, second)
+    return LogicalMeasurement(labels[_z_label(pair)], reg, pair, p1 * p2)
 
 
 def logical_support(reg: QuantumRegister, qubits) -> float:
     """Probability weight of the state inside the logical span of every pair."""
     atoms = [a for q in qubits for a in q.atoms]
-    weights = reg.populations[row_table(reg.n_qubits, atoms)].sum(axis=1)
-    # one axis per pair; its indices IDX_1L = 1 and IDX_0L = 2 span the logical space
-    inside = (slice(IDX_1L, IDX_0L + 1),) * len(qubits)
-    return float(weights.reshape((4,) * len(qubits))[inside].sum())
+    rows = row_table(reg.n_qubits, atoms).reshape((4,) * len(qubits) + (-1,))
+    # one axis per pair; its indices IDX_1L = 1 and IDX_0L = 2 span the logical
+    # space, so only those rows are read
+    inside = reg.amplitudes[rows[(slice(IDX_1L, IDX_0L + 1),) * len(qubits)]].ravel()
+    return float(np.vdot(inside, inside).real)

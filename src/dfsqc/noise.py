@@ -400,7 +400,8 @@ def transport_phase_std(tn: TransportNoise, duration: float | None = None) -> fl
 # dephasing channel on the register
 # ---------------------------------------------------------------------------
 
-def apply_dephasing_channel(reg: QuantumRegister, q: LogicalQubit, phi: float):
+def apply_dephasing_channel(reg: QuantumRegister, q: LogicalQubit, phi: float,
+                            frame=None):
     """Differential phase phi between |0_L> and |1_L>.
 
     Unitary exp(-i (phi/4) (sigma_z^a - sigma_z^b)): |0_L> picks up
@@ -408,7 +409,14 @@ def apply_dephasing_channel(reg: QuantumRegister, q: LogicalQubit, phi: float):
     |11> are untouched, so the channel never mixes the subspaces.  phi = pi
     maps |+_L> to |-_L> (up to global phase).  A collective phase (equal z
     rotation of both atoms) leaves every logical state invariant.
+
+    ``frame`` is a 4x4 basis change the pair is held in while the register
+    keeps it unchanged: the phases then act as frame^dag D frame.
     """
-    apply_unitary(reg, rz(phi / 4.0), [q.atom_a])
-    apply_unitary(reg, rz(-phi / 4.0), [q.atom_b])
-    return reg
+    if frame is None:
+        apply_unitary(reg, rz(phi / 4.0), [q.atom_a])
+        apply_unitary(reg, rz(-phi / 4.0), [q.atom_b])
+        return reg
+    # D over the pair index atom_a + 2*atom_b: |1_L> = 1, |0_L> = 2
+    d = np.exp(0.5j * phi * np.array([0.0, 1.0, -1.0, 0.0]))
+    return apply_unitary(reg, frame.conj().T @ (d[:, None] * frame), q.atoms)

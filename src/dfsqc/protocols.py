@@ -15,12 +15,19 @@ measurement helpers accept a ``force`` label so every outcome branch can
 be enumerated deterministically in tests and reports; forced branches are
 post-selected projections and consume no randomness.  Every random draw
 comes from the run's own stream ``run.rng``.
+
+A projection in a changed frame (the phase and yy Bell-subspace kinds, the
+logical X and Y measurements) is never conjugate, measure, unconjugate on
+the full register: it is one gather of the measured atoms' rows, the
+change, the collapse and the change back on that block, and one scatter
+(the ``frame`` of ``register.measure`` and ``register.measure_sequence``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,11 +49,13 @@ from .logical import (
     LeakageError,
     LogicalQubit,
     apply_pair_unitary,
+    atom_a_parity_projectors,
     bell_ket,
     logical_basis_measurement,
     logical_pauli,
     logical_support,
     logical_z_rotation,
+    low_high,
     pair_ket,
     parity_projectors,
     joint_ones_projectors,
@@ -69,6 +78,21 @@ class TransportStep:
     atoms_in: tuple = ()
     atoms_out: tuple = ()
     duration: float = DEFAULT_TRANSPORT_TIME
+
+
+class PairFrame(NamedTuple):
+    """Basis ``change`` on each of two logical qubits while their atom_a pair is measured.
+
+    ``both`` is the change on both pairs, one unitary on q1.atoms + q2.atoms.
+    """
+
+    q1: LogicalQubit
+    q2: LogicalQubit
+    change: np.ndarray
+    both: np.ndarray
+
+    def change_of(self, q: LogicalQubit):
+        return self.change if q in (self.q1, self.q2) else None
 
 
 @dataclass
@@ -217,12 +241,14 @@ class ProtocolRun:
 # transport and scheduling
 # ---------------------------------------------------------------------------
 
-def transport(run: ProtocolRun, step: TransportStep):
+def transport(run: ProtocolRun, step: TransportStep, frame=None):
     """Move atoms; in noisy mode each touched logical qubit dephases.
 
     The differential phase per qubit is Gaussian with variance
     duration^2 * int S_tT(w) dw (slow-noise phase accumulation over the
     shuttling window).  One normal draw per touched qubit, in layout order.
+    Inside a projection in a :class:`PairFrame`, its two qubits' phases act
+    in its changed basis.
     """
     occupied = (run.in_cavity - set(step.atoms_out)) | set(step.atoms_in)
     if len(occupied) > 2:
@@ -245,7 +271,8 @@ def transport(run: ProtocolRun, step: TransportStep):
         q = run.layout[name]
         if moved & set(q.atoms):
             phi = run.rng.normal(0.0, std) if std > 0 else 0.0
-            apply_dephasing_channel(run.register, q, phi)
+            apply_dephasing_channel(run.register, q, phi,
+                                    None if frame is None else frame.change_of(q))
             run.log("transport_dephasing", qubit=name, phi=phi)
     return run
 
@@ -281,13 +308,13 @@ def physical_cz(run: ProtocolRun, atom_i: int, atom_j: int):
     return run
 
 
-def _measure_pair(run: ProtocolRun, op: str, ps, force):
-    """Measure ``ps`` on the register, report the label and log it.
+def _measure_pair(run: ProtocolRun, op: str, atoms, ps, force, frame=None):
+    """Measure ``ps`` (in ``frame``) on the register, report the label and log it.
 
     With ``homodyne_error`` the reported label (never the state) is flipped
     with the homodyne discrimination error probability, one extra draw.
     """
-    label, p, _ = measure(run.register, ps, run.rng, force=force)
+    label, p, _ = measure(run.register, ps, run.rng, force=force, frame=frame)
     flipped = False
     if run.homodyne_error:
         alpha = abs(run.pulse.alpha) if run.pulse is not None else 1.0
@@ -295,7 +322,7 @@ def _measure_pair(run: ProtocolRun, op: str, ps, force):
         if run.rng.random() < p_err:
             label = [l for l in ps.outcome_labels if l != label][0]
             flipped = True
-    run.log(op, atoms=ps.targets, outcome=label, p=p,
+    run.log(op, atoms=atoms, outcome=label, p=p,
             **({"label_flip": True} if flipped else {}))
     return label, run
 
@@ -304,21 +331,28 @@ def measure_p12(run: ProtocolRun, atom_i: int, atom_j: int, force=None):
     """Joint projection {|11><11|, rest} with both atoms in the cavity."""
     _ensure_in_cavity(run, (atom_i, atom_j))
     ps = joint_ones_projectors((atom_i, atom_j))
-    return _measure_pair(run, "measure_p12", ps, force)
+    return _measure_pair(run, "measure_p12", (atom_i, atom_j), ps, force)
 
 
-def measure_p34(run: ProtocolRun, atom_i: int, atom_j: int, force=None):
+def measure_p34(run: ProtocolRun, atom_i: int, atom_j: int, force=None, frame=None):
     """Parity projection via two sequential single-atom reflections.
 
     Schedule: atom_i alone in the cavity, reflect; swap with atom_j,
     reflect again.  Net projection {P3 = |00><00| + |11><11|, P4 = rest}.
+
+    With a :class:`PairFrame` (atom_i = q1.atom_a, atom_j = q2.atom_a) the
+    parity is measured in its changed basis, where the transports also
+    dephase its two qubits.
     """
     others = tuple(sorted(run.in_cavity - {atom_i}))
     transport(run, TransportStep((atom_i,) if atom_i not in run.in_cavity else (),
-                                 others))
-    transport(run, TransportStep((atom_j,), (atom_i,)))
-    ps = parity_projectors((atom_i, atom_j))
-    return _measure_pair(run, "measure_p34", ps, force)
+                                 others), frame)
+    transport(run, TransportStep((atom_j,), (atom_i,)), frame)
+    if frame is None:
+        ps, unitary = parity_projectors((atom_i, atom_j)), None
+    else:
+        ps, unitary = atom_a_parity_projectors(frame.q1, frame.q2), frame.both
+    return _measure_pair(run, "measure_p34", (atom_i, atom_j), ps, force, unitary)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +420,10 @@ def _fresh_name(run: ProtocolRun, base: str) -> str:
 # ---------------------------------------------------------------------------
 
 _BELL_KINDS = {
-    # kind: (per-qubit basis change, {pi3 label, pi4 label})
-    "parity": (None, {"pi3": "phi", "pi4": "psi"}),
-    "phase": (H_L, {"pi3": "plus", "pi4": "minus"}),
-    "yy": (HS_DAG_L, {"pi3": "yy+", "pi4": "yy-"}),
+    # kind: (per-qubit basis change, that change on both pairs, {pi3 label, pi4 label})
+    "parity": (None, None, {"pi3": "phi", "pi4": "psi"}),
+    "phase": (H_L, low_high(H_L, H_L), {"pi3": "plus", "pi4": "minus"}),
+    "yy": (HS_DAG_L, low_high(HS_DAG_L, HS_DAG_L), {"pi3": "yy+", "pi4": "yy-"}),
 }
 
 
@@ -397,10 +431,11 @@ def bell_subspace_measurement(run: ProtocolRun, q1, q2, which="parity", force=No
     """Non-destructive projection onto a two-dimensional Bell subspace.
 
     parity: {phi+, phi-} vs {psi+, psi-} via the parity projection on the
-    first atoms of the two pairs.  phase: conjugate with H_L x H_L, giving
-    {phi+, psi+} vs {phi-, psi-}.  yy: conjugate with (H_L S_L+) each,
-    giving the remaining pairing.  Raises LeakageError if the state has
-    left the logical x logical space.
+    first atoms of the two pairs.  phase: the same parity in the frame
+    H_L x H_L, giving {phi+, psi+} vs {phi-, psi-}.  yy: in the frame
+    (H_L S_L+) on each pair, giving the remaining pairing.  Raises
+    LeakageError, before any state change, log line or draw, if the state
+    has left the logical x logical space.
     """
     q1, q2 = run.qubit(q1), run.qubit(q2)
     if which not in _BELL_KINDS:
@@ -410,18 +445,13 @@ def bell_subspace_measurement(run: ProtocolRun, q1, q2, which="parity", force=No
         raise LeakageError(
             f"state outside the logical Bell space (support {support:.6f})"
         )
-    change, labels = _BELL_KINDS[which]
+    change, both, labels = _BELL_KINDS[which]
     pi_force = None
     if force is not None:
         inverse = {v: k for k, v in labels.items()}
         pi_force = inverse[force]
-    if change is not None:
-        apply_pair_unitary(run.register, q1, change)
-        apply_pair_unitary(run.register, q2, change)
-    pi_label, _ = measure_p34(run, q1.atom_a, q2.atom_a, force=pi_force)
-    if change is not None:
-        apply_pair_unitary(run.register, q1, change.conj().T)
-        apply_pair_unitary(run.register, q2, change.conj().T)
+    frame = None if change is None else PairFrame(q1, q2, change, both)
+    pi_label, _ = measure_p34(run, q1.atom_a, q2.atom_a, force=pi_force, frame=frame)
     label = labels[pi_label]
     run.log("bell_subspace", kind=which, qubits=(q1.atoms, q2.atoms),
             outcome=label)

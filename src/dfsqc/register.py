@@ -20,9 +20,10 @@ Conventions (fixed once, inherited by every other module):
   gathers ``amps[rows]`` and, if it changes the state, scatters a new array.
 
 Measurements: every projector the protocols measure is diagonal in the
-computational basis, so a :class:`ProjectorSet` is an outcome table over the
-basis states of its targets, and ``measure`` sums the weights of the
-target sub-states per outcome and keeps the rows of the chosen one.
+computational basis or in a frame F (a unitary on the targets), so a
+:class:`ProjectorSet` is an outcome table over the basis states of its
+targets, and ``measure`` sums the weights of the target sub-states (of
+``F @ rows`` in a frame) per outcome and keeps the rows of the chosen one.
 
 Randomness: every sampled measurement consumes exactly one ``rng.random()``
 draw (outcomes ordered as in the ProjectorSet), so a fixed seed and a fixed
@@ -87,11 +88,6 @@ class QuantumRegister:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
-
-    @property
-    def populations(self) -> np.ndarray:
-        """Weight |amplitude|^2 of every basis state."""
-        return np.abs(self.amplitudes) ** 2
 
     def copy(self) -> "QuantumRegister":
         return QuantumRegister(self.n_qubits, self.amplitudes.copy())
@@ -213,14 +209,18 @@ def _check_unitary(shape: tuple, data: bytes) -> None:
         raise RegisterError("matrix is not unitary within 1e-10")
 
 
-def apply_unitary(reg: QuantumRegister, unitary: np.ndarray, targets) -> QuantumRegister:
-    """Apply a unitary on the listed qubits: psi -> U psi."""
-    rows = row_table(reg.n_qubits, targets)
+def _checked_unitary(unitary, dim: int) -> np.ndarray:
     unitary = np.asarray(unitary, dtype=complex)
-    dim = rows.shape[0]
     if unitary.shape != (dim, dim):
         raise RegisterError(f"unitary shape {unitary.shape} != ({dim}, {dim})")
     _check_unitary(unitary.shape, unitary.tobytes())
+    return unitary
+
+
+def apply_unitary(reg: QuantumRegister, unitary: np.ndarray, targets) -> QuantumRegister:
+    """Apply a unitary on the listed qubits: psi -> U psi."""
+    rows = row_table(reg.n_qubits, targets)
+    unitary = _checked_unitary(unitary, rows.shape[0])
     reg.amplitudes = _scatter(rows, unitary @ reg.amplitudes[rows])
     return reg
 
@@ -235,7 +235,7 @@ def apply_diagonal(reg: QuantumRegister, diagonal: np.ndarray, targets) -> Quant
     return reg
 
 
-def measure(reg: QuantumRegister, ps: ProjectorSet, rng, force=None):
+def measure(reg: QuantumRegister, ps: ProjectorSet, rng, force=None, frame=None):
     """Projective measurement by the Born rule on a diagonal ProjectorSet.
 
     The outcome probabilities are the target sub-state weights summed per
@@ -245,9 +245,49 @@ def measure(reg: QuantumRegister, ps: ProjectorSet, rng, force=None):
     state (non-destructive).  ``force`` selects a specific outcome label
     (post-selection); it errors when that outcome has probability below
     1e-14 and consumes no rng draw.
+
+    ``frame``, a unitary F on ``ps.targets``, measures F^dag P_k F instead:
+    the gathered rows are multiplied by F, collapsed and multiplied by
+    F^dag, so a changed basis still costs one gather and one scatter.
     """
-    rows = row_table(reg.n_qubits, ps.targets)
+    ((label, p),) = measure_sequence(reg, (ps,), rng, (force,), frame)
+    return label, p, reg
+
+
+def measure_sequence(reg: QuantumRegister, sets, rng, forces, frame=None):
+    """:func:`measure` of each of ``sets`` (one set of targets) in turn, each
+    with its own draw or ``forces`` entry, on one gather in ``frame``.
+
+    Returns one ``(label, probability)`` per set.
+    """
+    rows = row_table(reg.n_qubits, sets[0].targets)
     x = reg.amplitudes[rows]
+    if frame is not None:
+        frame = _checked_unitary(frame, rows.shape[0])
+        x = _product(frame, x)
+    results, scale = [], None
+    for ps, force in zip(sets, forces):
+        if scale is not None:
+            x = x * scale[:, None]
+        label, p, scale = _collapse(x, ps, rng, force)
+        results.append((label, p))
+    if frame is None:
+        x = x * scale[:, None]
+    else:  # the last collapse rides on the way back: F^dag diag(scale)
+        x = _product(frame.conj().T * scale, x)
+    reg.amplitudes = _scatter(rows, x)
+    return results
+
+
+def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m @ x``; a real ``m`` acts on the real and imaginary parts in one real product."""
+    if m.imag.any():
+        return m @ x
+    return (m.real @ x.view(float).reshape(x.shape[0], -1)).view(complex)
+
+
+def _collapse(x: np.ndarray, ps: ProjectorSet, rng, force):
+    """Born-rule outcome of ``ps`` on the gathered rows ``x``, with its row scale."""
     weights = (np.abs(x) ** 2).sum(axis=1)
     probs = np.bincount(ps.outcome_of, weights=weights,
                         minlength=len(ps.outcome_labels)).clip(0.0, None)
@@ -268,8 +308,7 @@ def measure(reg: QuantumRegister, ps: ProjectorSet, rng, force=None):
     # rows of outcome k scaled by 1/sqrt(p_k), all others zeroed; numpy
     # divides a complex by a real through this same reciprocal
     scale = np.where(np.asarray(ps.outcome_of) == k, 1.0 / math.sqrt(p_k), 0.0)
-    reg.amplitudes = _scatter(rows, x * scale[:, None])
-    return ps.outcome_labels[k], float(p_k / total), reg
+    return ps.outcome_labels[k], float(p_k / total), scale
 
 
 def reduced_state(reg: QuantumRegister, keep) -> np.ndarray:

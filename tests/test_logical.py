@@ -11,6 +11,7 @@ from dfsqc.register import (
     QuantumRegister,
     RegisterError,
     apply_unitary,
+    as_generator,
     fidelity,
     ket,
     measure,
@@ -19,6 +20,7 @@ from dfsqc.register import (
 )
 from dfsqc.logical import (
     H_L,
+    HS_DAG_L,
     S_L,
     X_L,
     Y_L,
@@ -278,6 +280,31 @@ class TestBasisMeasurement:
     def test_invalid_basis(self):
         with pytest.raises(ValueError):
             logical_basis_measurement(reg_of(pair_ket("0L")), Q, "W", 1)
+
+    @pytest.mark.parametrize("basis", ["X", "Y", "Z"])
+    def test_matches_conjugated_z_sequence(self, basis):
+        # reference: the basis change, the Z sequence and its inverse as
+        # full-register applies; the pair is out of order inside 5 atoms
+        change = {"X": H_L, "Y": HS_DAG_L, "Z": np.eye(4)}[basis]
+        labels = {"z+": f"{basis.lower()}+", "z-": f"{basis.lower()}-", "leak": "leak"}
+        q = LogicalQubit(3, 1)
+        rng = np.random.default_rng(41)
+        for trial in range(8):
+            psi = random_state(5, rng)
+            for force in (None, *labels.values()):
+                z_force = None if force is None else {v: k for k, v in labels.items()}[force]
+                got_rng, ref_rng = as_generator(trial), as_generator(trial)
+                got = logical_basis_measurement(QuantumRegister(5, psi.copy()), q, basis,
+                                                got_rng, force=force)
+                ref = apply_unitary(QuantumRegister(5, psi.copy()), change, q.atoms)
+                ref_z = logical_z_measurement(ref, q, ref_rng, force=z_force)
+                apply_unitary(ref, change.conj().T, q.atoms)
+                assert got.label == labels[ref_z.label]
+                assert got.outcomes == ref_z.outcomes
+                assert got.probability == ref_z.probability
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+                np.testing.assert_allclose(got.register.amplitudes, ref.amplitudes,
+                                           rtol=0, atol=1e-15)
 
 
 class TestLogicalSupport:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,8 +18,14 @@ from dfsqc.register import (
 from dfsqc.logical import (
     BELL_LABELS,
     H2,
+    H_L,
+    HS_DAG_L,
+    IDX_0L,
+    IDX_1L,
     LeakageError,
+    apply_pair_unitary,
     bell_ket,
+    logical_basis_measurement,
     logical_pauli,
     pair_ket,
     uz2,
@@ -393,6 +400,19 @@ class TestBellMeasurements:
         run = two_pair_run(kron_all([ket("00"), pair_ket("0L")]))
         with pytest.raises(LeakageError):
             bell_subspace_measurement(run, "q1", "q2", "parity")
+        # the error comes before any state change, log line or draw
+        for which in ("parity", "phase", "yy"):
+            run = two_pair_run(kron_all([ket("00"), pair_ket("0L")]), seed=4)
+            transport(run, TransportStep((2,), ()))
+            amps = run.register.amplitudes.copy()
+            record, in_cavity = list(run.record), set(run.in_cavity)
+            rng_state = run.rng.bit_generator.state
+            with pytest.raises(LeakageError):
+                bell_subspace_measurement(run, "q1", "q2", which)
+            assert np.array_equal(run.register.amplitudes, amps)
+            assert run.record == record
+            assert run.in_cavity == in_cavity
+            assert run.rng.bit_generator.state == rng_state
 
 
 class TestFullBsm:
@@ -698,3 +718,128 @@ class TestDfsAdvantage:
         enc, bare = dfs_transport_advantage(tn, 1000, 123)
         assert enc > bare
         assert enc > 0.999
+
+
+# ---------------------------------------------------------------------------
+# Bell-subspace projections in a changed frame against the explicit sequence
+# ---------------------------------------------------------------------------
+
+_CHANGE = {"parity": None, "phase": H_L, "yy": HS_DAG_L}
+_PI_LABEL = {"parity": {"pi3": "phi", "pi4": "psi"},
+             "phase": {"pi3": "plus", "pi4": "minus"},
+             "yy": {"pi3": "yy+", "pi4": "yy-"}}
+
+
+def random_logical_state(n_pairs, rng) -> np.ndarray:
+    """Random state on the logical span of ``n_pairs`` consecutive pairs."""
+    c = random_state(n_pairs, rng)
+    vec = np.zeros(4 ** n_pairs, dtype=complex)
+    for m, amp in enumerate(c):
+        bits = [(m >> k) & 1 for k in range(n_pairs)]
+        vec[sum((IDX_1L if b else IDX_0L) << (2 * k) for k, b in enumerate(bits))] = amp
+    return vec
+
+
+def reference_projection(run, q1, q2, which, force=None):
+    """The projection as conjugate, measure_p34, unconjugate on the full register."""
+    q1, q2 = run.qubit(q1), run.qubit(q2)
+    change = _CHANGE[which]
+    if change is not None:
+        apply_pair_unitary(run.register, q1, change)
+        apply_pair_unitary(run.register, q2, change)
+    pi_force = None if force is None else {v: k for k, v in _PI_LABEL[which].items()}[force]
+    pi_label, _ = measure_p34(run, q1.atom_a, q2.atom_a, force=pi_force)
+    if change is not None:
+        apply_pair_unitary(run.register, q1, change.conj().T)
+        apply_pair_unitary(run.register, q2, change.conj().T)
+    return _PI_LABEL[which][pi_label]
+
+
+def twin_runs(blocks, seed, **kw):
+    return (ProtocolRun.create(blocks, seed=seed, **kw),
+            ProtocolRun.create(blocks, seed=seed, **kw))
+
+
+def without_p(entry):
+    return entry.op, {k: v for k, v in entry.detail.items() if k != "p"}
+
+
+def p_of(run):
+    return [e.detail["p"] for e in run.record if e.op == "measure_p34"]
+
+
+class TestProjectionInChangedFrame:
+    PAIRS = (("q4", "q1"), ("q2", "q5"), ("q3", "q0"))
+
+    @pytest.mark.parametrize("which", ["parity", "phase", "yy"])
+    def test_ideal_matches_conjugated_sequence(self, which):
+        names = tuple(f"q{k}" for k in range(6))
+        rng = np.random.default_rng(31)
+        for trial in range(6):
+            blocks = [(names, random_logical_state(6, rng))]
+            q1, q2 = self.PAIRS[trial % len(self.PAIRS)]
+            for force in (None, *_PI_LABEL[which].values()):
+                fused, ref = twin_runs(blocks, seed=100 + trial)
+                got, _ = bell_subspace_measurement(fused, q1, q2, which, force=force)
+                want = reference_projection(ref, q1, q2, which, force=force)
+                assert got == want
+                assert fused.rng.bit_generator.state == ref.rng.bit_generator.state
+                assert [without_p(e) for e in fused.record[:-1]] == \
+                    [without_p(e) for e in ref.record]
+                np.testing.assert_allclose(p_of(fused), p_of(ref), rtol=0, atol=1e-15)
+                np.testing.assert_allclose(fused.register.amplitudes,
+                                           ref.register.amplitudes, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("which", ["phase", "yy"])
+    def test_noisy_transport_dephases_in_the_changed_frame(self, which):
+        # the transports inside measure_p34 dephase between the basis change
+        # and the projection, so q1's and q2's phases act in the changed frame
+        tn = TransportNoise(10e-6, 100e-6, NoiseSpectrum.band_limited_white(
+            tau_co=3e-5, cutoff=2 * math.pi * 4e3))
+        kw = dict(mode="noisy", transport_noise=tn, homodyne_error=True,
+                  pulse=PulseSpec.gaussian(1e-5, 0.3, "odd_cat"))
+        rng = np.random.default_rng(32)
+        flips = 0
+        for seed in range(8):
+            blocks = [(("q1", "q2", "q3"), random_logical_state(3, rng))]
+            for force in (None, *_PI_LABEL[which].values()):
+                fused, ref = twin_runs(blocks, seed=seed, **kw)
+                for run in (fused, ref):  # q2's atom_a waits inside the cavity
+                    transport(run, TransportStep((2,), ()))
+                got, _ = bell_subspace_measurement(fused, "q3", "q1", which, force=force)
+                want = reference_projection(ref, "q3", "q1", which, force=force)
+                assert got == want
+                assert fused.rng.bit_generator.state == ref.rng.bit_generator.state
+                assert [without_p(e) for e in fused.record[:-1]] == \
+                    [without_p(e) for e in ref.record]
+                np.testing.assert_allclose(p_of(fused), p_of(ref), rtol=0, atol=1e-13)
+                np.testing.assert_allclose(fused.register.amplitudes,
+                                           ref.register.amplitudes, rtol=0, atol=1e-13)
+                ops = [e.op for e in ref.record]
+                assert ops.count("transport_dephasing") == 5
+                flips += any(e.detail.get("label_flip") for e in ref.record)
+        assert flips > 0
+
+    def test_changed_frame_makes_no_full_register_apply(self, monkeypatch):
+        from dfsqc import register
+
+        orig, calls = register.apply_unitary, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return orig(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "dfsqc" or name.startswith("dfsqc."):
+                for key, value in list(vars(module).items()):
+                    if value is orig:
+                        monkeypatch.setattr(module, key, counting)
+        run = two_pair_run("psi-", seed=5)
+        logical_pauli(run.register, run.qubit("q1"), "X")
+        assert len(calls) == 1  # the counter sees applies made through logical
+        logical_pauli(run.register, run.qubit("q1"), "X")
+        calls.clear()
+        bell_subspace_measurement(run, "q1", "q2", "phase")
+        full_bsm(run, "q1", "q2")
+        logical_basis_measurement(run.register, run.qubit("q2"), "X", run.rng)
+        assert calls == []
