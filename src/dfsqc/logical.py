@@ -29,7 +29,6 @@ from .register import (
     RegisterError,
     apply_unitary,
     kron_all,
-    measure,
     measure_sequence,
     row_table,
     rz,
@@ -245,10 +244,16 @@ _Z_FORCES = {None: (None, None), "z+": ("pi1", "pi2"), "z-": ("pi2", "pi1"),
 _Z_LABELS = {pair: label for label, pair in _Z_FORCES.items() if label is not None}
 
 
-def _z_label(pair) -> str:
+def _z_measurement(reg: QuantumRegister, q: LogicalQubit, rng, force,
+                   frame=None) -> LogicalMeasurement:
+    """The Z sequence's two measurements, each with its own draw or ``force``
+    (a Z label), on one gather of the pair in ``frame``."""
+    (first, p1), (second, p2) = measure_sequence(reg, _z_sequence(q), rng,
+                                                 _Z_FORCES[force], frame)
+    pair = (first, second)
     if pair not in _Z_LABELS:
         raise RegisterError("outcome pair (pi1, pi1) observed: inconsistent state")
-    return _Z_LABELS[pair]
+    return LogicalMeasurement(_Z_LABELS[pair], reg, pair, p1 * p2)
 
 
 def logical_z_measurement(reg: QuantumRegister, q: LogicalQubit, rng, force=None):
@@ -260,13 +265,7 @@ def logical_z_measurement(reg: QuantumRegister, q: LogicalQubit, rng, force=None
 
     ``force`` may be "z+", "z-" or "leak" to post-select the branch.
     """
-    forced = _Z_FORCES[force]
-    # each relabeled projection is still its own measurement with its own draw
-    first_ps, second_ps = _z_sequence(q)
-    first, p1, reg = measure(reg, first_ps, rng, force=forced[0])
-    second, p2, reg = measure(reg, second_ps, rng, force=forced[1])
-    pair = (first, second)
-    return LogicalMeasurement(_z_label(pair), reg, pair, p1 * p2)
+    return _z_measurement(reg, q, rng, force)
 
 
 _BASIS_CHANGE = {
@@ -295,10 +294,8 @@ def logical_basis_measurement(reg: QuantumRegister, q: LogicalQubit, basis: str,
         raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
     labels = _BASIS_LABELS[key]
     z_force = None if force is None else {v: k for k, v in labels.items()}[force]
-    (first, p1), (second, p2) = measure_sequence(
-        reg, _z_sequence(q), rng, _Z_FORCES[z_force], frame=_BASIS_CHANGE[key])
-    pair = (first, second)
-    return LogicalMeasurement(labels[_z_label(pair)], reg, pair, p1 * p2)
+    res = _z_measurement(reg, q, rng, z_force, _BASIS_CHANGE[key])
+    return res._replace(label=labels[res.label])
 
 
 def logical_support(reg: QuantumRegister, qubits) -> float:

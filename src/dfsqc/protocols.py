@@ -80,19 +80,27 @@ class TransportStep:
     duration: float = DEFAULT_TRANSPORT_TIME
 
 
-class PairFrame(NamedTuple):
-    """Basis ``change`` on each of two logical qubits while their atom_a pair is measured.
+class BasisChange(NamedTuple):
+    """A basis change ``one`` on a pair and ``both``, the same change on two pairs."""
 
-    ``both`` is the change on both pairs, one unitary on q1.atoms + q2.atoms.
-    """
+    one: np.ndarray
+    both: np.ndarray
+
+    @classmethod
+    def of(cls, change: np.ndarray) -> "BasisChange":
+        return cls(change, low_high(change, change))
+
+
+class PairFrame(NamedTuple):
+    """A :class:`BasisChange` on each of two logical qubits while their atom_a pair
+    is measured; ``change.both`` acts on q1.atoms + q2.atoms."""
 
     q1: LogicalQubit
     q2: LogicalQubit
-    change: np.ndarray
-    both: np.ndarray
+    change: BasisChange
 
     def change_of(self, q: LogicalQubit):
-        return self.change if q in (self.q1, self.q2) else None
+        return self.change.one if q in (self.q1, self.q2) else None
 
 
 @dataclass
@@ -340,10 +348,13 @@ def measure_p34(run: ProtocolRun, atom_i: int, atom_j: int, force=None, frame=No
     Schedule: atom_i alone in the cavity, reflect; swap with atom_j,
     reflect again.  Net projection {P3 = |00><00| + |11><11|, P4 = rest}.
 
-    With a :class:`PairFrame` (atom_i = q1.atom_a, atom_j = q2.atom_a) the
-    parity is measured in its changed basis, where the transports also
+    With a :class:`PairFrame`, whose atom_a pair must be (atom_i, atom_j),
+    the parity is measured in its changed basis, where the transports also
     dephase its two qubits.
     """
+    if frame is not None and (atom_i, atom_j) != (frame.q1.atom_a, frame.q2.atom_a):
+        raise ValueError(f"frame measures atoms {(frame.q1.atom_a, frame.q2.atom_a)}, "
+                         f"not {(atom_i, atom_j)}")
     others = tuple(sorted(run.in_cavity - {atom_i}))
     transport(run, TransportStep((atom_i,) if atom_i not in run.in_cavity else (),
                                  others), frame)
@@ -351,7 +362,7 @@ def measure_p34(run: ProtocolRun, atom_i: int, atom_j: int, force=None, frame=No
     if frame is None:
         ps, unitary = parity_projectors((atom_i, atom_j)), None
     else:
-        ps, unitary = atom_a_parity_projectors(frame.q1, frame.q2), frame.both
+        ps, unitary = atom_a_parity_projectors(frame.q1, frame.q2), frame.change.both
     return _measure_pair(run, "measure_p34", (atom_i, atom_j), ps, force, unitary)
 
 
@@ -420,10 +431,10 @@ def _fresh_name(run: ProtocolRun, base: str) -> str:
 # ---------------------------------------------------------------------------
 
 _BELL_KINDS = {
-    # kind: (per-qubit basis change, that change on both pairs, {pi3 label, pi4 label})
-    "parity": (None, None, {"pi3": "phi", "pi4": "psi"}),
-    "phase": (H_L, low_high(H_L, H_L), {"pi3": "plus", "pi4": "minus"}),
-    "yy": (HS_DAG_L, low_high(HS_DAG_L, HS_DAG_L), {"pi3": "yy+", "pi4": "yy-"}),
+    # kind: (per-qubit basis change, {pi3 label, pi4 label})
+    "parity": (None, {"pi3": "phi", "pi4": "psi"}),
+    "phase": (BasisChange.of(H_L), {"pi3": "plus", "pi4": "minus"}),
+    "yy": (BasisChange.of(HS_DAG_L), {"pi3": "yy+", "pi4": "yy-"}),
 }
 
 
@@ -445,12 +456,12 @@ def bell_subspace_measurement(run: ProtocolRun, q1, q2, which="parity", force=No
         raise LeakageError(
             f"state outside the logical Bell space (support {support:.6f})"
         )
-    change, both, labels = _BELL_KINDS[which]
+    change, labels = _BELL_KINDS[which]
     pi_force = None
     if force is not None:
         inverse = {v: k for k, v in labels.items()}
         pi_force = inverse[force]
-    frame = None if change is None else PairFrame(q1, q2, change, both)
+    frame = None if change is None else PairFrame(q1, q2, change)
     pi_label, _ = measure_p34(run, q1.atom_a, q2.atom_a, force=pi_force, frame=frame)
     label = labels[pi_label]
     run.log("bell_subspace", kind=which, qubits=(q1.atoms, q2.atoms),

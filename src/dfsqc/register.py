@@ -264,7 +264,7 @@ def measure_sequence(reg: QuantumRegister, sets, rng, forces, frame=None):
     x = reg.amplitudes[rows]
     if frame is not None:
         frame = _checked_unitary(frame, rows.shape[0])
-        x = _product(frame, x)
+        x = frame @ x
     results, scale = [], None
     for ps, force in zip(sets, forces):
         if scale is not None:
@@ -274,16 +274,9 @@ def measure_sequence(reg: QuantumRegister, sets, rng, forces, frame=None):
     if frame is None:
         x = x * scale[:, None]
     else:  # the last collapse rides on the way back: F^dag diag(scale)
-        x = _product(frame.conj().T * scale, x)
+        x = (frame.conj().T * scale) @ x
     reg.amplitudes = _scatter(rows, x)
     return results
-
-
-def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``m @ x``; a real ``m`` acts on the real and imaginary parts in one real product."""
-    if m.imag.any():
-        return m @ x
-    return (m.real @ x.view(float).reshape(x.shape[0], -1)).view(complex)
 
 
 def _collapse(x: np.ndarray, ps: ProjectorSet, rng, force):

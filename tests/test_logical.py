@@ -283,28 +283,38 @@ class TestBasisMeasurement:
 
     @pytest.mark.parametrize("basis", ["X", "Y", "Z"])
     def test_matches_conjugated_z_sequence(self, basis):
-        # reference: the basis change, the Z sequence and its inverse as
-        # full-register applies; the pair is out of order inside 5 atoms
+        # reference: the basis change, the sigma_x / {P1, P2} sequence of the
+        # Z measurement and the inverse change as full-register applies and
+        # measurements; the pair is out of order inside 5 atoms
         change = {"X": H_L, "Y": HS_DAG_L, "Z": np.eye(4)}[basis]
         labels = {"z+": f"{basis.lower()}+", "z-": f"{basis.lower()}-", "leak": "leak"}
+        pairs = {"z+": ("pi1", "pi2"), "z-": ("pi2", "pi1"), "leak": ("pi2", "pi2")}
         q = LogicalQubit(3, 1)
+        p12 = joint_ones_projectors(q.atoms)
         rng = np.random.default_rng(41)
         for trial in range(8):
             psi = random_state(5, rng)
             for force in (None, *labels.values()):
                 z_force = None if force is None else {v: k for k, v in labels.items()}[force]
+                forced = pairs[z_force] if z_force is not None else (None, None)
                 got_rng, ref_rng = as_generator(trial), as_generator(trial)
                 got = logical_basis_measurement(QuantumRegister(5, psi.copy()), q, basis,
                                                 got_rng, force=force)
                 ref = apply_unitary(QuantumRegister(5, psi.copy()), change, q.atoms)
-                ref_z = logical_z_measurement(ref, q, ref_rng, force=z_force)
+                apply_unitary(ref, SX, [q.atom_a])
+                first, p1, _ = measure(ref, p12, ref_rng, force=forced[0])
+                apply_unitary(ref, np.kron(SX, SX), q.atoms)
+                second, p2, _ = measure(ref, p12, ref_rng, force=forced[1])
+                apply_unitary(ref, SX, [q.atom_b])
                 apply_unitary(ref, change.conj().T, q.atoms)
-                assert got.label == labels[ref_z.label]
-                assert got.outcomes == ref_z.outcomes
-                assert got.probability == ref_z.probability
+                pair = (first, second)
+                z_label = {v: k for k, v in pairs.items()}[pair]
+                assert got.label == labels[z_label]
+                assert got.outcomes == pair
+                assert got.probability == pytest.approx(p1 * p2, rel=0, abs=1e-15)
                 assert got_rng.bit_generator.state == ref_rng.bit_generator.state
                 np.testing.assert_allclose(got.register.amplitudes, ref.amplitudes,
-                                           rtol=0, atol=1e-15)
+                                           rtol=0, atol=1e-14)
 
 
 class TestLogicalSupport:

@@ -33,6 +33,8 @@ from dfsqc.logical import (
 from dfsqc.cavity import CavityParams, PulseSpec
 from dfsqc.noise import NoiseSpectrum, TransportNoise
 from dfsqc.protocols import (
+    BasisChange,
+    PairFrame,
     ProtocolRun,
     SchedulingError,
     TransportStep,
@@ -843,3 +845,13 @@ class TestProjectionInChangedFrame:
         full_bsm(run, "q1", "q2")
         logical_basis_measurement(run.register, run.qubit("q2"), "X", run.rng)
         assert calls == []
+
+    def test_frame_must_name_the_measured_atoms(self):
+        run = two_pair_run("psi-", seed=5)
+        q1, q2 = run.qubit("q1"), run.qubit("q2")
+        before = run.register.amplitudes.copy()
+        frame = PairFrame(q1, q2, BasisChange.of(H_L))
+        with pytest.raises(ValueError, match="frame measures atoms"):
+            measure_p34(run, q2.atom_a, q1.atom_a, frame=frame)
+        np.testing.assert_array_equal(run.register.amplitudes, before)
+        assert run.record == [] and run.in_cavity == set()
