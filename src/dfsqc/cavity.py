@@ -171,10 +171,6 @@ class PulseSpec:
     def mean_photon_number(self) -> float:
         return abs(self.alpha) ** 2
 
-    def odd_cat_norm(self) -> float:
-        x = self.mean_photon_number
-        return 1.0 / math.sqrt(2.0 * (1.0 - math.exp(-2.0 * x)))
-
     def with_alpha(self, alpha: complex) -> "PulseSpec":
         """The same pulse with amplitude ``alpha``; shares the cached grids."""
         spec = replace(self, alpha=alpha)

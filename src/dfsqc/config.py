@@ -10,14 +10,15 @@ defaults; every kind also takes ``kind``, ``name`` (default: the kind) and
 ``seed`` (default 12345), and a key the kind does not list is rejected.
 Two rules the table does not show: ``noise.table_path`` applies to the
 ``table`` noise model only, and ``echo.dt_cutoff_product`` needs two or
-more distinct values.  The transport-noise kind builds its own narrow noise
-line at each grid point, so its ``noise`` section is validated but changes
-no number, and neither does ``transport.d_um``, which only
-``TransportNoise.spatial_correlation`` reads.
+more distinct values.  A number, complex number or list entry must be
+finite.  The transport-noise kind builds its own narrow noise line at each
+grid point; its ``transport.d_um`` is validated but changes no number, and
+stays only while the benchmark's generated configs still set it.
 """
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ SCHEMA = {
                    "echo": {"dt_cutoff_product": np.geomspace(0.01, 0.1, 5).tolist(),
                             "n_cycles": 1},
                    "realizations": 10000},
-    "transport-noise": {"noise": _NOISE, "transport": {"tau_t_us": 100.0, "d_um": 10.0},
+    "transport-noise": {"transport": {"tau_t_us": 100.0, "d_um": 10.0},
                         "sweep": {"start": 0.02, "stop": 0.2, "points": 5}},
     "protocol-run": {"protocol": ("teleported-cnot", "bsm", "hadamard"), "trials": 100},
     "leakage-demo": {"random_inputs": 50},
@@ -69,15 +70,20 @@ def _convert(name: str, val, default):
     try:
         if isinstance(default, list):
             # a blank list keeps the default
-            return [float(v) for v in (default if val is None else val)]
-        if isinstance(default, int) and isinstance(val, float) and not val.is_integer():
+            out = [float(v) for v in (default if val is None else val)]
+        elif isinstance(default, int) and isinstance(val, float) and not val.is_integer():
             raise ValueError
-        if isinstance(default, str) and not isinstance(val, str):
+        elif isinstance(default, str) and not isinstance(val, str):
             raise TypeError
-        return type(default)(val)
+        else:
+            out = type(default)(val)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             f"{name!r} must be {_TYPE_NAMES[type(default)]}, not {val!r}") from None
+    values = out if isinstance(out, list) else [out]
+    if not isinstance(out, str) and not all(cmath.isfinite(v) for v in values):
+        raise ConfigError(f"{name!r} must be finite, not {val!r}")
+    return out
 
 
 def rate_to_internal(nu_mhz: float) -> float:
@@ -219,12 +225,12 @@ class ScenarioConfig:
         # the analytic models are NoiseSpectrum constructors of the same name
         return getattr(NoiseSpectrum, model.replace("-", "_"))(tau_co=tau_co, cutoff=cutoff)
 
-    def transport_noise(self):
-        from .noise import TransportNoise
-
-        return TransportNoise(d=self.get("transport", "d_um") * 1e-6,
-                              tau_T=self.get("transport", "tau_t_us") * US,
-                              base=self.noise_spectrum())
+    def transport(self):
+        """``(d, tau_T)`` of a transport-noise scenario, in m and s."""
+        d, tau_t = self.get("transport", "d_um") * 1e-6, self.get("transport", "tau_t_us") * US
+        if d <= 0 or tau_t <= 0:
+            raise ConfigError("transport distance and separation time must be positive")
+        return d, tau_t
 
     # -- validation ------------------------------------------------------
     def _check_keys(self):
@@ -253,7 +259,7 @@ class ScenarioConfig:
             if self.get("realizations") < 100:
                 raise ConfigError("decoupling needs at least 100 realizations")
         elif self.kind == "transport-noise":
-            self.transport_noise()
+            self.transport()
             self.sweep_grid()
         elif self.kind == "protocol-run":
             self.get("protocol")  # raises unless SCHEMA allows it

@@ -167,17 +167,6 @@ PAULI_L = {"I": np.eye(4, dtype=complex), "X": X_L, "Y": Y_L, "Z": Z_L}
 H2 = np.array([[1, 1], [1, -1]], dtype=complex) * _SQ2
 
 
-def uz2(alpha: float) -> np.ndarray:
-    """Logical z rotation in the 2-dim logical basis (|0_L>, |1_L>)."""
-    return np.diag([np.exp(-1j * alpha), np.exp(1j * alpha)])
-
-
-def logical_block(op4: np.ndarray) -> np.ndarray:
-    """Restrict a pair operator to the (|0_L>, |1_L>) block."""
-    idx = [IDX_0L, IDX_1L]
-    return op4[np.ix_(idx, idx)]
-
-
 # ---------------------------------------------------------------------------
 # operations on registers
 # ---------------------------------------------------------------------------
@@ -244,30 +233,6 @@ _Z_FORCES = {None: (None, None), "z+": ("pi1", "pi2"), "z-": ("pi2", "pi1"),
 _Z_LABELS = {pair: label for label, pair in _Z_FORCES.items() if label is not None}
 
 
-def _z_measurement(reg: QuantumRegister, q: LogicalQubit, rng, force,
-                   frame=None) -> LogicalMeasurement:
-    """The Z sequence's two measurements, each with its own draw or ``force``
-    (a Z label), on one gather of the pair in ``frame``."""
-    (first, p1), (second, p2) = measure_sequence(reg, _z_sequence(q), rng,
-                                                 _Z_FORCES[force], frame)
-    pair = (first, second)
-    if pair not in _Z_LABELS:
-        raise RegisterError("outcome pair (pi1, pi1) observed: inconsistent state")
-    return LogicalMeasurement(_Z_LABELS[pair], reg, pair, p1 * p2)
-
-
-def logical_z_measurement(reg: QuantumRegister, q: LogicalQubit, rng, force=None):
-    """Non-destructive logical Z measurement.
-
-    Sequence: sigma_x on atom_a; {P1,P2}; sigma_x on both; {P1,P2};
-    sigma_x on atom_b.  Outcome pair (pi1,pi2) -> z+, (pi2,pi1) -> z-,
-    (pi2,pi2) -> leak; (pi1,pi1) cannot occur on a valid state.
-
-    ``force`` may be "z+", "z-" or "leak" to post-select the branch.
-    """
-    return _z_measurement(reg, q, rng, force)
-
-
 _BASIS_CHANGE = {
     "Z": None,
     "X": H_L,
@@ -282,20 +247,30 @@ _BASIS_LABELS = {
 
 def logical_basis_measurement(reg: QuantumRegister, q: LogicalQubit, basis: str,
                               rng, force=None):
-    """Measure a logical Pauli observable: the Z sequence in a changed frame.
+    """Non-destructive measurement of a logical Pauli observable.
 
-    X uses H_L, Y uses H_L S_L^dag.  Both measurements of the Z sequence,
-    with their two draws, run on one gather of the pair in that frame, and
-    the inverse change restores the post-measurement eigenstate before the
-    one scatter.  Leak outcomes propagate unchanged.
+    Z is the sequence sigma_x on atom_a; {P1,P2}; sigma_x on both; {P1,P2};
+    sigma_x on atom_b.  Outcome pair (pi1,pi2) -> z+, (pi2,pi1) -> z-,
+    (pi2,pi2) -> leak; (pi1,pi1) cannot occur on a valid state.  X and Y
+    run the same sequence in a changed frame, H_L and H_L S_L^dag.  Both
+    measurements, each with its own draw, run on one gather of the pair in
+    that frame, and the inverse change restores the post-measurement
+    eigenstate before the one scatter.  Leak outcomes propagate unchanged.
+
+    ``force`` may be one of the basis's labels ("z+", "x-", "leak", ...) to
+    post-select the branch.
     """
     key = basis.upper()
     if key not in _BASIS_CHANGE:
         raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
     labels = _BASIS_LABELS[key]
     z_force = None if force is None else {v: k for k, v in labels.items()}[force]
-    res = _z_measurement(reg, q, rng, z_force, _BASIS_CHANGE[key])
-    return res._replace(label=labels[res.label])
+    (first, p1), (second, p2) = measure_sequence(reg, _z_sequence(q), rng,
+                                                 _Z_FORCES[z_force], _BASIS_CHANGE[key])
+    pair = (first, second)
+    if pair not in _Z_LABELS:
+        raise RegisterError("outcome pair (pi1, pi1) observed: inconsistent state")
+    return LogicalMeasurement(labels[_Z_LABELS[pair]], reg, pair, p1 * p2)
 
 
 def logical_support(reg: QuantumRegister, qubits) -> float:

@@ -99,6 +99,8 @@ class NoiseSpectrum:
         s = np.asarray(values, dtype=float)
         if w.ndim != 1 or w.shape != s.shape or w.size < 2:
             raise NoiseModelError("table needs matching 1-d omega and S columns")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(s))):
+            raise NoiseModelError("table omega and S values must be finite")
         if np.any(s < 0):
             raise NoiseModelError("spectral density must be non-negative")
         order = np.argsort(w)
@@ -108,7 +110,9 @@ class NoiseSpectrum:
 
     @classmethod
     def from_table_file(cls, path):
-        data = np.loadtxt(path)
+        data = np.loadtxt(path, ndmin=2)
+        if data.shape[1] != 2:
+            raise NoiseModelError(f"table file needs two columns (w, S), has {data.shape[1]}")
         return cls.from_table(data[:, 0], data[:, 1])
 
     # -- evaluation ----------------------------------------------------
@@ -132,11 +136,6 @@ class NoiseSpectrum:
         tw, ts = self.table
         return np.interp(w, tw, ts, left=0.0, right=0.0)
 
-    def integrated_power(self, n_grid: int = 200001) -> float:
-        """Quadrature of S over the synthesis band (checks the invariant)."""
-        w = np.linspace(-self.band(), self.band(), n_grid)
-        return float(np.trapezoid(self.psd(w), w))
-
 
 def _power_from(total_power, tau_co):
     if (total_power is None) == (tau_co is None):
@@ -148,17 +147,11 @@ def _power_from(total_power, tau_co):
     return float(total_power)
 
 
-def default_spectrum() -> NoiseSpectrum:
-    """Band-limited white, tau_co = 1 ms, cutoff 2*pi*100 Hz."""
-    return NoiseSpectrum.band_limited_white(tau_co=1e-3)
-
-
 @dataclass
 class TransportNoise:
     """Dephasing accrued while shuttling atoms, separation time tau_T.
 
-    ``d`` is the lattice spacing between the two atoms (d = n*lambda/2);
-    the spatial correlation of the field is N(x) = exp(-x^2/d^2).
+    ``d`` is the lattice spacing between the two atoms (d = n*lambda/2).
     """
 
     d: float
@@ -168,9 +161,6 @@ class TransportNoise:
     def __post_init__(self):
         if self.d <= 0 or self.tau_T <= 0:
             raise NoiseModelError("distance and separation time must be positive")
-
-    def spatial_correlation(self, x) -> np.ndarray:
-        return np.exp(-np.asarray(x, dtype=float) ** 2 / self.d**2)
 
 
 @dataclass
@@ -328,51 +318,12 @@ def monte_carlo_dephasing(seq: EchoSequence, spectrum: NoiseSpectrum,
 # transport noise
 # ---------------------------------------------------------------------------
 
-def transport_spectrum(omega, tn: TransportNoise, kernel_width: float | None = None):
-    """Differential spectrum after transport with separation time tau_T.
-
-    S_tT(w) = int S(w - v) sin^2((w - v) tau_T / 2) K(v) dv with K a
-    normalized Gaussian of standard deviation 4/tau_T (``kernel_width``
-    overrides, and the kernel tends to a delta as it shrinks, recovering
-    the bare sin^2 free-precession filter).
-    """
-    # scipy.integrate pulls in ~0.5 s of scipy submodules; importing it here
-    # keeps it off the start-up path of every scenario, none of which calls this
-    from scipy.integrate import quad
-
-    sd = 4.0 / tn.tau_T if kernel_width is None else float(kernel_width)
-    if sd <= 0:
-        raise NoiseModelError("kernel width must be positive")
-    band = tn.base.band()
-    spectrum = tn.base
-
-    def one(w: float) -> float:
-        def integrand(u: float) -> float:
-            k = math.exp(-((w - u) ** 2) / (2 * sd**2)) / (sd * math.sqrt(TWO_PI))
-            return float(spectrum.psd(u)) * math.sin(u * tn.tau_T / 2.0) ** 2 * k
-
-        # the kernel restricts the support to u within a few sd of w
-        lo, hi = max(-band, w - 12 * sd), min(band, w + 12 * sd)
-        if lo >= hi:
-            return 0.0
-        val, err = quad(integrand, lo, hi, limit=400)
-        if err > max(1e-12, 1e-6 * abs(val)) and abs(val) > 0:
-            raise NoiseModelError(
-                f"transport-spectrum quadrature did not converge at w = {w:.4g}"
-            )
-        return val
-
-    w = np.asarray(omega, dtype=float)
-    if w.ndim == 0:
-        return one(float(w))
-    return np.array([one(float(x)) for x in w])
-
-
 def transported_power(tn: TransportNoise) -> float:
     """Total power of the transport-filtered spectrum, int S_tT(w) dw.
 
-    Integrating the convolution over all frequencies collapses the
-    normalized Gaussian kernel exactly, leaving
+    S_tT(w) = int S(w - v) sin^2((w - v) tau_T/2) K(v) dv with K a
+    normalized Gaussian of standard deviation 4/tau_T.  Integrating over
+    all frequencies collapses the kernel exactly, leaving
     int S(u) sin^2(u tau_T/2) du.
     """
     return _band_integral(tn.base, lambda w: np.sin(w * tn.tau_T / 2.0) ** 2)

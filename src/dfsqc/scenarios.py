@@ -207,15 +207,14 @@ def narrow_line_spectrum(omega0: float, width: float, power: float = 1.0) -> Noi
 
 
 def run_transport_noise(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
-    tn_base = cfg.transport_noise()
+    d, tau_t = cfg.transport()
     grid = cfg.sweep_grid()
 
     def point(prod: float):
-        omega0 = prod / tn_base.tau_T
-        line = narrow_line_spectrum(omega0, omega0 / 50.0)
-        tn = TransportNoise(tn_base.d, tn_base.tau_T, line)
+        omega0 = prod / tau_t
+        tn = TransportNoise(d, tau_t, narrow_line_spectrum(omega0, omega0 / 50.0))
         sup = suppression_factor(tn)
-        predicted = (tn.tau_T * omega0) ** 2 / 8.0
+        predicted = (tau_t * omega0) ** 2 / 8.0
         return (float(prod), float(sup), float(predicted),
                 float(sup / predicted))
 
@@ -225,7 +224,7 @@ def run_transport_noise(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult
                     f"worst |suppression/(tau*w0)^2*8 - 1| = {worst:.1%} (limit 20%)")]
     return ScenarioResult(["omega0_tau", "suppression", "predicted", "ratio"],
                           rows, checks,
-                          {"tau_t_us": f"{tn_base.tau_T * 1e6:g}"})
+                          {"tau_t_us": f"{tau_t * 1e6:g}"})
 
 
 # -- protocol runs -----------------------------------------------------------

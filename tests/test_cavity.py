@@ -171,13 +171,6 @@ class TestPropagatePulse:
         with pytest.warns(UserWarning, match="adiabatic"):
             propagate_pulse(pulse, p)
 
-    def test_odd_cat_normalization(self):
-        pulse = standard_pulse(alpha=0.8)
-        x = 0.8**2
-        assert pulse.odd_cat_norm() == pytest.approx(
-            1.0 / math.sqrt(2 * (1 - math.exp(-2 * x)))
-        )
-
     def test_time_domain_langevin_cross_check(self):
         """Frequency-domain moments vs the exact time-domain propagator (independent)."""
         rng = np.random.default_rng(12)

@@ -21,7 +21,7 @@ from dfsqc.config import (
     rate_to_internal,
     rate_to_mhz,
 )
-from dfsqc.noise import NoiseSpectrum, TransportNoise
+from dfsqc.noise import NoiseSpectrum
 from dfsqc.scenarios import emit_report, run_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,8 +98,7 @@ EXPLICIT_DEFAULTS = {
     "decoupling": {"noise": _NOISE_DEFAULTS, "realizations": 10000,
                    "echo": {"dt_cutoff_product": np.geomspace(0.01, 0.1, 5).tolist(),
                             "n_cycles": 1}},
-    "transport-noise": {"noise": _NOISE_DEFAULTS,
-                        "transport": {"tau_t_us": 100.0, "d_um": 10.0},
+    "transport-noise": {"transport": {"tau_t_us": 100.0, "d_um": 10.0},
                         "sweep": {"start": 0.02, "stop": 0.2, "points": 5}},
     "protocol-run": {"protocol": "teleported-cnot", "trials": 100},
     "leakage-demo": {"random_inputs": 50},
@@ -112,12 +111,27 @@ EXPECTED_DEFAULTS = {
     "fidelity-sweep": (*_CAVITY_EXPECTED, np.linspace(0.1, 4.0, 20).tolist()),
     "g-sweep": (*_CAVITY_EXPECTED, np.linspace(0.5, 1.0, 11).tolist()),
     "decoupling": (_NOISE_EXPECTED, np.geomspace(0.01, 0.1, 5).tolist(), 1, 10000),
-    "transport-noise": (TransportNoise(d=10.0 * 1e-6, tau_T=100.0 * 1e-6,
-                                       base=_NOISE_EXPECTED),
-                        np.geomspace(0.02, 0.2, 5).tolist()),
+    "transport-noise": ((10.0 * 1e-6, 100.0 * 1e-6), np.geomspace(0.02, 0.2, 5).tolist()),
     "protocol-run": ("teleported-cnot", 100),
     "leakage-demo": (50,),
 }
+
+
+def non_finite_cases():
+    """(config text, key) with a NaN or an infinity in each float, complex
+    and list key of SCHEMA."""
+    for kind, keys in SCHEMA.items():
+        for key, default in keys.items():
+            subs = default.items() if isinstance(default, dict) else [(None, default)]
+            for sub, value in subs:
+                if not isinstance(value, (float, complex, list)):
+                    continue
+                name = key if sub is None else f"{key}.{sub}"
+                for bad in (".nan", ".inf"):
+                    text = f"[0.05, {bad}]" if isinstance(value, list) else bad
+                    entry = f"{key}: {text}" if sub is None else f"{key}: {{{sub}: {text}}}"
+                    yield pytest.param(f"kind: {kind}\n{entry}\n", name,
+                                       id=f"{kind}-{name}-{bad[1:]}")
 
 
 def read_defaults(cfg):
@@ -130,7 +144,7 @@ def read_defaults(cfg):
     if cfg.kind == "decoupling":
         return (cfg.noise_spectrum(), *cfg.echo(), cfg.get("realizations"))
     if cfg.kind == "transport-noise":
-        return cfg.transport_noise(), cfg.sweep_grid().tolist()
+        return cfg.transport(), cfg.sweep_grid().tolist()
     if cfg.kind == "protocol-run":
         return cfg.get("protocol"), cfg.get("trials")
     return (cfg.get("random_inputs"),)
@@ -353,6 +367,33 @@ class TestCliEntry:
                      "kind: leakage-demo\nseed: 1.7\n"):
             assert main(["simulate", self.write(tmp_path, text), "--out", out]) == 2
         assert not Path(out).exists()
+
+    @pytest.mark.parametrize("text, key", list(non_finite_cases()))
+    def test_non_finite_values_exit_2(self, tmp_path, capsys, text, key):
+        # transport-noise with sweep.stop .inf used to pass --check and write
+        # inf,nan,inf,nan rows, because max() skips the NaN ratios
+        out = str(tmp_path / "out")
+        assert main(["simulate", self.write(tmp_path, text), "--check", "--out", out]) == 2
+        assert f"'{key}' must be finite" in capsys.readouterr().err
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("table", ["1\n2\n3\n", "10 1\n", "0 1\n10 nan\n20 1\n"],
+                             ids=["one-column", "one-row", "nan-value"])
+    def test_malformed_noise_table_exits_2(self, tmp_path, capsys, table):
+        (tmp_path / "table.txt").write_text(table)
+        text = (f"kind: decoupling\nnoise: {{model: table, "
+                f"table_path: {tmp_path / 'table.txt'}}}\n")
+        out = str(tmp_path / "out")
+        assert main(["simulate", self.write(tmp_path, text), "--out", out]) == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not Path(out).exists()
+
+    def test_transport_noise_section_exits_2(self, tmp_path, capsys):
+        # the kind builds its own noise line, so it takes no noise section
+        text = "kind: transport-noise\nnoise: {model: lorentzian}\n"
+        out = str(tmp_path / "out")
+        assert main(["simulate", self.write(tmp_path, text), "--out", out]) == 2
+        assert "unknown key 'noise'" in capsys.readouterr().err
 
     def test_misspelt_keys_exit_2(self, tmp_path):
         out = str(tmp_path / "out")

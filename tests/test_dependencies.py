@@ -1,0 +1,38 @@
+"""The package imports only the stdlib, numpy and PyYAML, and declares only
+numpy and PyYAML; scipy serves the tests alone."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "yaml", "dfsqc"}
+
+
+def imported_modules(path):
+    """Top-level names of the absolute imports in one source file."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_imports_only_stdlib_numpy_and_yaml():
+    sources = sorted((ROOT / "src" / "dfsqc").glob("*.py"))
+    assert sources
+    outside = {f"{path.name}: {name}" for path in sources
+               for name in imported_modules(path) if name not in ALLOWED}
+    assert not outside
+
+
+def test_runtime_dependencies_are_numpy_and_pyyaml():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
+             for dep in project["dependencies"]}
+    assert names == {"numpy", "pyyaml"}
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])

@@ -29,20 +29,29 @@ from dfsqc.logical import (
     bell_ket,
     joint_ones_projectors,
     logical_basis_measurement,
-    logical_block,
     logical_pauli,
     logical_support,
-    logical_z_measurement,
     logical_z_rotation,
     pair_ket,
-    uz2,
 )
+from dfsqc.logical import IDX_0L, IDX_1L
 
 Q = LogicalQubit(0, 1)
 
 
 def reg_of(vec) -> QuantumRegister:
     return QuantumRegister(2, np.array(vec, dtype=complex))
+
+
+def uz2(alpha):
+    """Logical z rotation in the 2-dim logical basis (|0_L>, |1_L>)."""
+    return np.diag([np.exp(-1j * alpha), np.exp(1j * alpha)])
+
+
+def logical_block(op4):
+    """Restrict a pair operator to the (|0_L>, |1_L>) block."""
+    idx = [IDX_0L, IDX_1L]
+    return op4[np.ix_(idx, idx)]
 
 
 def random_logical(rng):
@@ -175,26 +184,26 @@ class TestDfsImmunity:
 
 class TestZMeasurement:
     def test_logical_zero(self):
-        res = logical_z_measurement(reg_of(pair_ket("0L")), Q, 1)
+        res = logical_basis_measurement(reg_of(pair_ket("0L")), Q, "Z", 1)
         assert res.label == "z+" and res.outcomes == ("pi1", "pi2")
         assert res.probability == pytest.approx(1.0)
         np.testing.assert_allclose(res.register.amplitudes, pair_ket("0L"),
                                    atol=1e-13)
 
     def test_logical_one(self):
-        res = logical_z_measurement(reg_of(pair_ket("1L")), Q, 1)
+        res = logical_basis_measurement(reg_of(pair_ket("1L")), Q, "Z", 1)
         assert res.label == "z-" and res.outcomes == ("pi2", "pi1")
         np.testing.assert_allclose(res.register.amplitudes, pair_ket("1L"),
                                    atol=1e-13)
 
     def test_leakage_00(self):
         # brute-force expectation: |00> survives the 5-step sequence unchanged
-        res = logical_z_measurement(reg_of(ket("00")), Q, 1)
+        res = logical_basis_measurement(reg_of(ket("00")), Q, "Z", 1)
         assert res.label == "leak" and res.outcomes == ("pi2", "pi2")
         np.testing.assert_allclose(res.register.amplitudes, ket("00"), atol=1e-13)
 
     def test_leakage_11(self):
-        res = logical_z_measurement(reg_of(ket("11")), Q, 1)
+        res = logical_basis_measurement(reg_of(ket("11")), Q, "Z", 1)
         assert res.label == "leak"
         np.testing.assert_allclose(res.register.amplitudes, ket("11"), atol=1e-13)
 
@@ -203,7 +212,7 @@ class TestZMeasurement:
         for _ in range(20):
             psi, v = random_logical(rng)
             for force, target in (("z+", pair_ket("0L")), ("z-", pair_ket("1L"))):
-                res = logical_z_measurement(reg_of(psi), Q, rng, force=force)
+                res = logical_basis_measurement(reg_of(psi), Q, "Z", rng, force=force)
                 idx = 0 if force == "z+" else 1
                 assert res.probability == pytest.approx(abs(v[idx]) ** 2, abs=1e-12)
                 assert fidelity(target, res.register.amplitudes) >= 1.0 - 1e-12
@@ -224,8 +233,8 @@ class TestZMeasurement:
                 apply_unitary(ref, SX, [q.atom_b])
                 _, p2, _ = measure(ref, ps, None, force=pair[1])
                 apply_unitary(ref, SX, [q.atom_b])
-                res = logical_z_measurement(QuantumRegister(5, psi.copy()), q,
-                                            None, force=force)
+                res = logical_basis_measurement(QuantumRegister(5, psi.copy()), q, "Z",
+                                                None, force=force)
                 assert res.outcomes == pair
                 assert res.probability == pytest.approx(p1 * p2, abs=1e-15)
                 np.testing.assert_allclose(res.register.amplitudes,
@@ -233,7 +242,7 @@ class TestZMeasurement:
 
     def test_leak_branch_keeps_coherence(self):
         vec = (ket("00") + 1j * ket("11")) / math.sqrt(2)
-        res = logical_z_measurement(reg_of(vec), Q, 1)
+        res = logical_basis_measurement(reg_of(vec), Q, "Z", 1)
         assert res.label == "leak"
         assert fidelity(vec, res.register.amplitudes) >= 1.0 - 1e-12
 
@@ -272,7 +281,7 @@ class TestBasisMeasurement:
         rng = np.random.default_rng(17)
         n, plus = 4000, pair_ket("+L")
         hits = sum(
-            logical_z_measurement(reg_of(plus), Q, rng).label == "z+"
+            logical_basis_measurement(reg_of(plus), Q, "Z", rng).label == "z+"
             for _ in range(n)
         )
         assert abs(hits / n - 0.5) < 5 * math.sqrt(0.25 / n)
@@ -328,9 +337,9 @@ class TestLogicalSupport:
         rng = np.random.default_rng(23)
         for _ in range(50):
             psi = random_state(2, rng)
-            res = logical_z_measurement(reg_of(psi), Q, rng)
+            res = logical_basis_measurement(reg_of(psi), Q, "Z", rng)
             assert res.outcomes != ("pi1", "pi1")
 
     def test_forcing_impossible_pair_raises(self):
         with pytest.raises(RegisterError):
-            logical_z_measurement(reg_of(pair_ket("0L")), Q, 1, force="leak")
+            logical_basis_measurement(reg_of(pair_ket("0L")), Q, "Z", 1, force="leak")

@@ -28,7 +28,6 @@ from dfsqc.logical import (
     logical_basis_measurement,
     logical_pauli,
     pair_ket,
-    uz2,
 )
 from dfsqc.cavity import CavityParams, PulseSpec
 from dfsqc.noise import NoiseSpectrum, TransportNoise
@@ -67,6 +66,11 @@ def xi_state() -> np.ndarray:
     term1 = kron_all([zero, zero, bell_ket("phi+")])
     term2 = kron_all([one, one, bell_ket("psi+")])
     return (term1 + term2) / math.sqrt(2)
+
+
+def uz2(alpha):
+    """Logical z rotation in the 2-dim logical basis (|0_L>, |1_L>)."""
+    return np.diag([np.exp(-1j * alpha), np.exp(1j * alpha)])
 
 
 class TestPhysicalCz:
