@@ -18,7 +18,11 @@ the two atoms addressed by the pulse.
 All pulse propagation is done spectrally on a fixed grid (4096 samples
 spanning 16 standard deviations of the pulse spectrum) so results are
 bit-reproducible.  Transforms between the time and frequency grids use the
-chirp-z method (Bluestein), O(N log N) on FFTs.  The CZ fidelity follows
+chirp-z method (Bluestein), O(N log N) on FFTs.  The spectral moments
+<f, r f> and <rf, rf> of a pulse are memoized in its grids, keyed on the
+exact floats (kappa, gamma, G^2) that fix r(w); they do not depend on the
+amplitude alpha, so every ``with_alpha`` copy shares them, and a sweep makes
+one reflection pass per distinct coupling.  The CZ fidelity follows
 the conditional-state convention: branch amplitudes keep the photon-loss
 conditioning factors and the global output state is normalized at the end.
 """
@@ -102,6 +106,12 @@ def reflection_coefficient(omega, p: CavityParams) -> complex | np.ndarray:
     G2 = p.bright_coupling_sq()
     if G2 == 0.0:
         r = 1.0 - p.kappa / (p.kappa / 2 - 1j * w)
+    elif p.gamma > 0:  # the pole gamma/2 - i w cannot vanish
+        iw = 1j * w
+        r = G2 / (p.gamma / 2 - iw)
+        r += p.kappa / 2 - iw
+        np.divide(p.kappa, r, out=r)
+        np.subtract(1.0, r, out=r)
     else:
         pole = p.gamma / 2 - 1j * w
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -206,7 +216,8 @@ class PulseSpec:
         ft = _chirp_z(f, t[0], dt, w[0], dw, N_FREQ, +1.0) * dt
         norm_w = float(np.sum(np.abs(ft) ** 2) * dw / (2 * math.pi))
         self._grids = {"t": t, "dt": dt, "f": f, "w": w, "dw": dw,
-                       "ft": ft, "norm_w": norm_w, "sigma_w": sigma}
+                       "ft": ft, "norm_w": norm_w, "sigma_w": sigma,
+                       "moments": {}}
 
     @property
     def grids(self) -> dict:
@@ -236,14 +247,21 @@ class ReflectionResult:
 
 
 def _spectral_moments(ps: PulseSpec, p: CavityParams, n_coupled: int):
-    """Matched-filter overlap O = <f, r f> and energy ratio E = <rf, rf>."""
+    """Matched-filter overlap O = <f, r f> and energy ratio E = <rf, rf>.
+
+    Memoized in the pulse grids on (kappa, gamma, G^2), every input of r(w)
+    besides the grid.
+    """
     g = ps.grids
-    r = reflection_coefficient(g["w"], p.with_coupled(n_coupled))
-    rf = r * g["ft"]
-    scale = g["dw"] / (2 * math.pi) / g["norm_w"]
-    O = complex(np.sum(np.conj(g["ft"]) * rf) * scale)
-    E = float(np.real(np.sum(np.abs(rf) ** 2) * scale))
-    return O, min(E, 1.0 + 1e-12)
+    memo = g["moments"]
+    key = (p.kappa, p.gamma, p.bright_coupling_sq(n_coupled))
+    if key not in memo:
+        rf = reflection_coefficient(g["w"], p.with_coupled(n_coupled)) * g["ft"]
+        scale = g["dw"] / (2 * math.pi) / g["norm_w"]
+        O = complex(np.sum(np.conj(g["ft"]) * rf) * scale)
+        E = float(np.real(np.sum(np.abs(rf) ** 2) * scale))
+        memo[key] = O, min(E, 1.0 + 1e-12)
+    return memo[key]
 
 
 def photon_loss(ps: PulseSpec, p: CavityParams) -> float:

@@ -135,7 +135,8 @@ class ScenarioConfig:
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
         try:
-            raw = yaml.safe_load(text)
+            # libyaml's parser when present; same resolver, same dict
+            raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ConfigError(f"invalid YAML: {exc}") from exc
         return cls.from_dict(raw)

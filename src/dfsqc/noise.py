@@ -103,10 +103,12 @@ class NoiseSpectrum:
             raise NoiseModelError("table omega and S values must be finite")
         if np.any(s < 0):
             raise NoiseModelError("spectral density must be non-negative")
+        if np.any(w < 0):
+            # psd reads the table at |w|: a negative row would be counted twice
+            raise NoiseModelError("table omega values must be >= 0")
         order = np.argsort(w)
         w, s = w[order], s[order]
-        power = 2.0 * float(np.trapezoid(s, w)) if w[0] >= 0 else float(np.trapezoid(s, w))
-        return cls("table", power, float(np.max(np.abs(w))), table=(w, s))
+        return cls("table", 2.0 * float(np.trapezoid(s, w)), float(w[-1]), table=(w, s))
 
     @classmethod
     def from_table_file(cls, path):

@@ -401,12 +401,13 @@ def write_artifacts(cfg: ScenarioConfig, result: ScenarioResult, out_dir) -> dic
     csv_path = out / f"{cfg.name}.csv"
     manifest_path = out / f"{cfg.name}.manifest.json"
     plot_path = out / f"{cfg.name}.gp"
+    config_hash = cfg.config_hash()
 
     lines = [
         "# dfsqc scenario artifact",
         f"# kind: {cfg.kind}",
         f"# name: {cfg.name}",
-        f"# config_hash: {cfg.config_hash()}",
+        f"# config_hash: {config_hash}",
         f"# seed: {cfg.seed}",
         f"# version: {__version__}",
         f"# units: {UNITS_NOTE[cfg.kind]}",
@@ -420,7 +421,7 @@ def write_artifacts(cfg: ScenarioConfig, result: ScenarioResult, out_dir) -> dic
     manifest = {
         "kind": cfg.kind,
         "name": cfg.name,
-        "config_hash": cfg.config_hash(),
+        "config_hash": config_hash,
         "seed": cfg.seed,
         "version": __version__,
         "csv": csv_path.name,

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from dfsqc import cavity
 from dfsqc.cavity import (
     CavityModelError,
     CavityParams,
@@ -28,6 +29,7 @@ from dfsqc.cavity import (
     propagate_pulse,
     reflection_coefficient,
     _chirp_z,
+    _spectral_moments,
 )
 from dfsqc.config import ScenarioConfig
 
@@ -110,6 +112,22 @@ class TestReflectionCoefficient:
         assert p.bright_coupling_sq() == pytest.approx((27**2 + 13**2) * MHZ**2)
         equal = CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ, 2)
         assert equal.bright_coupling_sq() == pytest.approx(2 * (27 * MHZ) ** 2)
+
+    def test_lossy_kernel_bit_identical_to_guarded_expression(self):
+        # the gamma > 0 path skips the pole == 0 guard, which can never fire
+        w = standard_pulse().grids["w"]
+        rng = np.random.default_rng(11)
+        cases = [realistic_params(1), realistic_params(2)] + [
+            CavityParams(rng.uniform(5, 60) * MHZ, rng.uniform(0.5, 10) * MHZ,
+                         rng.uniform(0.01, 10) * MHZ, int(rng.integers(1, 3)))
+            for _ in range(10)]
+        for p in cases:
+            G2 = p.bright_coupling_sq()
+            pole = p.gamma / 2 - 1j * w
+            with np.errstate(divide="ignore", invalid="ignore"):
+                old = 1.0 - p.kappa / (p.kappa / 2 - 1j * w + G2 / pole)
+            old = np.where(np.abs(pole) == 0.0, 1.0 + 0j, old)
+            assert reflection_coefficient(w, p).tobytes() == old.tobytes()
 
 
 class TestChirpZ:
@@ -268,6 +286,14 @@ class TestCzFidelity:
         assert other.grids is pulse.grids
         assert other.kind == pulse.kind and other.T == pulse.T
 
+    def test_with_alpha_matches_fresh_pulse(self):
+        # the memoized moments are shared with the copy; alpha must not enter
+        pulse, p = standard_pulse(), realistic_params()
+        cz_gate_fidelity(None, pulse, p)
+        copy, fresh = pulse.with_alpha(0.5), standard_pulse(alpha=0.5)
+        assert cz_output_state(copy, p) == cz_output_state(fresh, p)
+        assert cz_gate_fidelity(None, copy, p) == cz_gate_fidelity(None, fresh, p)
+
     def test_small_alpha_limit(self):
         # oracle: F -> |sum w Otilde|^2 / sum w E as alpha -> 0
         p = realistic_params()
@@ -326,3 +352,55 @@ class TestFidelitySweep:
             eta = photon_loss(pulse, pp)
             scaled.append(eta * pp.g**2 / (p.kappa * p.gamma))
         assert max(scaled) / min(scaled) - 1 <= 0.2
+
+
+class TestSpectralMomentMemo:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        inner = cavity.reflection_coefficient
+
+        def counting(omega, p):
+            count[0] += 1
+            return inner(omega, p)
+
+        monkeypatch.setattr(cavity, "reflection_coefficient", counting)
+        return count
+
+    def test_nbar_sweep_makes_one_pass_per_coupling(self, calls):
+        pulse, p = standard_pulse(), realistic_params()
+        cz_gate_fidelity(None, pulse, p)
+        fidelity_sweep(np.linspace(0.0, 4.0, 20), pulse, p)
+        assert calls[0] == 3  # n_coupled 0, 1 and 2
+
+    def test_one_atom_photon_loss_served_after_g_point(self, calls):
+        pulse, p = standard_pulse(), realistic_params()
+        (ratio, _), = fidelity_sweep([0.7], pulse, p, vary="g_ratio")
+        assert calls[0] == 3
+        photon_loss(pulse, p.scaled_g(ratio).with_coupled(1))
+        assert calls[0] == 3
+
+    def test_g_sweep_shares_bare_cavity_pass(self, calls):
+        fidelity_sweep(np.linspace(0.5, 1.0, 4), standard_pulse(),
+                       realistic_params(), vary="g_ratio")
+        assert calls[0] == 1 + 2 * 4
+
+    @pytest.mark.parametrize("variant", [
+        dict(gamma=1.3 * MHZ), dict(gamma=0.0), dict(kappa=3.1 * MHZ),
+        dict(g2=13 * MHZ)], ids=["gamma", "gamma-zero", "kappa", "g2"])
+    def test_each_rate_is_part_of_the_key(self, variant):
+        pulse, base = standard_pulse(), realistic_params()
+        rates = dict(g=base.g, kappa=base.kappa, gamma=base.gamma)
+        other = CavityParams(**{**rates, **variant})
+        for n in (0, 1, 2):
+            _spectral_moments(pulse, base, n)
+        for n in (2, 1, 0):
+            got = _spectral_moments(pulse, other, n)
+            assert got == _spectral_moments(standard_pulse(), other, n)
+        assert _spectral_moments(pulse, other, 2) != _spectral_moments(pulse, base, 2)
+
+    def test_second_coupling_ignored_with_one_atom(self, calls):
+        pulse, p = standard_pulse(), realistic_params()
+        _spectral_moments(pulse, p, 1)
+        _spectral_moments(pulse, CavityParams(p.g, p.kappa, p.gamma, g2=13 * MHZ), 1)
+        assert calls[0] == 1

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import dfsqc
 from dfsqc.cavity import CavityParams
@@ -242,6 +243,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="YAML"):
             ScenarioConfig.from_yaml("kind: [unclosed\n")
 
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml"))
+                             + sorted((ROOT / "tests" / "golden").glob("*.yaml")),
+                             ids=lambda path: path.name)
+    def test_libyaml_and_python_loaders_agree(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text)
+
 
 class TestArtifacts:
     def test_byte_identical_reruns(self, tmp_path):
@@ -377,8 +386,9 @@ class TestCliEntry:
         assert f"'{key}' must be finite" in capsys.readouterr().err
         assert not Path(out).exists()
 
-    @pytest.mark.parametrize("table", ["1\n2\n3\n", "10 1\n", "0 1\n10 nan\n20 1\n"],
-                             ids=["one-column", "one-row", "nan-value"])
+    @pytest.mark.parametrize("table", ["1\n2\n3\n", "10 1\n", "0 1\n10 nan\n20 1\n",
+                                       "-50 1\n0 1\n100 1\n"],
+                             ids=["one-column", "one-row", "nan-value", "negative-omega"])
     def test_malformed_noise_table_exits_2(self, tmp_path, capsys, table):
         (tmp_path / "table.txt").write_text(table)
         text = (f"kind: decoupling\nnoise: {{model: table, "

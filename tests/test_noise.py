@@ -92,6 +92,12 @@ class TestSpectra:
         with pytest.raises(NoiseModelError, match="non-negative"):
             NoiseSpectrum.from_table([0.0, 1.0], [1.0, -1.0])
 
+    def test_negative_omega_table_rejected(self):
+        # psd reads the table at |w|, so rows at w < 0 would be counted twice
+        w = np.linspace(-50.0, 100.0, 151)
+        with pytest.raises(NoiseModelError, match=">= 0"):
+            NoiseSpectrum.from_table(w, np.ones_like(w))
+
     def test_slow_spectrum_warning(self):
         with pytest.warns(UserWarning, match="tau_co"):
             NoiseSpectrum.band_limited_white(tau_co=1e-3, cutoff=2e4)
