@@ -4,8 +4,8 @@ atoms coupled to a single-sided optical cavity.
 Subpackages
 -----------
 register   dense state-vector engine with seeded measurement
-logical    two-atom DFS encoding, logical gates and logical measurements
-cavity     pulse-level cavity input-output model and CZ gate fidelity
+logical    two-atom DFS encoding, logical gates and measurements, dephasing
+cavity     pulse-level cavity input-output model, CZ gate fidelity and map
 noise      dephasing spectra, echo filter functions, transport noise
 protocols  composite measurement-based protocols (Hadamard, BSM, CNOT, ...)
 cli        scenario runner producing CSV artifacts and reports

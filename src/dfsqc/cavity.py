@@ -25,6 +25,9 @@ amplitude alpha, so every ``with_alpha`` copy shares them, and a sweep makes
 one reflection pass per distinct coupling.  The CZ fidelity follows
 the conditional-state convention: branch amplitudes keep the photon-loss
 conditioning factors and the global output state is normalized at the end.
+:func:`cz_diagonal` is the same reflection as a diagonal map on the two
+addressed atoms, the lossy CZ a protocol run applies; its only cache is
+the pulse's moment memo.
 """
 
 from __future__ import annotations
@@ -246,17 +249,19 @@ class ReflectionResult:
     out_times: np.ndarray
 
 
-def _spectral_moments(ps: PulseSpec, p: CavityParams, n_coupled: int):
+def _spectral_moments(ps: PulseSpec, p: CavityParams, n_coupled: int, rf=None):
     """Matched-filter overlap O = <f, r f> and energy ratio E = <rf, rf>.
 
     Memoized in the pulse grids on (kappa, gamma, G^2), every input of r(w)
-    besides the grid.
+    besides the grid.  A caller that already holds r f on the grid for
+    ``n_coupled`` atoms passes it as ``rf``.
     """
     g = ps.grids
     memo = g["moments"]
     key = (p.kappa, p.gamma, p.bright_coupling_sq(n_coupled))
     if key not in memo:
-        rf = reflection_coefficient(g["w"], p.with_coupled(n_coupled)) * g["ft"]
+        if rf is None:
+            rf = reflection_coefficient(g["w"], p.with_coupled(n_coupled)) * g["ft"]
         scale = g["dw"] / (2 * math.pi) / g["norm_w"]
         O = complex(np.sum(np.conj(g["ft"]) * rf) * scale)
         E = float(np.real(np.sum(np.abs(rf) ** 2) * scale))
@@ -284,10 +289,8 @@ def propagate_pulse(ps: PulseSpec, p: CavityParams) -> ReflectionResult:
             stacklevel=2,
         )
     g = ps.grids
-    r = reflection_coefficient(g["w"], p)
-    rf = r * g["ft"]
-
-    O, E = _spectral_moments(ps, p, p.n_coupled)
+    rf = reflection_coefficient(g["w"], p) * g["ft"]
+    O, E = _spectral_moments(ps, p, p.n_coupled, rf)
     if ps.alpha == 0:
         amp_ratio, eta = 1.0 + 0j, 0.0  # vacuum in, vacuum out (convention)
     else:
@@ -349,8 +352,7 @@ def cz_output_state(ps: PulseSpec, p: CavityParams) -> dict:
     """Reflection data for each logical component (m, n) of the CZ input.
 
     The data do not depend on the atomic amplitudes, which only weight the
-    components.  The odd-cat branches +/-alpha propagate through the same
-    linear response, so one spectral pass per component suffices.
+    components.
     """
     if ps.kind != "odd_cat":
         raise CavityModelError("the CZ probe pulse must be an odd cat")
@@ -388,6 +390,21 @@ def _branch_norm_sq(x: float, E: float) -> float:
     if x < 1e-12:
         return E
     return math.exp(x * (E - 1.0)) * math.expm1(-2.0 * x * E) / math.expm1(-2.0 * x)
+
+
+def cz_diagonal(ps: PulseSpec, p: CavityParams) -> np.ndarray:
+    """Diagonal of the lossy CZ on two addressed atoms, entry m + 2n for atom
+    values (m, n).
+
+    Magnitude is the cat-branch norm conditioned on no spontaneous emission,
+    phase the conditional reflection phase theta.  Tends to the exact CZ as
+    g -> inf, gamma -> 0.
+    """
+    x = ps.mean_photon_number
+    out = np.zeros(4, dtype=complex)
+    for (m, n), comp in cz_output_state(ps, p).items():
+        out[m + 2 * n] = math.sqrt(_branch_norm_sq(x, comp.energy_ratio)) * np.exp(1j * comp.theta)
+    return out
 
 
 def cz_gate_fidelity(eps, ps: PulseSpec, p: CavityParams) -> float:

@@ -8,12 +8,14 @@ entered as 2.4 stays 2.4 MHz on the way out.
 ``SCHEMA`` lists each kind's keys, each section's sub-keys and their
 defaults; every kind also takes ``kind``, ``name`` (default: the kind) and
 ``seed`` (default 12345), and a key the kind does not list is rejected.
-Two rules the table does not show: ``noise.table_path`` applies to the
-``table`` noise model only, and ``echo.dt_cutoff_product`` needs two or
-more distinct values.  A number, complex number or list entry must be
-finite.  The transport-noise kind builds its own narrow noise line at each
-grid point; its ``transport.d_um`` is validated but changes no number, and
-stays only while the benchmark's generated configs still set it.
+Two rules the table does not show: a ``noise`` key of the other kind of
+model (``table_path`` under an analytic model, ``tau_co_ms`` or
+``cutoff_hz`` under ``table``) is rejected, and ``echo.dt_cutoff_product``
+needs two or more distinct values.  A number, complex number or list
+entry must be finite.  The transport-noise kind builds its own narrow
+noise line at each grid point; its ``transport.d_um`` is validated but
+changes no number, and stays only while the benchmark's generated configs
+still set it.
 """
 
 from __future__ import annotations
@@ -216,22 +218,27 @@ class ScenarioConfig:
         from .noise import NoiseSpectrum
 
         model = self.get("noise", "model")
-        tau_co = self.get("noise", "tau_co_ms") * 1e-3
-        cutoff = 2.0 * math.pi * self.get("noise", "cutoff_hz")
+        # a key of the other kind of model would change no number
+        foreign = ("tau_co_ms", "cutoff_hz") if model == TABLE_MODEL else ("table_path",)
+        for key in foreign:
+            if key in self.section("noise"):
+                raise ConfigError(f"'noise.{key}' does not apply to noise model {model!r}")
         if model == TABLE_MODEL:
             path = self.get("noise", "table_path")
             if not path:
                 raise ConfigError("table model needs 'table_path'")
             return NoiseSpectrum.from_table_file(path)
         # the analytic models are NoiseSpectrum constructors of the same name
-        return getattr(NoiseSpectrum, model.replace("-", "_"))(tau_co=tau_co, cutoff=cutoff)
+        return getattr(NoiseSpectrum, model.replace("-", "_"))(
+            tau_co=self.get("noise", "tau_co_ms") * 1e-3,
+            cutoff=2.0 * math.pi * self.get("noise", "cutoff_hz"))
 
     def transport(self):
-        """``(d, tau_T)`` of a transport-noise scenario, in m and s."""
-        d, tau_t = self.get("transport", "d_um") * 1e-6, self.get("transport", "tau_t_us") * US
-        if d <= 0 or tau_t <= 0:
+        """tau_T of a transport-noise scenario, in s."""
+        d_um, tau_t = self.get("transport", "d_um"), self.get("transport", "tau_t_us") * US
+        if d_um <= 0 or tau_t <= 0:
             raise ConfigError("transport distance and separation time must be positive")
-        return d, tau_t
+        return tau_t
 
     # -- validation ------------------------------------------------------
     def _check_keys(self):

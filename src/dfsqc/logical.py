@@ -27,8 +27,8 @@ from .register import (
     ProjectorSet,
     QuantumRegister,
     RegisterError,
+    apply_diagonal,
     apply_unitary,
-    kron_all,
     measure_sequence,
     row_table,
     rz,
@@ -103,22 +103,31 @@ def pair_ket(name) -> np.ndarray:
     return vec / norm
 
 
+# four-atom basis index of |m_L>|n_L>, listed at m + 2n
+_TWO_PAIR_INDEX = [i + 4 * j for j in (IDX_0L, IDX_1L) for i in (IDX_0L, IDX_1L)]
+
+
+def encode_two(c4: np.ndarray) -> np.ndarray:
+    """Four-atom encoding of two logical qubits; index m + 2n, first pair low."""
+    out = np.zeros(16, dtype=complex)
+    out[_TWO_PAIR_INDEX] = c4
+    return out
+
+
+# logical amplitudes of each Bell state at m + 2n, before the 1/sqrt2
+_BELL_AMPLITUDES = {"phi+": (1, 0, 0, 1), "phi-": (1, 0, 0, -1),
+                    "psi+": (0, 1, 1, 0), "psi-": (0, -1, 1, 0)}
+
+
 def bell_ket(name: str) -> np.ndarray:
     """16-dim logical Bell ket on two consecutive pairs (atoms 0..3).
 
     phi+/- = (|0L 0L> +/- |1L 1L>)/sqrt2, psi+/- = (|0L 1L> +/- |1L 0L>)/sqrt2.
     """
     key = name.lower().replace("_", "")
-    signs = {"phi+": 1, "phi-": -1, "psi+": 1, "psi-": -1}
-    if key not in signs:
+    if key not in _BELL_AMPLITUDES:
         raise ValueError(f"unknown Bell label {name!r}")
-    if key.startswith("phi"):
-        a = kron_all([pair_ket("0L"), pair_ket("0L")])
-        b = kron_all([pair_ket("1L"), pair_ket("1L")])
-    else:
-        a = kron_all([pair_ket("0L"), pair_ket("1L")])
-        b = kron_all([pair_ket("1L"), pair_ket("0L")])
-    return (a + signs[key] * b) * _SQ2
+    return encode_two(np.array(_BELL_AMPLITUDES[key]) * _SQ2)
 
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
@@ -189,6 +198,27 @@ def logical_pauli(reg: QuantumRegister, q: LogicalQubit, which: str):
 
 def apply_pair_unitary(reg: QuantumRegister, q: LogicalQubit, op4: np.ndarray):
     return apply_unitary(reg, op4, [q.atom_a, q.atom_b])
+
+
+def apply_dephasing_channel(reg: QuantumRegister, q: LogicalQubit, phi: float,
+                            frame=None):
+    """Differential phase phi between |0_L> and |1_L>.
+
+    Unitary exp(-i (phi/4) (sigma_z^a - sigma_z^b)): |0_L> picks up
+    e^{-i phi/2}, |1_L> picks up e^{+i phi/2}, and the leakage states |00>,
+    |11> are untouched, so the channel never mixes the subspaces.  phi = pi
+    maps |+_L> to |-_L> (up to global phase).  A collective phase (equal z
+    rotation of both atoms) leaves every logical state invariant.
+
+    It is one diagonal D on the pair.  ``frame`` is a 4x4 basis change the
+    pair is held in while the register keeps it unchanged: the phases then
+    act as frame^dag D frame.
+    """
+    # D over the pair index atom_a + 2*atom_b: |1_L> = 1, |0_L> = 2
+    d = np.exp(0.5j * phi * np.array([0.0, 1.0, -1.0, 0.0]))
+    if frame is None:
+        return apply_diagonal(reg, d, q.atoms)
+    return apply_unitary(reg, frame.conj().T @ (d[:, None] * frame), q.atoms)
 
 
 def _atoms(q_or_atoms) -> tuple:

@@ -39,8 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .register import QuantumRegister, apply_unitary, as_generator, rz
-from .logical import LogicalQubit
+from .register import as_generator
 
 TWO_PI = 2.0 * math.pi
 LORENTZIAN_BAND_FACTOR = 200.0  # hard synthesis cutoff, keeps 99.7% of power
@@ -151,18 +150,14 @@ def _power_from(total_power, tau_co):
 
 @dataclass
 class TransportNoise:
-    """Dephasing accrued while shuttling atoms, separation time tau_T.
+    """Dephasing accrued while shuttling atoms, separation time tau_T."""
 
-    ``d`` is the lattice spacing between the two atoms (d = n*lambda/2).
-    """
-
-    d: float
     tau_T: float
     base: NoiseSpectrum
 
     def __post_init__(self):
-        if self.d <= 0 or self.tau_T <= 0:
-            raise NoiseModelError("distance and separation time must be positive")
+        if self.tau_T <= 0:
+            raise NoiseModelError("separation time must be positive")
 
 
 @dataclass
@@ -347,29 +342,3 @@ def transport_phase_std(tn: TransportNoise, duration: float | None = None) -> fl
     """Std of the differential phase accrued over one transport event."""
     tau = tn.tau_T if duration is None else duration
     return tau * math.sqrt(transported_power(tn))
-
-
-# ---------------------------------------------------------------------------
-# dephasing channel on the register
-# ---------------------------------------------------------------------------
-
-def apply_dephasing_channel(reg: QuantumRegister, q: LogicalQubit, phi: float,
-                            frame=None):
-    """Differential phase phi between |0_L> and |1_L>.
-
-    Unitary exp(-i (phi/4) (sigma_z^a - sigma_z^b)): |0_L> picks up
-    e^{-i phi/2}, |1_L> picks up e^{+i phi/2}, and the leakage states |00>,
-    |11> are untouched, so the channel never mixes the subspaces.  phi = pi
-    maps |+_L> to |-_L> (up to global phase).  A collective phase (equal z
-    rotation of both atoms) leaves every logical state invariant.
-
-    ``frame`` is a 4x4 basis change the pair is held in while the register
-    keeps it unchanged: the phases then act as frame^dag D frame.
-    """
-    if frame is None:
-        apply_unitary(reg, rz(phi / 4.0), [q.atom_a])
-        apply_unitary(reg, rz(-phi / 4.0), [q.atom_b])
-        return reg
-    # D over the pair index atom_a + 2*atom_b: |1_L> = 1, |0_L> = 2
-    d = np.exp(0.5j * phi * np.array([0.0, 1.0, -1.0, 0.0]))
-    return apply_unitary(reg, frame.conj().T @ (d[:, None] * frame), q.atoms)

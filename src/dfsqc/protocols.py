@@ -1,12 +1,14 @@
 """Composite protocols: pulse-mediated primitives and measurement-based gates.
 
 A :class:`ProtocolRun` owns one register, a layout of named logical qubits,
-a cavity-occupancy schedule (never more than two atoms inside) and an
-append-only outcome record.  In ideal mode the physical CZ is exact and
-projections are pure Born-rule measurements; in noisy mode the CZ applies
-the per-component amplitude/phase map derived from the cavity model, and
-transports accrue differential dephasing sampled from the transport
-spectrum.
+its random stream, a cavity-occupancy schedule (never more than two atoms
+inside), an append-only outcome record and the error models it holds.  A
+run is noisy exactly when it holds one, and each model acts on its own:
+with a cavity (and its probe pulse) the physical CZ is the lossy
+reflection map ``cavity.cz_diagonal``, with transport noise every
+transport dephases the qubits it moves, and with the homodyne error a
+reported label may flip.  A run that holds none has the exact CZ and pure
+Born-rule projections.
 
 Measurement-based gates follow the standard pattern: entangle with a
 prepared ancilla through one physical CZ, measure, correct.  The +L
@@ -26,7 +28,7 @@ change, the collapse and the change back on that block, and one scatter
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +50,7 @@ from .logical import (
     HS_DAG_L,
     LeakageError,
     LogicalQubit,
+    apply_dephasing_channel,
     apply_pair_unitary,
     atom_a_parity_projectors,
     bell_ket,
@@ -60,8 +63,8 @@ from .logical import (
     parity_projectors,
     joint_ones_projectors,
 )
-from .cavity import CavityParams, PulseSpec, _branch_norm_sq, cz_output_state
-from .noise import TransportNoise, apply_dephasing_channel, transport_phase_std
+from .cavity import CavityParams, PulseSpec, cz_diagonal
+from .noise import TransportNoise, transport_phase_std
 
 
 class SchedulingError(RuntimeError):
@@ -125,38 +128,38 @@ def _fmt(v) -> str:
 
 @dataclass
 class ProtocolRun:
-    """Mutable protocol state: register + layout + schedule + outcome log."""
+    """Mutable protocol state: register, layout, rng, schedule, outcome log and
+    the optional error models (``cavity`` with its ``pulse``,
+    ``transport_noise``, ``homodyne_error``)."""
 
     register: QuantumRegister
     layout: dict
-    mode: str = "ideal"
+    rng: np.random.Generator
     cavity: CavityParams | None = None
     pulse: PulseSpec | None = None
     transport_noise: TransportNoise | None = None
     homodyne_error: bool = False
-    rng: np.random.Generator = None
     record: list = field(default_factory=list)
     in_cavity: set = field(default_factory=set)
-    _cz_cache: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.mode not in ("ideal", "noisy"):
-            raise ValueError("mode must be 'ideal' or 'noisy'")
-        if self.rng is None:
-            self.rng = np.random.default_rng(0)
-        if self.mode == "noisy" and self.cavity is None and self.transport_noise is None:
-            raise ValueError("noisy mode needs cavity parameters or transport noise")
+    @property
+    def mode(self) -> str:
+        """"noisy" when the run holds an error model, else "ideal"."""
+        noisy = (self.cavity is not None or self.transport_noise is not None
+                 or self.homodyne_error)
+        return "noisy" if noisy else "ideal"
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def create(cls, blocks, mode="ideal", seed=0, cavity=None, pulse=None,
-               transport_noise=None, homodyne_error=False):
+    def create(cls, blocks, seed=0, **error_models):
         """Build a run from product blocks.
 
         ``blocks`` is a sequence of ``(names, state)``: names one logical
         qubit name or a tuple of names, state a pair label ("0L", "+L",
         "2L", ...), a Bell label for two pairs ("phi+", ...), or an
-        explicit complex vector of dimension 4**n_pairs.
+        explicit complex vector of dimension 4**n_pairs.  ``error_models``
+        are the run's ``cavity``, ``pulse``, ``transport_noise`` and
+        ``homodyne_error``.
         """
         layout, vecs, atom = {}, [], 0
         for names, state in blocks:
@@ -181,10 +184,7 @@ class ProtocolRun:
                 vec = vec / np.linalg.norm(vec)
             vecs.append(vec)
         reg = QuantumRegister(atom, kron_all(vecs))
-        return cls(register=reg, layout=layout, mode=mode, cavity=cavity,
-                   pulse=pulse, transport_noise=transport_noise,
-                   homodyne_error=homodyne_error,
-                   rng=np.random.default_rng(seed))
+        return cls(reg, layout, np.random.default_rng(seed), **error_models)
 
     def qubit(self, q) -> LogicalQubit:
         if isinstance(q, LogicalQubit):
@@ -193,14 +193,9 @@ class ProtocolRun:
 
     def fork(self, seed=None) -> "ProtocolRun":
         """Independent copy for branch enumeration (fresh rng when seeded)."""
-        return ProtocolRun(
-            register=self.register.copy(), layout=dict(self.layout),
-            mode=self.mode, cavity=self.cavity, pulse=self.pulse,
-            transport_noise=self.transport_noise,
-            homodyne_error=self.homodyne_error,
-            rng=self.rng if seed is None else np.random.default_rng(seed),
-            record=list(self.record), in_cavity=set(self.in_cavity),
-            _cz_cache=self._cz_cache)
+        return replace(self, register=self.register.copy(), layout=dict(self.layout),
+                       rng=self.rng if seed is None else np.random.default_rng(seed),
+                       record=list(self.record), in_cavity=set(self.in_cavity))
 
     def allocate_pair(self, name: str, state="+L") -> LogicalQubit:
         """Append a fresh prepared pair to the register (direct injection)."""
@@ -219,38 +214,13 @@ class ProtocolRun:
         self.record.append(entry)
         return entry
 
-    # -- noisy CZ map ------------------------------------------------------
-    def _cz_map(self) -> np.ndarray:
-        """Diagonal of the amplitude/phase map on two addressed atoms.
-
-        Entry ``va + 2*vb`` for atom values (va, vb): magnitude is the
-        cat-branch norm conditioned on no spontaneous emission, phase is the
-        conditional reflection phase theta.  Tends to the exact CZ as
-        g -> inf, gamma -> 0.
-        """
-        if self.cavity is None or self.pulse is None:
-            raise SchedulingError("noisy mode requires cavity and pulse settings")
-        # the pulse itself (hashed by identity) keeps it alive, so its id
-        # cannot be reused by another pulse while the entry exists
-        key = (self.cavity.g, self.cavity.kappa, self.cavity.gamma,
-               self.cavity.g2, self.pulse)
-        if key not in self._cz_cache:
-            comps = cz_output_state(self.pulse, self.cavity)
-            x = self.pulse.mean_photon_number
-            m = np.zeros(4, dtype=complex)
-            for (va, vb), comp in comps.items():
-                amp = math.sqrt(_branch_norm_sq(x, comp.energy_ratio))
-                m[va + 2 * vb] = amp * np.exp(1j * comp.theta)
-            self._cz_cache[key] = m
-        return self._cz_cache[key]
-
 
 # ---------------------------------------------------------------------------
 # transport and scheduling
 # ---------------------------------------------------------------------------
 
 def transport(run: ProtocolRun, step: TransportStep, frame=None):
-    """Move atoms; in noisy mode each touched logical qubit dephases.
+    """Move atoms; with transport noise each touched logical qubit dephases.
 
     The differential phase per qubit is Gaussian with variance
     duration^2 * int S_tT(w) dw (slow-noise phase accumulation over the
@@ -271,7 +241,7 @@ def transport(run: ProtocolRun, step: TransportStep, frame=None):
             duration=step.duration)
 
     tn = run.transport_noise
-    if run.mode != "noisy" or tn is None:
+    if tn is None:
         return run
     moved = set(step.atoms_in) | set(step.atoms_out)
     std = transport_phase_std(tn, step.duration)
@@ -301,15 +271,21 @@ def _ensure_in_cavity(run: ProtocolRun, atoms):
 # ---------------------------------------------------------------------------
 
 def physical_cz(run: ProtocolRun, atom_i: int, atom_j: int):
-    """Conditional phase flip exp(i*pi|11><11|) on two atoms in the cavity."""
+    """Conditional phase flip exp(i*pi|11><11|) on two atoms in the cavity.
+
+    A run that holds a cavity applies its lossy reflection map
+    :func:`cavity.cz_diagonal` instead and renormalizes the register.
+    """
     if not {atom_i, atom_j} <= run.in_cavity:
         raise SchedulingError(
             f"atoms ({atom_i}, {atom_j}) must be inside the cavity for a CZ"
         )
-    if run.mode == "ideal" or run.cavity is None:
+    if run.cavity is None:
         apply_unitary(run.register, CZ2, [atom_i, atom_j])
+    elif run.pulse is None:
+        raise SchedulingError("a cavity CZ needs the probe pulse")
     else:
-        apply_diagonal(run.register, run._cz_map(), [atom_i, atom_j])
+        apply_diagonal(run.register, cz_diagonal(run.pulse, run.cavity), [atom_i, atom_j])
         amps = run.register.amplitudes
         run.register.amplitudes = amps / np.linalg.norm(amps)
     run.log("physical_cz", atoms=(atom_i, atom_j), mode=run.mode)

@@ -48,7 +48,7 @@ from .noise import (
     suppression_factor,
 )
 from .register import fidelity, random_state, reduced_state, trace_distance
-from .logical import BELL_LABELS, H2, IDX_0L, IDX_1L, bell_ket, pair_ket
+from .logical import BELL_LABELS, H2, bell_ket, encode_two, pair_ket
 from .protocols import (ProtocolRun, correct_cnot_byproducts, full_bsm, logical_hadamard,
                         prepare_xi, teleported_cnot, leakage_detect)
 
@@ -207,12 +207,12 @@ def narrow_line_spectrum(omega0: float, width: float, power: float = 1.0) -> Noi
 
 
 def run_transport_noise(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
-    d, tau_t = cfg.transport()
+    tau_t = cfg.transport()
     grid = cfg.sweep_grid()
 
     def point(prod: float):
         omega0 = prod / tau_t
-        tn = TransportNoise(d, tau_t, narrow_line_spectrum(omega0, omega0 / 50.0))
+        tn = TransportNoise(tau_t, narrow_line_spectrum(omega0, omega0 / 50.0))
         sup = suppression_factor(tn)
         predicted = (tau_t * omega0) ** 2 / 8.0
         return (float(prod), float(sup), float(predicted),
@@ -228,17 +228,6 @@ def run_transport_noise(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult
 
 
 # -- protocol runs -----------------------------------------------------------
-
-# four-atom basis index of |m_L>|n_L>, listed at m + 2n
-_TWO_PAIR_INDEX = [i + 4 * j for j in (IDX_0L, IDX_1L) for i in (IDX_0L, IDX_1L)]
-
-
-def encode_two(c4: np.ndarray) -> np.ndarray:
-    """Four-atom encoding of two logical qubits; index m + 2n, control low."""
-    out = np.zeros(16, dtype=complex)
-    out[_TWO_PAIR_INDEX] = c4
-    return out
-
 
 def cnot_matrix() -> np.ndarray:
     """Logical CNOT on index m + 2n, control m: swaps entries 1 and 3."""

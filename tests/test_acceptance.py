@@ -18,7 +18,7 @@ from dfsqc.register import (
     rz,
     trace_distance,
 )
-from dfsqc.logical import BELL_LABELS, LogicalQubit, bell_ket, pair_ket
+from dfsqc.logical import BELL_LABELS, LogicalQubit, bell_ket, encode_two, pair_ket
 from dfsqc.cavity import CavityParams, PulseSpec, cz_gate_fidelity, fidelity_sweep, photon_loss
 from dfsqc.noise import (
     EchoSequence,
@@ -40,12 +40,7 @@ from dfsqc.protocols import (
     prepare_xi,
     teleported_cnot,
 )
-from dfsqc.scenarios import (
-    cnot_matrix,
-    encode_two,
-    narrow_line_spectrum,
-    run_scenario,
-)
+from dfsqc.scenarios import cnot_matrix, narrow_line_spectrum, run_scenario
 
 MHZ = 2 * math.pi * 1e6
 REALISTIC = CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ)
@@ -108,7 +103,7 @@ def test_criterion_4_decoupling_validation():
     worst = 0.0
     for prod in (0.02, 0.05, 0.1):
         w0 = prod / tau
-        tn = TransportNoise(10e-6, tau, narrow_line_spectrum(w0, w0 / 50))
+        tn = TransportNoise(tau, narrow_line_spectrum(w0, w0 / 50))
         ratio = suppression_factor(tn) / ((tau * w0) ** 2 / 8)
         worst = max(worst, abs(ratio - 1.0))
     assert worst <= 0.20, f"transport suppression off by {worst:.1%}"
@@ -224,7 +219,7 @@ def test_criterion_7_dfs_immunity():
         worst = min(worst, fidelity(psi, reg.amplitudes))
     assert worst >= 1.0 - 1e-12, f"collective-phase fidelity {worst}"
 
-    tn = TransportNoise(10e-6, 100e-6,
+    tn = TransportNoise(100e-6,
                         NoiseSpectrum.band_limited_white(tau_co=1e-3))
     enc, bare = dfs_transport_advantage(tn, 1000, 20260809)
     assert enc > bare, f"encoded {enc} not above bare {bare}"

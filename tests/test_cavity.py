@@ -22,6 +22,7 @@ from dfsqc.cavity import (
     CavityModelError,
     CavityParams,
     PulseSpec,
+    cz_diagonal,
     cz_gate_fidelity,
     cz_output_state,
     fidelity_sweep,
@@ -256,6 +257,13 @@ class TestCzOutput:
             assert abs(comp.amp_ratio) == pytest.approx(predicted, abs=2e-4)
             assert abs(comp.theta) < 1e-3
 
+    def test_cz_diagonal_working_point_frozen_values(self):
+        # entry m + 2n; (1, 1) sees the bare cavity and reflects losslessly
+        d = cz_diagonal(standard_pulse(), realistic_params())
+        np.testing.assert_allclose(d, [0.99631893, 0.99266281, 0.99266281, -1.0],
+                                   rtol=0, atol=1e-8)
+        assert d[1] == d[2]
+
     def test_requires_odd_cat(self):
         with pytest.raises(CavityModelError, match="odd cat"):
             cz_output_state(standard_pulse(kind="coherent"), realistic_params())
@@ -398,6 +406,14 @@ class TestSpectralMomentMemo:
             got = _spectral_moments(pulse, other, n)
             assert got == _spectral_moments(standard_pulse(), other, n)
         assert _spectral_moments(pulse, other, 2) != _spectral_moments(pulse, base, 2)
+
+    def test_propagate_pulse_makes_one_pass(self, calls):
+        # the reflected spectrum it transforms back also gives the moments
+        pulse, p = standard_pulse(), realistic_params().with_coupled(1)
+        propagate_pulse(pulse, p)
+        assert calls[0] == 1
+        assert _spectral_moments(pulse, p, 1) == _spectral_moments(standard_pulse(), p, 1)
+        assert calls[0] == 2  # only the fresh pulse passes again
 
     def test_second_coupling_ignored_with_one_atom(self, calls):
         pulse, p = standard_pulse(), realistic_params()

@@ -112,7 +112,7 @@ EXPECTED_DEFAULTS = {
     "fidelity-sweep": (*_CAVITY_EXPECTED, np.linspace(0.1, 4.0, 20).tolist()),
     "g-sweep": (*_CAVITY_EXPECTED, np.linspace(0.5, 1.0, 11).tolist()),
     "decoupling": (_NOISE_EXPECTED, np.geomspace(0.01, 0.1, 5).tolist(), 1, 10000),
-    "transport-noise": ((10.0 * 1e-6, 100.0 * 1e-6), np.geomspace(0.02, 0.2, 5).tolist()),
+    "transport-noise": (100.0 * 1e-6, np.geomspace(0.02, 0.2, 5).tolist()),
     "protocol-run": ("teleported-cnot", 100),
     "leakage-demo": (50,),
 }
@@ -397,6 +397,25 @@ class TestCliEntry:
         assert main(["simulate", self.write(tmp_path, text), "--out", out]) == 2
         assert "invalid config" in capsys.readouterr().err
         assert not Path(out).exists()
+
+    @pytest.mark.parametrize("model, key, value", [
+        ("table", "tau_co_ms", 5.0), ("table", "cutoff_hz", 5.0),
+        ("band-limited-white", "table_path", "TABLE"), ("lorentzian", "table_path", "TABLE")])
+    def test_noise_key_of_another_model_exits_2(self, tmp_path, capsys, model, key, value):
+        # such a key would be read by no spectrum, so it would change no number
+        table = tmp_path / "table.txt"
+        table.write_text("0 1\n10 1\n20 0\n")
+        noise = {"model": model, key: str(table) if value == "TABLE" else value}
+        if model == "table":
+            noise["table_path"] = str(table)
+        text = yaml.safe_dump({"kind": "decoupling", "noise": noise})
+        out = str(tmp_path / "out")
+        assert main(["simulate", self.write(tmp_path, text), "--out", out]) == 2
+        assert f"'noise.{key}' does not apply to noise model '{model}'" in \
+            capsys.readouterr().err
+        assert not Path(out).exists()
+        del noise[key]
+        ScenarioConfig.from_yaml(yaml.safe_dump({"kind": "decoupling", "noise": noise}))
 
     def test_transport_noise_section_exits_2(self, tmp_path, capsys):
         # the kind builds its own noise line, so it takes no noise section

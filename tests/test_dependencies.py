@@ -36,3 +36,32 @@ def test_runtime_dependencies_are_numpy_and_pyyaml():
              for dep in project["dependencies"]}
     assert names == {"numpy", "pyyaml"}
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+def dfsqc_imports(path):
+    """(module, name) of each name one source file imports from a dfsqc module."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            module = node.module or ""
+        elif node.module and node.module.split(".")[0] == "dfsqc":
+            module = node.module.partition(".")[2]
+        else:
+            continue
+        for alias in node.names:
+            # ``from . import noise`` imports the module itself
+            yield (alias.name, "") if not module else (module, alias.name)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    sources = sorted((ROOT / "src" / "dfsqc").glob("*.py"))
+    private = {f"{path.name}: {module}.{name}" for path in sources
+               for module, name in dfsqc_imports(path)
+               if name.startswith("_") and not name.endswith("__")}
+    assert not private
+
+
+def test_noise_imports_nothing_from_logical():
+    imports = dfsqc_imports(ROOT / "src" / "dfsqc" / "noise.py")
+    assert "logical" not in {module for module, _ in imports}

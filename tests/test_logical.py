@@ -14,6 +14,7 @@ from dfsqc.register import (
     as_generator,
     fidelity,
     ket,
+    kron_all,
     measure,
     random_state,
     rz,
@@ -75,6 +76,15 @@ class TestEncoding:
         np.testing.assert_allclose(bell_ket("psi-"), expected, atol=1e-15)
         for name in ("phi+", "phi-", "psi+", "psi-"):
             assert np.linalg.norm(bell_ket(name)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("name", ["phi+", "phi-", "psi+", "psi-"])
+    def test_bell_ket_matches_kron_sum_bytes(self, name):
+        # (a + sign*b)/sqrt2 from products of pair kets, the first pair low
+        zero, one = pair_ket("0L"), pair_ket("1L")
+        a, b = ((zero, zero), (one, one)) if name.startswith("phi") else ((zero, one), (one, zero))
+        sign = 1 if name.endswith("+") else -1
+        want = (kron_all(list(a)) + sign * kron_all(list(b))) * (1.0 / math.sqrt(2.0))
+        assert bell_ket(name).tobytes() == want.tobytes()
 
     def test_distinct_atoms_required(self):
         with pytest.raises(ValueError):

@@ -7,13 +7,12 @@ import pytest
 from scipy.integrate import quad
 
 from dfsqc.register import QuantumRegister, apply_unitary, fidelity, rz
-from dfsqc.logical import LogicalQubit, pair_ket
+from dfsqc.logical import LogicalQubit, apply_dephasing_channel, pair_ket
 from dfsqc.noise import (
     EchoSequence,
     NoiseModelError,
     NoiseSpectrum,
     TransportNoise,
-    apply_dephasing_channel,
     echo_suppression_analytic,
     echo_variance_analytic,
     filter_function_dfs,
@@ -277,13 +276,13 @@ class TestMonteCarloSums:
 
 class TestTransportSpectrum:
     def test_zero_base_spectrum(self):
-        tn = TransportNoise(10e-6, 100e-6,
+        tn = TransportNoise(100e-6,
                             NoiseSpectrum.band_limited_white(total_power=0.0))
         assert transport_spectrum(100.0, tn) == 0.0
         assert suppression_factor(tn) == 0.0
 
     def test_kernel_limit_recovers_free_precession(self):
-        tn = TransportNoise(10e-6, 100e-6, default_spectrum())
+        tn = TransportNoise(100e-6, default_spectrum())
         w = 2 * math.pi * 40
         bare = float(tn.base.psd(w)) * math.sin(w * tn.tau_T / 2) ** 2
         val = transport_spectrum(w, tn, kernel_width=1e-4)
@@ -291,7 +290,7 @@ class TestTransportSpectrum:
 
     def test_integral_identity(self):
         # int S_tT dw == int S(u) sin^2(u tau/2) du (normalized kernel)
-        tn = TransportNoise(10e-6, 100e-6, default_spectrum())
+        tn = TransportNoise(100e-6, default_spectrum())
         sd = 4.0 / tn.tau_T
         w = np.linspace(-tn.base.band() - 10 * sd, tn.base.band() + 10 * sd, 3001)
         integral = np.trapezoid(transport_spectrum(w, tn), w)
@@ -301,7 +300,7 @@ class TestTransportSpectrum:
         tau = 100e-6
         for prod in (0.02, 0.05, 0.1):
             w0 = prod / tau
-            tn = TransportNoise(10e-6, tau, narrow_line_spectrum(w0, w0 / 50))
+            tn = TransportNoise(tau, narrow_line_spectrum(w0, w0 / 50))
             predicted = (tau * w0) ** 2 / 8
             assert suppression_factor(tn) == pytest.approx(predicted, rel=0.2)
 
@@ -309,13 +308,13 @@ class TestTransportSpectrum:
         # frozen oracle: ratio -> sin^2(w0 tau/2)/2 = 0.4599 at w0*tau = 10
         tau = 100e-6
         w0 = 10.0 / tau
-        tn = TransportNoise(10e-6, tau, narrow_line_spectrum(w0, w0 / 200))
+        tn = TransportNoise(tau, narrow_line_spectrum(w0, w0 / 200))
         expected = math.sin(w0 * tau / 2) ** 2 / 2
         assert suppression_factor(tn) == pytest.approx(expected, rel=0.05)
         assert suppression_factor(tn) > 0.1
 
     def test_phase_std_scaling(self):
-        tn = TransportNoise(10e-6, 100e-6, default_spectrum())
+        tn = TransportNoise(100e-6, default_spectrum())
         base = transport_phase_std(tn)
         assert transport_phase_std(tn, 2 * tn.tau_T) == pytest.approx(2 * base)
 

@@ -25,11 +25,12 @@ from dfsqc.logical import (
     LeakageError,
     apply_pair_unitary,
     bell_ket,
+    encode_two,
     logical_basis_measurement,
     logical_pauli,
     pair_ket,
 )
-from dfsqc.cavity import CavityParams, PulseSpec
+from dfsqc.cavity import CavityParams, PulseSpec, cz_diagonal
 from dfsqc.noise import NoiseSpectrum, TransportNoise
 from dfsqc.protocols import (
     BasisChange,
@@ -52,7 +53,7 @@ from dfsqc.protocols import (
     transport,
 )
 from dfsqc.config import ScenarioConfig
-from dfsqc.scenarios import cnot_matrix, encode_two, forced_branch_states, run_protocol
+from dfsqc.scenarios import cnot_matrix, forced_branch_states, run_protocol
 
 MHZ = 2 * math.pi * 1e6
 
@@ -71,6 +72,49 @@ def xi_state() -> np.ndarray:
 def uz2(alpha):
     """Logical z rotation in the 2-dim logical basis (|0_L>, |1_L>)."""
     return np.diag([np.exp(-1j * alpha), np.exp(1j * alpha)])
+
+
+class TestErrorModels:
+    CAVITY = CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ)
+
+    def test_mode_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            ProtocolRun.create([("q", "0L")], mode="noisy")
+
+    def test_ideal_without_an_error_model(self):
+        run = ProtocolRun.create([("q", "0L")], pulse=PulseSpec.gaussian(1e-5, 1.0, "odd_cat"))
+        assert run.mode == "ideal" and run.fork().mode == "ideal"
+
+    @pytest.mark.parametrize("model", ["cavity", "transport_noise", "homodyne_error"])
+    def test_noisy_with_any_one_error_model(self, model):
+        value = {"cavity": self.CAVITY, "homodyne_error": True,
+                 "transport_noise": TransportNoise(100e-6, NoiseSpectrum.band_limited_white(
+                     total_power=0.0))}[model]
+        run = ProtocolRun.create([("q", "0L")], **{model: value})
+        assert run.mode == "noisy" and run.fork(seed=3).mode == "noisy"
+        with pytest.raises(AttributeError):
+            run.mode = "ideal"
+
+    def test_cavity_without_pulse_cannot_make_a_cz(self):
+        run = two_pair_run("phi+", cavity=self.CAVITY)
+        transport(run, TransportStep((0, 2)))
+        with pytest.raises(SchedulingError, match="pulse"):
+            physical_cz(run, 0, 2)
+
+    def test_fork_copies_state_and_shares_models(self):
+        tn = TransportNoise(100e-6, NoiseSpectrum.band_limited_white(total_power=0.0))
+        run = two_pair_run("phi+", seed=4, cavity=self.CAVITY, transport_noise=tn)
+        transport(run, TransportStep((0,)))
+        n_entries = len(run.record)
+        twin, seeded = run.fork(), run.fork(seed=9)
+        assert twin.rng is run.rng and seeded.rng is not run.rng
+        assert (twin.cavity, twin.transport_noise) == (run.cavity, run.transport_noise)
+        twin.layout["extra"] = None
+        twin.record.append(None)
+        twin.in_cavity.add(3)
+        twin.register.amplitudes[:] = 0
+        assert "extra" not in run.layout and len(run.record) == n_entries
+        assert run.in_cavity == {0} and np.linalg.norm(run.register.amplitudes) > 0
 
 
 class TestPhysicalCz:
@@ -113,8 +157,7 @@ class TestPhysicalCz:
             ideal = two_pair_run(encode_two(vec))
             transport(ideal, TransportStep((0, 2)))
             physical_cz(ideal, 0, 2)
-            noisy = two_pair_run(encode_two(vec), mode="noisy", cavity=p,
-                                 pulse=pulse)
+            noisy = two_pair_run(encode_two(vec), cavity=p, pulse=pulse)
             transport(noisy, TransportStep((0, 2)))
             physical_cz(noisy, 0, 2)
             worst = max(worst, 1 - fidelity(ideal.register.amplitudes,
@@ -124,8 +167,7 @@ class TestPhysicalCz:
     def test_noisy_map_damps_amplitudes(self):
         p = CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ)
         pulse = PulseSpec.gaussian(200 / p.kappa, 1.26, "odd_cat")
-        run = two_pair_run(encode_two(np.ones(4) / 2), mode="noisy", cavity=p,
-                           pulse=pulse)
+        run = two_pair_run(encode_two(np.ones(4) / 2), cavity=p, pulse=pulse)
         transport(run, TransportStep((0, 2)))
         physical_cz(run, 0, 2)
         amps = run.register.amplitudes
@@ -138,46 +180,44 @@ class TestPhysicalCz:
     def test_noisy_cz_leaves_inputs_unmodified(self):
         p = CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ)
         pulse = PulseSpec.gaussian(200 / p.kappa, 1.26, "odd_cat")
-        run = two_pair_run(encode_two(np.ones(4) / 2), mode="noisy", cavity=p,
-                           pulse=pulse)
+        run = two_pair_run(encode_two(np.ones(4) / 2), cavity=p, pulse=pulse)
         transport(run, TransportStep((0, 2)))
         before = run.register.amplitudes
-        saved, cz_map = before.copy(), run._cz_map().copy()
+        saved, cz_map = before.copy(), cz_diagonal(run.pulse, run.cavity).copy()
         physical_cz(run, 0, 2)
         assert not np.allclose(run.register.amplitudes, saved)
         np.testing.assert_array_equal(before, saved)
-        np.testing.assert_array_equal(run._cz_map(), cz_map)
+        np.testing.assert_array_equal(cz_diagonal(run.pulse, run.cavity), cz_map)
 
     def test_cz_map_follows_the_pulse(self):
-        # a cached map must never be handed to another pulse, even one that
-        # reuses the id() of a pulse dropped earlier
+        # the map read through a pulse's shared moment memo must match one
+        # built on fresh grids, even for a pulse that reuses the id() of a
+        # pulse dropped earlier
         p = CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ)
         base = PulseSpec.gaussian(200 / p.kappa, 1.26, "odd_cat")
-        state = encode_two(np.ones(4) / 2)
 
         def fresh_map(pulse):
-            return two_pair_run(state, mode="noisy", cavity=p,
-                                pulse=pulse)._cz_map()
+            return cz_diagonal(PulseSpec.gaussian(pulse.T, pulse.alpha, "odd_cat"), p)
 
         maps = []
         for alpha in (0.5, 2.0):
-            run = two_pair_run(state, mode="noisy", cavity=p,
-                               pulse=base.with_alpha(alpha))
-            maps.append(run._cz_map())
-            del run
+            pulse = base.with_alpha(alpha)
+            maps.append(cz_diagonal(pulse, p))
+            del pulse
         assert not np.allclose(maps[0], maps[1])
         for alpha, m in zip((0.5, 2.0), maps):
             np.testing.assert_array_equal(m, fresh_map(base.with_alpha(alpha)))
 
         # one run whose pulse is replaced: the previous pulse is freed
         # first, so CPython tends to give the new one the same id()
-        run = two_pair_run(state, mode="noisy", cavity=p,
+        run = two_pair_run(encode_two(np.ones(4) / 2), cavity=p,
                            pulse=base.with_alpha(0.25))
         for alpha in (0.5, 0.75, 1.0, 1.5, 2.0, 2.5):
-            run._cz_map()
+            cz_diagonal(run.pulse, run.cavity)
             run.pulse = None
             run.pulse = base.with_alpha(alpha)
-            np.testing.assert_array_equal(run._cz_map(), fresh_map(run.pulse))
+            np.testing.assert_array_equal(cz_diagonal(run.pulse, run.cavity),
+                                          fresh_map(run.pulse))
 
 
 class TestProjectiveMeasurements:
@@ -227,7 +267,7 @@ class TestProjectiveMeasurements:
                                        atol=1e-12)
 
     def test_homodyne_label_error_flips_label_only(self):
-        run = ProtocolRun.create([("q", "3L")], seed=0, mode="noisy",
+        run = ProtocolRun.create([("q", "3L")], seed=0,
                                  cavity=CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ),
                                  pulse=PulseSpec.gaussian(1e-5, 0.05, "odd_cat"),
                                  homodyne_error=True)
@@ -235,8 +275,8 @@ class TestProjectiveMeasurements:
         labels = set()
         for _ in range(60):
             work = ProtocolRun.create([("q", "3L")], seed=int(run.rng.integers(2**32)),
-                                      mode="noisy", cavity=run.cavity,
-                                      pulse=run.pulse, homodyne_error=True)
+                                      cavity=run.cavity, pulse=run.pulse,
+                                      homodyne_error=True)
             label, _ = measure_p12(work, 0, 1)
             labels.add(label)
             # projection is unchanged regardless of the reported label
@@ -263,19 +303,18 @@ class TestTransportScheduling:
         np.testing.assert_allclose(run.register.amplitudes, before, atol=1e-15)
 
     def test_noisy_transport_with_zero_spectrum(self):
-        tn = TransportNoise(10e-6, 100e-6,
+        tn = TransportNoise(100e-6,
                             NoiseSpectrum.band_limited_white(total_power=0.0))
-        run = two_pair_run("phi+", mode="noisy", transport_noise=tn)
+        run = two_pair_run("phi+", transport_noise=tn)
         before = run.register.amplitudes.copy()
         transport(run, TransportStep((0,), ()))
         np.testing.assert_allclose(run.register.amplitudes, before, atol=1e-15)
 
     def test_noisy_transport_dephases(self):
-        tn = TransportNoise(10e-6, 100e-6,
+        tn = TransportNoise(100e-6,
                             NoiseSpectrum.band_limited_white(
                                 tau_co=5e-3, cutoff=2 * math.pi * 30))
-        run = ProtocolRun.create([("q", "+L")], seed=8, mode="noisy",
-                                 transport_noise=tn)
+        run = ProtocolRun.create([("q", "+L")], seed=8, transport_noise=tn)
         transport(run, TransportStep((0,), ()))
         ops = [e.op for e in run.record]
         assert "transport_dephasing" in ops
@@ -719,7 +758,7 @@ class TestNormAndRecord:
 
 class TestDfsAdvantage:
     def test_encoded_beats_bare_qubit(self):
-        tn = TransportNoise(10e-6, 100e-6,
+        tn = TransportNoise(100e-6,
                             NoiseSpectrum.band_limited_white(tau_co=1e-3))
         enc, bare = dfs_transport_advantage(tn, 1000, 123)
         assert enc > bare
@@ -800,9 +839,9 @@ class TestProjectionInChangedFrame:
     def test_noisy_transport_dephases_in_the_changed_frame(self, which):
         # the transports inside measure_p34 dephase between the basis change
         # and the projection, so q1's and q2's phases act in the changed frame
-        tn = TransportNoise(10e-6, 100e-6, NoiseSpectrum.band_limited_white(
+        tn = TransportNoise(100e-6, NoiseSpectrum.band_limited_white(
             tau_co=3e-5, cutoff=2 * math.pi * 4e3))
-        kw = dict(mode="noisy", transport_noise=tn, homodyne_error=True,
+        kw = dict(transport_noise=tn, homodyne_error=True,
                   pulse=PulseSpec.gaussian(1e-5, 0.3, "odd_cat"))
         rng = np.random.default_rng(32)
         flips = 0
