@@ -185,7 +185,7 @@ def logical_z_rotation(reg: QuantumRegister, q: LogicalQubit, alpha: float):
 
     Acts as |0_L> -> e^{-i alpha}|0_L>, |1_L> -> e^{+i alpha}|1_L>.
     """
-    return apply_unitary(reg, rz(alpha), [q.atom_a])
+    return apply_unitary(reg, rz(alpha), (q.atom_a,))
 
 
 def logical_pauli(reg: QuantumRegister, q: LogicalQubit, which: str):
@@ -193,11 +193,11 @@ def logical_pauli(reg: QuantumRegister, q: LogicalQubit, which: str):
         op = PAULI_L[which.upper()]
     except KeyError:
         raise ValueError(f"which must be X, Y or Z, got {which!r}") from None
-    return apply_unitary(reg, op, [q.atom_a, q.atom_b])
+    return apply_unitary(reg, op, q.atoms)
 
 
 def apply_pair_unitary(reg: QuantumRegister, q: LogicalQubit, op4: np.ndarray):
-    return apply_unitary(reg, op4, [q.atom_a, q.atom_b])
+    return apply_unitary(reg, op4, q.atoms)
 
 
 def apply_dephasing_channel(reg: QuantumRegister, q: LogicalQubit, phi: float,
@@ -216,9 +216,7 @@ def apply_dephasing_channel(reg: QuantumRegister, q: LogicalQubit, phi: float,
     """
     # D over the pair index atom_a + 2*atom_b: |1_L> = 1, |0_L> = 2
     d = np.exp(0.5j * phi * np.array([0.0, 1.0, -1.0, 0.0]))
-    if frame is None:
-        return apply_diagonal(reg, d, q.atoms)
-    return apply_unitary(reg, frame.conj().T @ (d[:, None] * frame), q.atoms)
+    return apply_diagonal(reg, d, q.atoms, frame)
 
 
 def _atoms(q_or_atoms) -> tuple:
@@ -282,10 +280,10 @@ def logical_basis_measurement(reg: QuantumRegister, q: LogicalQubit, basis: str,
     Z is the sequence sigma_x on atom_a; {P1,P2}; sigma_x on both; {P1,P2};
     sigma_x on atom_b.  Outcome pair (pi1,pi2) -> z+, (pi2,pi1) -> z-,
     (pi2,pi2) -> leak; (pi1,pi1) cannot occur on a valid state.  X and Y
-    run the same sequence in a changed frame, H_L and H_L S_L^dag.  Both
-    measurements, each with its own draw, run on one gather of the pair in
-    that frame, and the inverse change restores the post-measurement
-    eigenstate before the one scatter.  Leak outcomes propagate unchanged.
+    run the same sequence in a changed frame, H_L and H_L S_L^dag: each
+    measurement, with its own draw, projects through F^dag P F directly,
+    which leaves the post-measurement eigenstate in the register's own
+    basis.  Leak outcomes propagate unchanged.
 
     ``force`` may be one of the basis's labels ("z+", "x-", "leak", ...) to
     post-select the branch.
@@ -305,7 +303,7 @@ def logical_basis_measurement(reg: QuantumRegister, q: LogicalQubit, basis: str,
 
 def logical_support(reg: QuantumRegister, qubits) -> float:
     """Probability weight of the state inside the logical span of every pair."""
-    atoms = [a for q in qubits for a in q.atoms]
+    atoms = tuple(a for q in qubits for a in q.atoms)
     rows = row_table(reg.n_qubits, atoms).reshape((4,) * len(qubits) + (-1,))
     # one axis per pair; its indices IDX_1L = 1 and IDX_0L = 2 span the logical
     # space, so only those rows are read

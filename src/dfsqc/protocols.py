@@ -20,9 +20,9 @@ comes from the run's own stream ``run.rng``.
 
 A projection in a changed frame (the phase and yy Bell-subspace kinds, the
 logical X and Y measurements) is never conjugate, measure, unconjugate on
-the full register: it is one gather of the measured atoms' rows, the
-change, the collapse and the change back on that block, and one scatter
-(the ``frame`` of ``register.measure`` and ``register.measure_sequence``).
+the full register: it is (1 +- O)/2 with O = F^dag S F, a permutation with
+phases of the measured atoms' basis states (the ``frame`` of
+``register.measure`` and ``register.measure_sequence``).
 """
 
 from __future__ import annotations
@@ -281,11 +281,11 @@ def physical_cz(run: ProtocolRun, atom_i: int, atom_j: int):
             f"atoms ({atom_i}, {atom_j}) must be inside the cavity for a CZ"
         )
     if run.cavity is None:
-        apply_unitary(run.register, CZ2, [atom_i, atom_j])
+        apply_unitary(run.register, CZ2, (atom_i, atom_j))
     elif run.pulse is None:
         raise SchedulingError("a cavity CZ needs the probe pulse")
     else:
-        apply_diagonal(run.register, cz_diagonal(run.pulse, run.cavity), [atom_i, atom_j])
+        apply_diagonal(run.register, cz_diagonal(run.pulse, run.cavity), (atom_i, atom_j))
         amps = run.register.amplitudes
         run.register.amplitudes = amps / np.linalg.norm(amps)
     run.log("physical_cz", atoms=(atom_i, atom_j), mode=run.mode)
@@ -296,13 +296,15 @@ def _measure_pair(run: ProtocolRun, op: str, atoms, ps, force, frame=None):
     """Measure ``ps`` (in ``frame``) on the register, report the label and log it.
 
     With ``homodyne_error`` the reported label (never the state) is flipped
-    with the homodyne discrimination error probability, one extra draw.
+    with the homodyne discrimination error probability of the probe pulse,
+    one extra draw; a run without the pulse cannot measure.
     """
+    if run.homodyne_error and run.pulse is None:
+        raise SchedulingError("a homodyne label error needs the probe pulse")
     label, p, _ = measure(run.register, ps, run.rng, force=force, frame=frame)
     flipped = False
     if run.homodyne_error:
-        alpha = abs(run.pulse.alpha) if run.pulse is not None else 1.0
-        p_err = 0.5 * math.erfc(math.sqrt(2.0) * alpha)
+        p_err = 0.5 * math.erfc(math.sqrt(2.0) * abs(run.pulse.alpha))
         if run.rng.random() < p_err:
             label = [l for l in ps.outcome_labels if l != label][0]
             flipped = True
@@ -365,8 +367,8 @@ def logical_hadamard(run: ProtocolRun, sys_a, ancilla_b, force=None):
         run.log("abort", reason="leak during Hadamard input measurement")
         return "leak", qb
     if res.label == "x-":
-        apply_unitary(run.register, SX, [qb.atom_a])
-        apply_unitary(run.register, SX, [qb.atom_b])
+        apply_unitary(run.register, SX, (qb.atom_a,))
+        apply_unitary(run.register, SX, (qb.atom_b,))
         run.log("correction", target=qb.atoms, which="sx.sx", trigger="x-")
     return res.label, qb
 

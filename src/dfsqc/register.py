@@ -14,16 +14,20 @@ Conventions (fixed once, inherited by every other module):
   atom-numbering used throughout: atom 1 of a protocol diagram is qubit 0.
 * A matrix applied to ``targets=[q0, q1, ...]`` is indexed with
   ``targets[0]`` as the least significant bit of its row/column index.
-* Registers are value-like: operations replace ``amplitudes`` by a new
-  array and return the same object; use :meth:`QuantumRegister.copy` to branch.
-* Targets are addressed through one cached :func:`row_table`: an operation
-  gathers ``amps[rows]`` and, if it changes the state, scatters a new array.
+* Registers are value-like: operations never write into an amplitude
+  array, they replace ``amplitudes`` and return the same object; use
+  :meth:`QuantumRegister.copy` to branch.
+* Targets are addressed through one cached layout per ``(n_qubits,
+  targets)``: the :func:`row_table`, its inverse permutation and the target
+  sub-state of every basis state.
 
-Measurements: every projector the protocols measure is diagonal in the
-computational basis or in a frame F (a unitary on the targets), so a
-:class:`ProjectorSet` is an outcome table over the basis states of its
-targets, and ``measure`` sums the weights of the target sub-states (of
-``F @ rows`` in a frame) per outcome and keeps the rows of the chosen one.
+Operators: every gate and projection the protocols use is monomial (one
+unit-modulus entry per row and column: the logical Paulis, ``SX``, ``CZ2``,
+``rz``, the dephasing and every Bell/logical projection), so one kernel
+applies them, ``psi -> phase * psi.take(perm)``, with ``perm`` cached by
+structure, never by phase.  Any other unitary (``H_L``) takes the row table.
+A two-outcome :class:`ProjectorSet` in a frame F measures (1 +- O)/2 with
+O = F^dag diag(1 - 2*outcome) F, so p+- = |(psi +- O psi)/2|^2.
 
 Randomness: every sampled measurement consumes exactly one ``rng.random()``
 draw (outcomes ordered as in the ProjectorSet), so a fixed seed and a fixed
@@ -35,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,9 +100,9 @@ class QuantumRegister:
 
 @dataclass(frozen=True)
 class ProjectorSet:
-    """Projective measurement diagonal in the computational basis.
+    """Two-outcome projective measurement diagonal in the computational basis.
 
-    Stored as an outcome table: ``outcome_of[i]`` is the index into
+    Stored as an outcome table: ``outcome_of[i]`` is the index, 0 or 1, into
     ``outcome_labels`` of basis state ``i`` of ``targets`` (``targets[0]``
     is its least significant bit).  Outcome ``k`` projects onto the basis
     states with ``outcome_of[i] == k``, so the projectors are orthogonal
@@ -111,7 +116,9 @@ class ProjectorSet:
     def __post_init__(self):
         if len(self.outcome_of) != 2 ** len(self.targets):
             raise RegisterError("outcome table needs one entry per basis state of targets")
-        if sorted(set(self.outcome_of)) != list(range(len(self.outcome_labels))):
+        if len(self.outcome_labels) != 2:
+            raise RegisterError("a projector set has exactly two outcomes")
+        if sorted(set(self.outcome_of)) != [0, 1]:
             raise RegisterError("every outcome index must name a label and every "
                                 "label must own a basis state")
 
@@ -162,25 +169,24 @@ def random_state(n_qubits: int, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# targeted operations through a cached row table
+# targeted operations: monomial kernel and row table
 # ---------------------------------------------------------------------------
 
-ROW_TABLES = 64  # cached (n_qubits, targets) tables; shipped + golden configs use 23
+LAYOUTS = 64  # cached (n_qubits, targets) layouts; shipped + golden configs use 18
+KERNELS = 64  # full-length gathers, and projection involutions; they use 12 of each
 UNITARY_VERDICTS = 256  # matrices by content: the constant gates plus recent rz
 
 
-def row_table(n_qubits: int, targets) -> np.ndarray:
-    """Read-only ``(2**k, 2**(n-k))`` table of basis states by targets sub-state.
+class _Layout(NamedTuple):
+    """The basis states of a register grouped by the sub-state of its targets."""
 
-    Row ``s`` lists, in increasing order, the basis states whose ``targets``
-    sub-state (``targets[0]`` lowest) is ``s``, so ``amps[rows]`` is the
-    state as a ``2**k``-row matrix on the targets.
-    """
-    return _row_table(n_qubits, tuple(int(q) for q in targets))
+    rows: np.ndarray  # (2**k, 2**(n-k)); row s lists the states of sub-state s
+    inverse: np.ndarray  # position of each basis state in rows.ravel()
+    sub: np.ndarray  # target sub-state of each basis state
 
 
-@functools.lru_cache(maxsize=ROW_TABLES)
-def _row_table(n_qubits: int, targets: tuple) -> np.ndarray:
+@functools.lru_cache(maxsize=LAYOUTS)
+def _layout(n_qubits: int, targets: tuple) -> _Layout:
     if len(set(targets)) != len(targets):
         raise RegisterError(f"duplicate targets {list(targets)}")
     for q in targets:
@@ -190,65 +196,165 @@ def _row_table(n_qubits: int, targets: tuple) -> np.ndarray:
     sub = np.zeros_like(idx)
     for m, q in enumerate(targets):
         sub |= ((idx >> q) & 1) << m
-    rows = np.argsort(sub, kind="stable").reshape(2 ** len(targets), -1)
-    rows.flags.writeable = False
-    return rows
+    rows = np.argsort(sub, kind="stable")
+    inverse = np.empty_like(rows)
+    inverse[rows] = idx
+    layout = _Layout(rows.reshape(2 ** len(targets), -1), inverse, sub)
+    for table in layout:
+        table.flags.writeable = False
+    return layout
 
 
-def _scatter(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.empty(rows.size, dtype=complex)
-    out[rows] = values
-    return out
+def row_table(n_qubits: int, targets) -> np.ndarray:
+    """Read-only ``(2**k, 2**(n-k))`` table of basis states by targets sub-state.
+
+    Row ``s`` lists, in increasing order, the basis states whose ``targets``
+    sub-state (``targets[0]`` lowest) is ``s``, so ``amps[rows]`` is the
+    state as a ``2**k``-row matrix on the targets.
+    """
+    return _layout(n_qubits, tuple(targets)).rows
+
+
+@functools.lru_cache(maxsize=KERNELS)
+def _gather(n_qubits: int, targets: tuple, perm: tuple):
+    """Full-length gather of the target-space permutation ``perm``; None if identity.
+
+    Entry ``i`` is basis state ``i`` with its target sub-state ``s`` replaced
+    by ``perm[s]``.
+    """
+    if perm == tuple(range(len(perm))):
+        return None
+    layout = _layout(n_qubits, targets)
+    table = layout.rows[list(perm)].ravel().take(layout.inverse)
+    table.flags.writeable = False
+    return table
+
+
+def _monomial(m: np.ndarray, atol: float):
+    """``(perm, phase)`` with ``m[r, perm[r]] = phase[r]``, or None when another
+    entry of some row is farther than ``atol`` from zero."""
+    r = np.arange(len(m))
+    perm = np.abs(m).argmax(axis=1)
+    rest = m.copy()
+    rest[r, perm] = 0
+    if np.abs(rest).max() > atol:
+        return None
+    return tuple(perm.tolist()), m[r, perm]
+
+
+def _apply_monomial(reg: QuantumRegister, targets: tuple, perm: tuple, phase):
+    """psi -> phase * psi.take(perm): row ``s`` of the operator holds ``phase[s]``
+    in column ``perm[s]`` (``phase`` None: all ones).  The gather is cached by
+    structure; the phases are spread on every call."""
+    gather = _gather(reg.n_qubits, targets, perm)
+    amps = reg.amplitudes if gather is None else reg.amplitudes.take(gather)
+    if phase is not None:
+        amps = phase.take(_layout(reg.n_qubits, targets).sub) * amps
+    reg.amplitudes = amps
+    return reg
+
+
+def _apply_dense(reg: QuantumRegister, targets: tuple, matrix: np.ndarray):
+    """psi -> M psi: gather the row table, multiply, scatter through its inverse."""
+    layout = _layout(reg.n_qubits, targets)
+    values = matrix @ reg.amplitudes[layout.rows]
+    reg.amplitudes = values.ravel().take(layout.inverse)
+    return reg
 
 
 @functools.lru_cache(maxsize=UNITARY_VERDICTS)
-def _check_unitary(shape: tuple, data: bytes) -> None:
-    """Raise unless the matrix is unitary; only passing verdicts are cached."""
+def _check_unitary(shape: tuple, data: bytes):
+    """Raise unless the matrix is unitary.  Return ``(perm, phase)`` if it is
+    monomial with exact zeros elsewhere (``phase`` None when all ones), else
+    None.  Only passing verdicts are cached, by content."""
     u = np.frombuffer(data, dtype=complex).reshape(shape)
     if np.max(np.abs(u.conj().T @ u - np.eye(shape[0]))) > ATOL_UNITARY:
         raise RegisterError("matrix is not unitary within 1e-10")
+    parts = _monomial(u, 0.0)
+    if parts is None:
+        return None
+    perm, phase = parts
+    return perm, None if (phase == 1).all() else phase
 
 
-def _checked_unitary(unitary, dim: int) -> np.ndarray:
+def _checked_unitary(unitary, dim: int):
+    """The matrix as a complex array, and its :func:`_check_unitary` structure."""
     unitary = np.asarray(unitary, dtype=complex)
     if unitary.shape != (dim, dim):
         raise RegisterError(f"unitary shape {unitary.shape} != ({dim}, {dim})")
-    _check_unitary(unitary.shape, unitary.tobytes())
-    return unitary
+    return unitary, _check_unitary(unitary.shape, unitary.tobytes())
 
 
 def apply_unitary(reg: QuantumRegister, unitary: np.ndarray, targets) -> QuantumRegister:
-    """Apply a unitary on the listed qubits: psi -> U psi."""
-    rows = row_table(reg.n_qubits, targets)
-    unitary = _checked_unitary(unitary, rows.shape[0])
-    reg.amplitudes = _scatter(rows, unitary @ reg.amplitudes[rows])
-    return reg
+    """Apply a unitary on the listed qubits: psi -> U psi.
+
+    A monomial U takes the kernel, any other U the row table.
+    """
+    targets = tuple(targets)
+    dim = _layout(reg.n_qubits, targets).rows.shape[0]
+    unitary, monomial = _checked_unitary(unitary, dim)
+    if monomial is None:
+        return _apply_dense(reg, targets, unitary)
+    return _apply_monomial(reg, targets, *monomial)
 
 
-def apply_diagonal(reg: QuantumRegister, diagonal: np.ndarray, targets) -> QuantumRegister:
-    """psi -> D psi, D = diag(``diagonal``) on ``targets``; not renormalized."""
-    rows = row_table(reg.n_qubits, targets)
+def apply_diagonal(reg: QuantumRegister, diagonal: np.ndarray, targets,
+                   frame=None) -> QuantumRegister:
+    """psi -> D psi, D = diag(``diagonal``) on ``targets``; not renormalized.
+
+    ``frame``, a unitary F on ``targets``, applies F^dag D F instead, as a
+    dense product on the row table.  F gets the cached unitarity check; the
+    product, which changes with D, gets none and enters no cache.
+    """
+    targets = tuple(targets)
+    dim = _layout(reg.n_qubits, targets).rows.shape[0]
     diagonal = np.asarray(diagonal, dtype=complex)
-    if diagonal.shape != (rows.shape[0],):
-        raise RegisterError(f"diagonal shape {diagonal.shape} != ({rows.shape[0]},)")
-    reg.amplitudes = _scatter(rows, diagonal[:, None] * reg.amplitudes[rows])
-    return reg
+    if diagonal.shape != (dim,):
+        raise RegisterError(f"diagonal shape {diagonal.shape} != ({dim},)")
+    if frame is None:
+        return _apply_monomial(reg, targets, tuple(range(dim)), diagonal)
+    frame, _ = _checked_unitary(frame, dim)
+    return _apply_dense(reg, targets, frame.conj().T @ (diagonal[:, None] * frame))
+
+
+@functools.lru_cache(maxsize=KERNELS)
+def _involution(n_qubits: int, targets: tuple, outcome_of: tuple, frame):
+    """Full-length ``(gather, phase)`` of O = F^dag diag(sigma) F, sigma = 1 - 2*outcome_of.
+
+    ``frame`` is the bytes of a checked unitary F, or None for the identity.
+    O is Hermitian and unitary, so an involution; raises RegisterError
+    unless it is monomial.
+    """
+    sigma = 1.0 - 2.0 * np.array(outcome_of)
+    if frame is None:
+        perm, phase = tuple(range(sigma.size)), sigma.astype(complex)
+    else:
+        f = np.frombuffer(frame, dtype=complex).reshape(sigma.size, sigma.size)
+        parts = _monomial(f.conj().T @ (sigma[:, None] * f), ATOL_UNITARY)
+        if parts is None:
+            raise RegisterError("projection is not monomial in this frame")
+        perm, phase = parts
+        # snap to exact unit phases: 1, -1, i or -i where within 1e-10 of one
+        exact = np.round(phase.real) + 1j * np.round(phase.imag)
+        phase = np.where(np.abs(phase - exact) < ATOL_UNITARY, exact, phase / np.abs(phase))
+    gather = _gather(n_qubits, targets, perm)
+    phase = phase.take(_layout(n_qubits, targets).sub)
+    phase.flags.writeable = False
+    return gather, phase
 
 
 def measure(reg: QuantumRegister, ps: ProjectorSet, rng, force=None, frame=None):
-    """Projective measurement by the Born rule on a diagonal ProjectorSet.
+    """Projective measurement by the Born rule on a two-outcome ProjectorSet.
 
-    The outcome probabilities are the target sub-state weights summed per
-    outcome of the table; the collapse zeroes every basis state of the
-    other outcomes.  Returns ``(label, probability, register)``; the
-    register is updated to the renormalized post-measurement
-    state (non-destructive).  ``force`` selects a specific outcome label
-    (post-selection); it errors when that outcome has probability below
-    1e-14 and consumes no rng draw.
+    With S = diag(1 - 2*outcome_of) the outcomes project onto (1 + S)/2 and
+    (1 - S)/2.  Returns ``(label, probability, register)``; the register is
+    updated to the renormalized post-measurement state (non-destructive).
+    ``force`` selects a specific outcome label (post-selection); it errors
+    when that outcome has probability below 1e-14 and consumes no rng draw.
 
-    ``frame``, a unitary F on ``ps.targets``, measures F^dag P_k F instead:
-    the gathered rows are multiplied by F, collapsed and multiplied by
-    F^dag, so a changed basis still costs one gather and one scatter.
+    ``frame``, a unitary F on ``ps.targets``, measures F^dag P_k F instead,
+    through O = F^dag S F, which must be monomial: p = |(psi +- O psi)/2|^2,
+    and the kept state is (psi +- O psi)/(2 sqrt(p)).
     """
     ((label, p),) = measure_sequence(reg, (ps,), rng, (force,), frame)
     return label, p, reg
@@ -256,35 +362,24 @@ def measure(reg: QuantumRegister, ps: ProjectorSet, rng, force=None, frame=None)
 
 def measure_sequence(reg: QuantumRegister, sets, rng, forces, frame=None):
     """:func:`measure` of each of ``sets`` (one set of targets) in turn, each
-    with its own draw or ``forces`` entry, on one gather in ``frame``.
+    with its own draw or ``forces`` entry, all in ``frame``.
 
     Returns one ``(label, probability)`` per set.
     """
-    rows = row_table(reg.n_qubits, sets[0].targets)
-    x = reg.amplitudes[rows]
+    key = None
     if frame is not None:
-        frame = _checked_unitary(frame, rows.shape[0])
-        x = frame @ x
-    results, scale = [], None
-    for ps, force in zip(sets, forces):
-        if scale is not None:
-            x = x * scale[:, None]
-        label, p, scale = _collapse(x, ps, rng, force)
-        results.append((label, p))
-    if frame is None:
-        x = x * scale[:, None]
-    else:  # the last collapse rides on the way back: F^dag diag(scale)
-        x = (frame.conj().T * scale) @ x
-    reg.amplitudes = _scatter(rows, x)
-    return results
+        key = _checked_unitary(frame, len(sets[0].outcome_of))[0].tobytes()
+    return [_project(reg, ps, key, rng, force) for ps, force in zip(sets, forces)]
 
 
-def _collapse(x: np.ndarray, ps: ProjectorSet, rng, force):
-    """Born-rule outcome of ``ps`` on the gathered rows ``x``, with its row scale."""
-    weights = (np.abs(x) ** 2).sum(axis=1)
-    probs = np.bincount(ps.outcome_of, weights=weights,
-                        minlength=len(ps.outcome_labels)).clip(0.0, None)
-    total = probs.sum()
+def _project(reg: QuantumRegister, ps: ProjectorSet, frame, rng, force):
+    """Born-rule outcome of ``ps`` in the frame given as bytes, and the collapse."""
+    gather, phase = _involution(reg.n_qubits, ps.targets, ps.outcome_of, frame)
+    psi = reg.amplitudes
+    o = phase * (psi if gather is None else psi.take(gather))
+    branches = (psi + o, np.subtract(psi, o, out=o))  # 2 P psi per outcome
+    probs = [np.vdot(b, b).real / 4 for b in branches]
+    total = probs[0] + probs[1]
     if total < MIN_PROBABILITY:
         raise RegisterError("all outcome probabilities below 1e-14: invalid state")
 
@@ -293,15 +388,12 @@ def _collapse(x: np.ndarray, ps: ProjectorSet, rng, force):
         if probs[k] < MIN_PROBABILITY:
             raise RegisterError(f"forced outcome {force!r} has zero probability")
     else:
-        draw = as_generator(rng).random() * total
-        k = int(np.searchsorted(np.cumsum(probs), draw, side="right"))
-        k = min(k, len(probs) - 1)
+        k = int(as_generator(rng).random() * total >= probs[0])
 
-    p_k = probs[k]
-    # rows of outcome k scaled by 1/sqrt(p_k), all others zeroed; numpy
-    # divides a complex by a real through this same reciprocal
-    scale = np.where(np.asarray(ps.outcome_of) == k, 1.0 / math.sqrt(p_k), 0.0)
-    return ps.outcome_labels[k], float(p_k / total), scale
+    kept = branches[k]
+    kept *= 0.5 / math.sqrt(probs[k])
+    reg.amplitudes = kept
+    return ps.outcome_labels[k], float(probs[k] / total)
 
 
 def reduced_state(reg: QuantumRegister, keep) -> np.ndarray:

@@ -246,7 +246,7 @@ def _resource_run(c4: np.ndarray, seed: int):
 
 def _output_state(run: ProtocolRun) -> np.ndarray:
     ap, bp = run.layout["a_prime"], run.layout["b_prime"]
-    return reduced_state(run.register, [ap.atom_a, ap.atom_b, bp.atom_a, bp.atom_b])
+    return reduced_state(run.register, ap.atoms + bp.atoms)
 
 
 def _teleport_once(i: int, c4: np.ndarray, seed: int):
@@ -330,7 +330,7 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
                                       ("anc", "+L")], seed=trial_seeds[i])
             branch, out = logical_hadamard(run, "sys", "anc")
             target = H2 @ v
-            reduced = reduced_state(run.register, [out.atom_a, out.atom_b])
+            reduced = reduced_state(run.register, out.atoms)
             fid = fidelity(pair_ket((target[0], target[1])), reduced)
             return (i, branch, float(fid))
 
@@ -357,7 +357,7 @@ def run_leakage_demo(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
                                  seed=int(rng.integers(2**32)))
         verdict, _ = leakage_detect(run, "sys", "anc")
         if verdict == "clean":
-            reduced = reduced_state(run.register, [0, 1])
+            reduced = reduced_state(run.register, (0, 1))
             fid = fidelity(vec, reduced)
         else:
             fid = float("nan")

@@ -266,6 +266,15 @@ class TestProjectiveMeasurements:
             np.testing.assert_allclose(run.register.amplitudes, ket(post),
                                        atol=1e-12)
 
+    def test_homodyne_error_without_pulse_cannot_measure(self):
+        # the flip rate is set by the probe amplitude; there is no default one
+        run = ProtocolRun.create([("q", "3L")], seed=0, homodyne_error=True)
+        before = run.register.amplitudes.copy()
+        with pytest.raises(SchedulingError, match="probe pulse"):
+            measure_p12(run, 0, 1)
+        np.testing.assert_array_equal(run.register.amplitudes, before)
+        assert [e.op for e in run.record] == ["transport"]
+
     def test_homodyne_label_error_flips_label_only(self):
         run = ProtocolRun.create([("q", "3L")], seed=0,
                                  cavity=CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ),
@@ -864,6 +873,24 @@ class TestProjectionInChangedFrame:
                 assert ops.count("transport_dephasing") == 5
                 flips += any(e.detail.get("label_flip") for e in ref.record)
         assert flips > 0
+
+    def test_noisy_framed_projections_fill_no_cache(self):
+        # a framed dephasing is F^dag D F with a fresh D each time: it must
+        # neither take a unitarity verdict nor build a kernel of its own
+        from dfsqc import register
+
+        tn = TransportNoise(100e-6, NoiseSpectrum.band_limited_white(
+            tau_co=3e-5, cutoff=2 * math.pi * 4e3))
+        run = ProtocolRun.create([(("q1", "q2"), random_logical_state(2, 33))],
+                                 seed=33, transport_noise=tn)
+        caches = (register._check_unitary, register._layout, register._gather,
+                  register._involution)
+        bell_subspace_measurement(run, "q1", "q2", "phase")
+        misses = [c.cache_info().misses for c in caches]
+        for _ in range(50):
+            bell_subspace_measurement(run, "q1", "q2", "phase")
+        assert sum(e.op == "transport_dephasing" for e in run.record) >= 200
+        assert [c.cache_info().misses for c in caches] == misses
 
     def test_changed_frame_makes_no_full_register_apply(self, monkeypatch):
         from dfsqc import register

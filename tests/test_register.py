@@ -26,10 +26,20 @@ from dfsqc.register import (
     tensor,
     trace_distance,
 )
+from dfsqc import register
 from dfsqc.logical import (
+    HS_DAG_L,
+    H_L,
+    S_L,
+    X_L,
+    Y_L,
+    Z_L,
     LogicalQubit,
+    _z_sequence,
+    atom_a_parity_projectors,
     joint_ones_projectors,
     logical_support,
+    low_high,
     pair_ket,
     parity_projectors,
 )
@@ -213,6 +223,12 @@ class TestProjectorSet:
         with pytest.raises(RegisterError, match="label"):
             ProjectorSet((0, 1, 2, 0), ("a", "b"), (0, 1))  # 2 names no label
 
+    def test_rejects_any_but_two_outcomes(self):
+        with pytest.raises(RegisterError, match="two outcomes"):
+            ProjectorSet((0, 1, 2, 2), ("a", "b", "c"), (0, 1))
+        with pytest.raises(RegisterError, match="two outcomes"):
+            ProjectorSet((0, 0), ("a",), (0,))
+
 
 def _bits(n, q):
     """Value of qubit q in every basis state of n qubits."""
@@ -222,8 +238,8 @@ def _bits(n, q):
 def _dense_projectors(n, kind, a, b):
     """Full-register diagonal projectors, written out from their definitions."""
     ba, bb = _bits(n, a), _bits(n, b)
-    if kind == "ordered":  # a: |00>, b: a=1 and b=0, c: b=1
-        masks = [(ba == 0) & (bb == 0), (ba == 1) & (bb == 0), bb == 1]
+    if kind == "ordered":  # a: all but a=1 and b=0, which is b
+        masks = [(ba == 0) | (bb == 1)]
     elif kind == "joint_ones":  # P1 = |11><11|
         masks = [(ba == 1) & (bb == 1)]
     else:  # P3 = |00><00| + |11><11|
@@ -240,7 +256,7 @@ class TestMeasureAgainstDenseProjectors:
     # "ordered" is not symmetric in its two targets, so it pins targets[0]
     # as the lowest bit of the outcome table
     SETS = {"joint_ones": joint_ones_projectors, "parity": parity_projectors,
-            "ordered": lambda ab: ProjectorSet((0, 1, 2, 2), ("a", "b", "c"), ab)}
+            "ordered": lambda ab: ProjectorSet((0, 1, 0, 0), ("a", "b"), ab)}
 
     @pytest.mark.parametrize("kind", ["joint_ones", "parity", "ordered"])
     def test_every_forced_outcome(self, kind):
@@ -332,6 +348,125 @@ class TestRowTable:
             op(reg)
             np.testing.assert_array_equal(given, psi)
             np.testing.assert_array_equal(row_table(self.N, targets), table)
+
+
+def _kron_apply(psi, u, targets, n):
+    """U on ``targets`` as the Kronecker product I (x) U in a basis whose low
+    bits are the targets (``targets[0]`` lowest), mapped back afterwards.
+
+    Up to 6 qubits I (x) U is formed with ``np.kron``; beyond, it is applied
+    through the same identity, ``(I (x) U) x = (x.reshape(-1, 2**k) @ U.T).ravel()``.
+    """
+    k = len(targets)
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    moved = sum(_bits(n, q) << m for m, q in enumerate(order))
+    x = np.empty_like(psi)
+    x[moved] = psi
+    if n <= 6:
+        x = np.kron(np.eye(2 ** (n - k)), u) @ x
+    else:
+        x = (x.reshape(-1, 2**k) @ u.T).ravel()
+    return x[moved]
+
+
+def _kernel_matrix(n, gather, phase):
+    """The dense operator psi -> phase * psi.take(gather) on n qubits."""
+    m = np.zeros((2**n, 2**n), dtype=complex)
+    cols = np.arange(2**n) if gather is None else gather
+    m[np.arange(2**n), cols] = phase
+    return m
+
+
+class TestMonomialKernel:
+    """Paulis, CZ, phases and every projection take psi -> phase * psi.take(perm)."""
+
+    # "cycle" is no involution, so it pins the direction of the permutation
+    GATES = {"X_L": X_L, "Y_L": Y_L, "Z_L": Z_L, "SX": SX, "CZ2": CZ2, "S_L": S_L,
+             "rz": rz(0.37), "cycle": np.roll(np.eye(4), 1, axis=1) @ np.diag(
+                 np.exp(1j * np.arange(4)))}
+    ORDERS = {5: [(0, 1), (1, 0), (4, 2), (3, 0)], 12: [(0, 1), (11, 3), (5, 10), (7, 2)]}
+
+    @pytest.mark.parametrize("n", [5, 12])
+    @pytest.mark.parametrize("name", sorted(GATES))
+    def test_matches_kron_embedding(self, n, name):
+        u = self.GATES[name]
+        assert register._check_unitary(u.shape, u.tobytes()) is not None  # monomial
+        for seed, order in enumerate(self.ORDERS[n]):
+            targets = order[: u.shape[0].bit_length() - 1]
+            psi = random_state(n, 40 + seed)
+            reg = apply_unitary(QuantumRegister(n, psi.copy()), u, targets)
+            np.testing.assert_allclose(reg.amplitudes, _kron_apply(psi, u, targets, n),
+                                       rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_dense_unitary_matches_kron_embedding(self, n):
+        u = unitary_group.rvs(4, random_state=n)
+        assert register._check_unitary(u.shape, u.tobytes()) is None  # row table
+        for seed, targets in enumerate(self.ORDERS[n]):
+            psi = random_state(n, 50 + seed)
+            reg = apply_unitary(QuantumRegister(n, psi.copy()), u, targets)
+            np.testing.assert_allclose(reg.amplitudes, _kron_apply(psi, u, targets, n),
+                                       rtol=0, atol=1e-14)
+
+    def test_framed_diagonal_matches_kron_embedding(self):
+        d = np.exp(1j * np.array([0.0, 0.3, -0.3, 0.0]))
+        psi = random_state(5, 60)
+        reg = apply_diagonal(QuantumRegister(5, psi.copy()), d, (4, 2), frame=H_L)
+        want = _kron_apply(psi, H_L.conj().T @ np.diag(d) @ H_L, (4, 2), 5)
+        np.testing.assert_allclose(reg.amplitudes, want, rtol=0, atol=1e-15)
+
+    # every (table, frame) pair the protocols measure
+    PRODUCTION = [
+        ("joint_ones", joint_ones_projectors((0, 1)), None),
+        ("parity", parity_projectors((0, 1)), None),
+        *[(f"z_sequence[{i}]/{f}", ps, frame)
+          for f, frame in (("Z", None), ("X", H_L), ("Y", HS_DAG_L))
+          for i, ps in enumerate(_z_sequence(LogicalQubit(0, 1)))],
+        *[(f"atom_a_parity/{f}", atom_a_parity_projectors(LogicalQubit(0, 1),
+                                                          LogicalQubit(2, 3)),
+           low_high(frame, frame))
+          for f, frame in (("phase", H_L), ("yy", HS_DAG_L))],
+    ]
+
+    @pytest.mark.parametrize("ps, frame", [p[1:] for p in PRODUCTION],
+                             ids=[p[0] for p in PRODUCTION])
+    def test_production_projection_is_monomial_involution(self, ps, frame):
+        n = len(ps.targets)
+        key = None if frame is None else frame.tobytes()
+        o = _kernel_matrix(n, *register._involution(n, ps.targets, ps.outcome_of, key))
+        np.testing.assert_array_equal(o @ o, np.eye(2**n))
+        f = np.eye(2**n) if frame is None else frame
+        sigma = 1.0 - 2.0 * np.array(ps.outcome_of)
+        np.testing.assert_allclose(o, f.conj().T @ np.diag(sigma) @ f, rtol=0, atol=1e-15)
+        assert set(o[o != 0].tolist()) <= {1, -1, 1j, -1j}  # snapped exactly
+
+    def test_frame_without_monomial_projection_rejected(self):
+        psi = random_state(3, 70)
+        reg = QuantumRegister(3, psi.copy())
+        frame = unitary_group.rvs(4, random_state=70)
+        with pytest.raises(RegisterError, match="monomial"):
+            measure(reg, parity_projectors((2, 0)), None, force="pi3", frame=frame)
+        np.testing.assert_array_equal(reg.amplitudes, psi)
+
+    def test_frame_must_be_unitary_on_the_targets(self):
+        reg = QuantumRegister(3, random_state(3, 71))
+        with pytest.raises(RegisterError, match="shape"):
+            measure(reg, parity_projectors((2, 0)), None, frame=np.eye(2))
+        with pytest.raises(RegisterError, match="unitary"):
+            measure(reg, parity_projectors((2, 0)), None, frame=2 * np.eye(4))
+
+    def test_kernels_are_cached_by_structure_not_phase(self):
+        reg = QuantumRegister(5, random_state(5, 72))
+        apply_unitary(reg, rz(0.1), (3,))
+        apply_unitary(reg, X_L, (4, 1))
+        caches = (register._gather, register._layout)
+        misses = [c.cache_info().misses for c in caches]
+        rng = np.random.default_rng(72)
+        for alpha in rng.normal(size=20):
+            apply_unitary(reg, rz(alpha), (3,))
+            apply_unitary(reg, X_L @ Z_L * np.exp(1j * alpha), (4, 1))
+        assert [c.cache_info().misses for c in caches] == misses
+        assert abs(np.linalg.norm(reg.amplitudes) - 1.0) < 1e-14
 
 
 def _dense_partial_trace(psi, n, keep):
