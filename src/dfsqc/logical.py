@@ -16,6 +16,7 @@ significant bit (apply with ``targets=[atom_a, atom_b]``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .register import (
+    LAYOUTS,
     SZ,
     ProjectorSet,
     QuantumRegister,
@@ -301,11 +303,19 @@ def logical_basis_measurement(reg: QuantumRegister, q: LogicalQubit, basis: str,
     return LogicalMeasurement(labels[_Z_LABELS[pair]], reg, pair, p1 * p2)
 
 
+@functools.lru_cache(maxsize=LAYOUTS)
+def _logical_rows(n_qubits: int, atoms: tuple) -> np.ndarray:
+    """Basis states inside the logical span of every pair of ``atoms``."""
+    n_pairs = len(atoms) // 2
+    rows = row_table(n_qubits, atoms).reshape((4,) * n_pairs + (-1,))
+    # one axis per pair; its indices IDX_1L = 1 and IDX_0L = 2 span the logical space
+    inside = rows[(slice(IDX_1L, IDX_0L + 1),) * n_pairs].ravel()
+    inside.flags.writeable = False
+    return inside
+
+
 def logical_support(reg: QuantumRegister, qubits) -> float:
     """Probability weight of the state inside the logical span of every pair."""
     atoms = tuple(a for q in qubits for a in q.atoms)
-    rows = row_table(reg.n_qubits, atoms).reshape((4,) * len(qubits) + (-1,))
-    # one axis per pair; its indices IDX_1L = 1 and IDX_0L = 2 span the logical
-    # space, so only those rows are read
-    inside = reg.amplitudes[rows[(slice(IDX_1L, IDX_0L + 1),) * len(qubits)]].ravel()
+    inside = reg.amplitudes.take(_logical_rows(reg.n_qubits, atoms))
     return float(np.vdot(inside, inside).real)

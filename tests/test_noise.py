@@ -22,7 +22,8 @@ from dfsqc.noise import (
     transport_phase_std,
     transported_power,
 )
-from dfsqc.noise import _component_grid
+from dfsqc import noise
+from dfsqc.noise import TWO_PI, _component_grid, _sincos_turns
 from dfsqc.scenarios import narrow_line_spectrum
 
 Q = LogicalQubit(0, 1)
@@ -226,8 +227,9 @@ class TestEchoVariance:
 def _longdouble_variances(seq, spectrum, n_realizations, seed, n_components=512):
     """Echo and free variances from the segment-difference sums, in longdouble.
 
-    Same draws as one chunk of ``monte_carlo_dephasing``; the extended
-    precision absorbs the sin(w t1 + th) - sin(w t0 + th) cancellation.
+    Same draws as ``monte_carlo_dephasing``, whatever its chunking; the
+    extended precision absorbs the sin(w t1 + th) - sin(w t0 + th)
+    cancellation.
     """
     ld = np.longdouble
     freqs, amps = (np.asarray(a, dtype=ld) for a in _component_grid(spectrum, n_components))
@@ -265,6 +267,20 @@ class TestMonteCarloSums:
         fresh.uniform(0.0, 2 * math.pi, size=(904, 512))
         assert gen.random() == fresh.random()
 
+    def test_turn_draws_are_the_uniform_draws(self):
+        # monte_carlo_dephasing draws turns; the angles are the same numbers
+        angles = np.random.default_rng(611).uniform(0.0, TWO_PI, size=(300, 512))
+        turns = np.random.default_rng(611).random(size=(300, 512))
+        assert np.array_equal(angles, TWO_PI * turns)
+
+    def test_stats_do_not_depend_on_chunk(self, monkeypatch):
+        s = default_spectrum()
+        seq = EchoSequence(0.05 / s.cutoff, 2)
+        monkeypatch.setattr(noise, "MC_CHUNK", 64)
+        a = monte_carlo_dephasing(seq, s, 1000, 3)
+        monkeypatch.setattr(noise, "MC_CHUNK", 100)
+        assert monte_carlo_dephasing(seq, s, 1000, 3) == a
+
     def test_free_phase_depends_only_on_record_length(self):
         # both sequences integrate the same noise record over 4 dt
         s = default_spectrum()
@@ -272,6 +288,21 @@ class TestMonteCarloSums:
         two = monte_carlo_dephasing(EchoSequence(dt, 2), s, 1000, 5)
         one = monte_carlo_dephasing(EchoSequence(2 * dt, 1), s, 1000, 5)
         assert two.var_free == pytest.approx(one.var_free, rel=1e-13, abs=0)
+
+
+class TestSincosTurns:
+    def test_matches_libm(self):
+        k = np.random.default_rng(5).integers(1, 4096, size=200)
+        u = np.concatenate([np.random.default_rng(2026).random(10**6),
+                            [0.0, 2.0**-53, 1.0 - 2.0**-53],
+                            k / 4096, k / 4096 - 2.0**-53])
+        cos_u, sin_u = _sincos_turns(u)
+        assert np.abs(cos_u - np.cos(TWO_PI * u)).max() <= 2e-15
+        assert np.abs(sin_u - np.sin(TWO_PI * u)).max() <= 2e-15
+        # extended precision, so the squares add no rounding of their own
+        ld = np.longdouble
+        norm = cos_u.astype(ld) ** 2 + sin_u.astype(ld) ** 2
+        assert np.abs(norm - 1).max() <= 4e-16
 
 
 class TestTransportSpectrum:
