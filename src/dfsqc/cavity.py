@@ -22,12 +22,14 @@ chirp-z method (Bluestein), O(N log N) on FFTs.  The spectral moments
 <f, r f> and <rf, rf> of a pulse are memoized in its grids, keyed on the
 exact floats (kappa, gamma, G^2) that fix r(w); they do not depend on the
 amplitude alpha, so every ``with_alpha`` copy shares them, and a sweep makes
-one reflection pass per distinct coupling.  The CZ fidelity follows
-the conditional-state convention: branch amplitudes keep the photon-loss
-conditioning factors and the global output state is normalized at the end.
-:func:`cz_diagonal` is the same reflection as a diagonal map on the two
-addressed atoms, the lossy CZ a protocol run applies; its only cache is
-the pulse's moment memo.
+one reflection pass per distinct coupling.  A reflection is nothing but
+these moments: :func:`cz_output_state` gives the pair (O, E) of each
+logical CZ component, the conditional phase is arg O and the photon loss
+1 - E.  The CZ fidelity follows the conditional-state convention: branch
+amplitudes keep the photon-loss conditioning factors and the global output
+state is normalized at the end.  :func:`cz_diagonal` is the same
+reflection as a diagonal map on the two addressed atoms, the lossy CZ a
+protocol run applies; its only cache is the pulse's moment memo.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -167,7 +169,6 @@ class PulseSpec:
     alpha: complex = 1.0
     kind: str = "coherent"
     shape: Callable[[np.ndarray], np.ndarray] | None = None
-    _normalize: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         if self.T <= 0:
@@ -178,7 +179,7 @@ class PulseSpec:
 
     @classmethod
     def gaussian(cls, T: float, alpha: complex = 1.0, kind: str = "coherent"):
-        return cls(T, alpha, kind, _default_gaussian(T), _normalize=True)
+        return cls(T, alpha, kind)
 
     @property
     def mean_photon_number(self) -> float:
@@ -197,7 +198,7 @@ class PulseSpec:
         fn = self.shape if self.shape is not None else _default_gaussian(self.T)
         f = np.asarray(fn(t), dtype=complex)
         norm = float(np.sum(np.abs(f) ** 2) * dt)
-        if self._normalize or self.shape is None:
+        if self.shape is None:
             f = f / math.sqrt(norm)
         elif abs(norm - 1.0) > SHAPE_ATOL:
             raise CavityModelError(
@@ -219,8 +220,7 @@ class PulseSpec:
         ft = _chirp_z(f, t[0], dt, w[0], dw, N_FREQ, +1.0) * dt
         norm_w = float(np.sum(np.abs(ft) ** 2) * dw / (2 * math.pi))
         self._grids = {"t": t, "dt": dt, "f": f, "w": w, "dw": dw,
-                       "ft": ft, "norm_w": norm_w, "sigma_w": sigma,
-                       "moments": {}}
+                       "ft": ft, "norm_w": norm_w, "moments": {}}
 
     @property
     def grids(self) -> dict:
@@ -312,28 +312,6 @@ def propagate_pulse(ps: PulseSpec, p: CavityParams) -> ReflectionResult:
 # logical CZ through one reflection
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CzComponent:
-    """Per-logical-component reflection data for the CZ analysis.
-
-    For logical component (m, n) the number of coupled atoms is
-    (m == 0) + (n == 0): atom 1 and atom 3 couple through their |0> level,
-    and the (1, 1) component sees the bare cavity.  ``theta`` is the
-    conditional phase (matched-filter phase of the reflected mode),
-    ``ideal_overlap`` is <f_ideal, r f_in> with f_ideal = -f_in for (1,1)
-    and +f_in otherwise.
-    """
-
-    m: int
-    n: int
-    n_coupled: int
-    amp_ratio: complex
-    eta: float
-    theta: float
-    ideal_overlap: complex
-    energy_ratio: float
-
-
 def _as_weights(eps) -> dict:
     if eps is None:
         return {c: 0.25 for c in COMPONENTS}
@@ -349,26 +327,17 @@ def _as_weights(eps) -> dict:
 
 
 def cz_output_state(ps: PulseSpec, p: CavityParams) -> dict:
-    """Reflection data for each logical component (m, n) of the CZ input.
+    """The moments (O, E) of each logical component (m, n) of the CZ input.
 
-    The data do not depend on the atomic amplitudes, which only weight the
-    components.
+    Component (m, n) couples (m == 0) + (n == 0) atoms: atom 1 and atom 3
+    couple through their |0> level, and (1, 1) sees the bare cavity.  Its
+    conditional phase is arg O.  The moments do not depend on the atomic
+    amplitudes, which only weight the components.
     """
     if ps.kind != "odd_cat":
         raise CavityModelError("the CZ probe pulse must be an odd cat")
-    out = {}
-    for (m, n) in COMPONENTS:
-        nc = (m == 0) + (n == 0)
-        O, E = _spectral_moments(ps, p, nc)
-        s = -1.0 if (m, n) == (1, 1) else 1.0
-        theta = cmath.phase(O)
-        amp_ratio = math.sqrt(max(E, 0.0)) * cmath.exp(1j * theta)
-        out[(m, n)] = CzComponent(
-            m=m, n=n, n_coupled=nc, amp_ratio=amp_ratio,
-            eta=min(max(1.0 - E, 0.0), 1.0), theta=theta,
-            ideal_overlap=s * O, energy_ratio=E,
-        )
-    return out
+    return {(m, n): _spectral_moments(ps, p, (m == 0) + (n == 0))
+            for (m, n) in COMPONENTS}
 
 
 def _branch_overlap(x: float, otil: complex) -> complex:
@@ -397,13 +366,13 @@ def cz_diagonal(ps: PulseSpec, p: CavityParams) -> np.ndarray:
     values (m, n).
 
     Magnitude is the cat-branch norm conditioned on no spontaneous emission,
-    phase the conditional reflection phase theta.  Tends to the exact CZ as
+    phase the conditional reflection phase arg O.  Tends to the exact CZ as
     g -> inf, gamma -> 0.
     """
     x = ps.mean_photon_number
     out = np.zeros(4, dtype=complex)
-    for (m, n), comp in cz_output_state(ps, p).items():
-        out[m + 2 * n] = math.sqrt(_branch_norm_sq(x, comp.energy_ratio)) * np.exp(1j * comp.theta)
+    for (m, n), (O, E) in cz_output_state(ps, p).items():
+        out[m + 2 * n] = math.sqrt(_branch_norm_sq(x, E)) * np.exp(1j * cmath.phase(O))
     return out
 
 
@@ -413,6 +382,7 @@ def cz_gate_fidelity(eps, ps: PulseSpec, p: CavityParams) -> float:
     F = |<Psi_ideal|Psi_out>|^2 with the output state conditioned on no
     spontaneous-emission loss and globally renormalized.  The ideal output
     carries the input cat with mode -f_in on the (1,1) component and +f_in
+    elsewhere, so its overlap with the reflected mode is -O there and O
     elsewhere.  Multimode coherent overlaps reduce the four +/- cat cross
     terms to sinh ratios per component.
     """
@@ -422,8 +392,9 @@ def cz_gate_fidelity(eps, ps: PulseSpec, p: CavityParams) -> float:
     num = 0.0 + 0j
     den = 0.0
     for c, w in weights.items():
-        num += w * _branch_overlap(x, comps[c].ideal_overlap)
-        den += w * _branch_norm_sq(x, comps[c].energy_ratio)
+        O, E = comps[c]
+        num += w * _branch_overlap(x, -O if c == (1, 1) else O)
+        den += w * _branch_norm_sq(x, E)
     if den <= 0:
         return 0.0
     fid = float(abs(num) ** 2 / den)
@@ -432,9 +403,10 @@ def cz_gate_fidelity(eps, ps: PulseSpec, p: CavityParams) -> float:
     return min(fid, 1.0)
 
 
-def fidelity_sweep(values, ps: PulseSpec, p: CavityParams, vary: str = "nbar",
-                   eps=None) -> np.ndarray:
-    """Rows (x, F) over a grid of mean photon number or coupling ratio."""
+def fidelity_sweep(values, ps: PulseSpec, p: CavityParams,
+                   vary: str = "nbar") -> np.ndarray:
+    """Rows (x, F) of the uniform-weight CZ input over a grid of mean photon
+    number or coupling ratio."""
     values = np.asarray(list(values), dtype=float)
     if values.size == 0:
         raise CavityModelError("sweep grid must not be empty")
@@ -443,9 +415,9 @@ def fidelity_sweep(values, ps: PulseSpec, p: CavityParams, vary: str = "nbar",
         if vary == "nbar":
             if x < 0:
                 raise CavityModelError("mean photon number must be >= 0")
-            rows.append((x, cz_gate_fidelity(eps, ps.with_alpha(math.sqrt(x)), p)))
+            rows.append((x, cz_gate_fidelity(None, ps.with_alpha(math.sqrt(x)), p)))
         elif vary == "g_ratio":
-            rows.append((x, cz_gate_fidelity(eps, ps, p.scaled_g(x))))
+            rows.append((x, cz_gate_fidelity(None, ps, p.scaled_g(x))))
         else:
             raise CavityModelError(f"unknown sweep variable {vary!r}")
     return np.array(rows)

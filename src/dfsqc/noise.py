@@ -26,17 +26,19 @@ constant is fixed by matching free evolution, where |W(w)|^2 =
 
 Transport noise: moving the atom pair with separation time tau_T filters
 the spectrum through sin^2(w tau_T/2) and smears it with a Gaussian kernel
-of width 4/tau_T (motion through the spatially correlated field).  The
-differential dephasing power is referred symmetrically to the two atoms
-(factor 1/2), so a narrow noise line at w0 << 1/tau_T is suppressed by
-sin^2(w0 tau_T/2)/2 -> (tau_T w0)^2/8.
+of width 4/tau_T (motion through the spatially correlated field).  A
+frozen :class:`TransportNoise` integrates the transported power once, when
+it is built; every transport of a run lasts its tau_T and reads that
+power.  The differential dephasing power is referred symmetrically to the
+two atoms (factor 1/2), so a narrow noise line at w0 << 1/tau_T is
+suppressed by sin^2(w0 tau_T/2)/2 -> (tau_T w0)^2/8.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -45,9 +47,11 @@ from .register import as_generator
 
 TWO_PI = 2.0 * math.pi
 LORENTZIAN_BAND_FACTOR = 200.0  # hard synthesis cutoff, keeps 99.7% of power
-# realizations per block, so the (64, n_components) arrays stay in cache; it
+MC_COMPONENTS = 512  # cosine components per Monte Carlo noise realization
+# realizations per block, so the (64, MC_COMPONENTS) arrays stay in cache; it
 # sets the BLAS summation order (the last bits of the variances), not the draws
 MC_CHUNK = 64
+BAND_GRID = 65536  # midpoint samples of the one-sided band in band integrals
 SINCOS_TABLE = 4096  # entries per turn of the sincos table
 _TABLE_STEP = TWO_PI / SINCOS_TABLE
 _COS_TABLE = np.cos(np.arange(SINCOS_TABLE) * _TABLE_STEP)
@@ -58,7 +62,7 @@ class NoiseModelError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseSpectrum:
     """Two-sided dephasing spectrum S(w) >= 0 with int S dw = total_power.
 
@@ -156,16 +160,27 @@ def _power_from(total_power, tau_co):
     return float(total_power)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransportNoise:
-    """Dephasing accrued while shuttling atoms, separation time tau_T."""
+    """Dephasing accrued while shuttling atoms; each transport lasts tau_T.
+
+    ``power`` is the total power of the transport-filtered spectrum,
+    int S_tT(w) dw, integrated once when the model is built.  S_tT(w) =
+    int S(w - v) sin^2((w - v) tau_T/2) K(v) dv with K a normalized
+    Gaussian of standard deviation 4/tau_T.  Integrating over all
+    frequencies collapses the kernel exactly, leaving
+    int S(u) sin^2(u tau_T/2) du.
+    """
 
     tau_T: float
     base: NoiseSpectrum
+    power: float = field(init=False)
 
     def __post_init__(self):
         if self.tau_T <= 0:
             raise NoiseModelError("separation time must be positive")
+        power = _band_integral(self.base, lambda w: np.sin(w * self.tau_T / 2.0) ** 2)
+        object.__setattr__(self, "power", power)
 
 
 @dataclass
@@ -239,11 +254,11 @@ def _free_filter_sq(omega: np.ndarray, total_time: float) -> np.ndarray:
     return np.where(w == 0.0, total_time**2, val)
 
 
-def _band_integral(spectrum: NoiseSpectrum, weight, n_grid: int = 65536) -> float:
+def _band_integral(spectrum: NoiseSpectrum, weight) -> float:
     """int S(w) weight(w) dw over the two-sided band (midpoint rule)."""
     band = spectrum.band()
-    dw = band / n_grid
-    w = (np.arange(n_grid) + 0.5) * dw
+    dw = band / BAND_GRID
+    w = (np.arange(BAND_GRID) + 0.5) * dw
     return 2.0 * float(np.sum(spectrum.psd(w) * weight(w)) * dw)
 
 
@@ -298,8 +313,7 @@ def _sincos_turns(u: np.ndarray):
 
 
 def monte_carlo_dephasing(seq: EchoSequence, spectrum: NoiseSpectrum,
-                          n_realizations: int, rng,
-                          n_components: int = 512) -> DephasingStats:
+                          n_realizations: int, rng) -> DephasingStats:
     """Sample echo and free phase variances over noise realizations.
 
     Per realization the echo phase is sum over cycles of (integral of eps
@@ -323,7 +337,7 @@ def monte_carlo_dephasing(seq: EchoSequence, spectrum: NoiseSpectrum,
     if n_realizations < 100:
         raise NoiseModelError("need at least 100 realizations")
     gen = as_generator(rng)
-    freqs, amps = _component_grid(spectrum, n_components)
+    freqs, amps = _component_grid(spectrum, MC_COMPONENTS)
     centers = np.multiply.outer(freqs, (2 * np.arange(seq.n_cycles) + 1) * seq.dt)
     echo_amp = 4.0 * amps * np.sin(freqs * seq.dt / 2.0) ** 2 / freqs
     half_t = freqs * seq.total_time / 2.0
@@ -351,17 +365,6 @@ def monte_carlo_dephasing(seq: EchoSequence, spectrum: NoiseSpectrum,
 # transport noise
 # ---------------------------------------------------------------------------
 
-def transported_power(tn: TransportNoise) -> float:
-    """Total power of the transport-filtered spectrum, int S_tT(w) dw.
-
-    S_tT(w) = int S(w - v) sin^2((w - v) tau_T/2) K(v) dv with K a
-    normalized Gaussian of standard deviation 4/tau_T.  Integrating over
-    all frequencies collapses the kernel exactly, leaving
-    int S(u) sin^2(u tau_T/2) du.
-    """
-    return _band_integral(tn.base, lambda w: np.sin(w * tn.tau_T / 2.0) ** 2)
-
-
 def suppression_factor(tn: TransportNoise) -> float:
     """Transported-to-stored dephasing power ratio, referred to one atom.
 
@@ -371,10 +374,9 @@ def suppression_factor(tn: TransportNoise) -> float:
     """
     if tn.base.total_power == 0.0:
         return 0.0
-    return 0.5 * transported_power(tn) / tn.base.total_power
+    return 0.5 * tn.power / tn.base.total_power
 
 
-def transport_phase_std(tn: TransportNoise, duration: float | None = None) -> float:
-    """Std of the differential phase accrued over one transport event."""
-    tau = tn.tau_T if duration is None else duration
-    return tau * math.sqrt(transported_power(tn))
+def transport_phase_std(tn: TransportNoise) -> float:
+    """Std of the differential phase accrued over one transport of tau_T."""
+    return tn.tau_T * math.sqrt(tn.power)

@@ -6,9 +6,9 @@ inside), an append-only outcome record and the error models it holds.  A
 run is noisy exactly when it holds one, and each model acts on its own:
 with a cavity (and its probe pulse) the physical CZ is the lossy
 reflection map ``cavity.cz_diagonal``, with transport noise every
-transport dephases the qubits it moves, and with the homodyne error a
-reported label may flip.  A run that holds none has the exact CZ and pure
-Born-rule projections.
+transport lasts the model's tau_T and dephases the qubits it moves, and
+with the homodyne error a reported label may flip.  A run that holds
+none has the exact CZ and pure Born-rule projections.
 
 Measurement-based gates follow the standard pattern: entangle with a
 prepared ancilla through one physical CZ, measure, correct.  The +L
@@ -71,7 +71,7 @@ class SchedulingError(RuntimeError):
     """Cavity occupancy or sequencing constraint violated."""
 
 
-DEFAULT_TRANSPORT_TIME = 100e-6  # seconds
+DEFAULT_TRANSPORT_TIME = 100e-6  # seconds, logged for a run without transport noise
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,6 @@ class TransportStep:
 
     atoms_in: tuple = ()
     atoms_out: tuple = ()
-    duration: float = DEFAULT_TRANSPORT_TIME
 
 
 class BasisChange(NamedTuple):
@@ -222,9 +221,10 @@ class ProtocolRun:
 def transport(run: ProtocolRun, step: TransportStep, frame=None):
     """Move atoms; with transport noise each touched logical qubit dephases.
 
-    The differential phase per qubit is Gaussian with variance
-    duration^2 * int S_tT(w) dw (slow-noise phase accumulation over the
-    shuttling window).  One normal draw per touched qubit, in layout order.
+    A transport lasts the noise model's tau_T (``DEFAULT_TRANSPORT_TIME``
+    without one).  The differential phase per qubit is Gaussian with
+    variance tau_T^2 * int S_tT(w) dw (slow-noise phase accumulation over
+    the shuttling window).  One normal draw per touched qubit, in layout order.
     Inside a projection in a :class:`PairFrame`, its two qubits' phases act
     in its changed basis.
     """
@@ -237,14 +237,13 @@ def transport(run: ProtocolRun, step: TransportStep, frame=None):
     if missing:
         raise SchedulingError(f"atoms {sorted(missing)} are not inside the cavity")
     run.in_cavity = occupied
-    run.log("transport", moved_in=step.atoms_in, moved_out=step.atoms_out,
-            duration=step.duration)
-
     tn = run.transport_noise
+    run.log("transport", moved_in=step.atoms_in, moved_out=step.atoms_out,
+            duration=DEFAULT_TRANSPORT_TIME if tn is None else tn.tau_T)
     if tn is None:
         return run
     moved = set(step.atoms_in) | set(step.atoms_out)
-    std = transport_phase_std(tn, step.duration)
+    std = transport_phase_std(tn)
     for name in run.layout:
         q = run.layout[name]
         if moved & set(q.atoms):
@@ -261,9 +260,7 @@ def _ensure_in_cavity(run: ProtocolRun, atoms):
         return
     out = tuple(sorted(run.in_cavity - atoms))
     into = tuple(sorted(atoms - run.in_cavity))
-    duration = (run.transport_noise.tau_T if run.transport_noise is not None
-                else DEFAULT_TRANSPORT_TIME)
-    transport(run, TransportStep(into, out, duration))
+    transport(run, TransportStep(into, out))
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +289,21 @@ def physical_cz(run: ProtocolRun, atom_i: int, atom_j: int):
     return run
 
 
+def _require_probe(run: ProtocolRun):
+    """A run with the homodyne error cannot measure without the probe pulse
+    that sets its flip rate."""
+    if run.homodyne_error and run.pulse is None:
+        raise SchedulingError("a homodyne label error needs the probe pulse")
+
+
 def _measure_pair(run: ProtocolRun, op: str, atoms, ps, force, frame=None):
     """Measure ``ps`` (in ``frame``) on the register, report the label and log it.
 
     With ``homodyne_error`` the reported label (never the state) is flipped
     with the homodyne discrimination error probability of the probe pulse,
-    one extra draw; a run without the pulse cannot measure.
+    one extra draw.
     """
-    if run.homodyne_error and run.pulse is None:
-        raise SchedulingError("a homodyne label error needs the probe pulse")
+    _require_probe(run)
     label, p, _ = measure(run.register, ps, run.rng, force=force, frame=frame)
     flipped = False
     if run.homodyne_error:
@@ -360,6 +363,7 @@ def logical_hadamard(run: ProtocolRun, sys_a, ancilla_b, force=None):
     _ensure_in_cavity(run, (qa.atom_a, qb.atom_a))
     physical_cz(run, qa.atom_a, qb.atom_a)
     _ensure_in_cavity(run, qa.atoms)  # the x measurement reflects off both atoms
+    _require_probe(run)
     res = logical_basis_measurement(run.register, qa, "X", run.rng, force=force)
     run.log("measure_logical_x", atoms=qa.atoms, outcome=res.label,
             p=res.probability)

@@ -1,6 +1,7 @@
 """Noise components, filter functions, transport spectrum, dephasing channel."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from dfsqc.noise import (
     monte_carlo_dephasing,
     suppression_factor,
     transport_phase_std,
-    transported_power,
 )
 from dfsqc import noise
 from dfsqc.noise import TWO_PI, _component_grid, _sincos_turns
@@ -180,7 +180,7 @@ class TestEchoVariance:
     def test_multi_cycle_sequence(self):
         s = default_spectrum()
         seq = EchoSequence(0.05 / s.cutoff, n_cycles=4)
-        stats = monte_carlo_dephasing(seq, s, 2000, 5, n_components=256)
+        stats = monte_carlo_dephasing(seq, s, 2000, 5)
         ve = echo_variance_analytic(seq, s)
         assert abs(stats.var_echo - ve) <= 5 * stats.stderr_echo
 
@@ -325,7 +325,7 @@ class TestTransportSpectrum:
         sd = 4.0 / tn.tau_T
         w = np.linspace(-tn.base.band() - 10 * sd, tn.base.band() + 10 * sd, 3001)
         integral = np.trapezoid(transport_spectrum(w, tn), w)
-        assert integral == pytest.approx(transported_power(tn), rel=1e-6)
+        assert integral == pytest.approx(tn.power, rel=1e-6)
 
     def test_narrow_line_low_frequency_suppression(self):
         tau = 100e-6
@@ -345,9 +345,23 @@ class TestTransportSpectrum:
         assert suppression_factor(tn) > 0.1
 
     def test_phase_std_scaling(self):
+        # std = tau_T sqrt(power), the power against a quad of the collapsed
+        # integral int S(u) sin^2(u tau_T/2) du
+        for tau in (100e-6, 200e-6):
+            tn = TransportNoise(tau, default_spectrum())
+            band = tn.base.band()
+            power, _ = quad(lambda u: float(tn.base.psd(u)) * math.sin(u * tau / 2) ** 2,
+                            -band, band, limit=200)
+            assert tn.power == pytest.approx(power, rel=1e-6)
+            assert transport_phase_std(tn) == tau * math.sqrt(tn.power)
+
+    def test_model_is_frozen(self):
         tn = TransportNoise(100e-6, default_spectrum())
-        base = transport_phase_std(tn)
-        assert transport_phase_std(tn, 2 * tn.tau_T) == pytest.approx(2 * base)
+        for name, value in (("tau_T", 50e-6), ("base", default_spectrum()), ("power", 0.0)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(tn, name, value)
+        with pytest.raises(FrozenInstanceError):
+            tn.base.total_power = 0.0
 
 
 class TestDephasingChannel:

@@ -328,6 +328,46 @@ class TestTransportScheduling:
         ops = [e.op for e in run.record]
         assert "transport_dephasing" in ops
 
+    def test_every_transport_lasts_tau_T(self):
+        # the Hadamard's transports and those inside measure_p34 alike
+        tn = TransportNoise(50e-6, NoiseSpectrum.band_limited_white(
+            tau_co=5e-3, cutoff=2 * math.pi * 30))
+        run = ProtocolRun.create([("sys", "+L"), ("anc", "+L"), ("q", "0L")],
+                                 seed=12, transport_noise=tn)
+        logical_hadamard(run, "sys", "anc", force="x+")
+        n_hadamard = sum(e.op == "transport" for e in run.record)
+        measure_p34(run, run.qubit("anc").atom_a, run.qubit("q").atom_a, force="pi3")
+        durations = [e.detail["duration"] for e in run.record if e.op == "transport"]
+        assert n_hadamard >= 2 and len(durations) == n_hadamard + 2
+        assert set(durations) == {5e-05}
+        assert "duration=5e-05" in run.record[0].line()
+        # forced outcomes draw nothing: every draw is one transport phase
+        phis = [e.detail["phi"] for e in run.record if e.op == "transport_dephasing"]
+        replay = np.random.default_rng(12)
+        std = tn.tau_T * math.sqrt(tn.power)
+        assert len(phis) >= 4
+        assert phis == [replay.normal(0.0, std) for _ in phis]
+
+    def test_transport_power_is_integrated_once(self, monkeypatch):
+        from dfsqc import noise
+
+        orig, calls = noise._band_integral, []
+
+        def counting(*args):
+            calls.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(noise, "_band_integral", counting)
+        tn = TransportNoise(100e-6, NoiseSpectrum.band_limited_white(
+            tau_co=5e-3, cutoff=2 * math.pi * 30))
+        assert len(calls) == 1
+        run = ProtocolRun.create([("q", "+L")], seed=8, transport_noise=tn)
+        for _ in range(10):
+            transport(run, TransportStep((0,), ()))
+            transport(run, TransportStep((), (0,)))
+        assert sum(e.op == "transport_dephasing" for e in run.record) == 20
+        assert len(calls) == 1
+
 
 class TestLogicalHadamard:
     def test_zero_maps_to_plus(self):
@@ -373,6 +413,15 @@ class TestLogicalHadamard:
         red = reduced_state(run.register, [sysq.atom_a, sysq.atom_b])
         eigen = pair_ket("+L") if label == "x+" else pair_ket("-L")
         assert fidelity(eigen, red) >= 1 - 1e-10
+
+    def test_homodyne_error_without_pulse_cannot_measure_x(self):
+        run = ProtocolRun.create([("sys", "0L"), ("anc", "+L")], seed=2,
+                                 homodyne_error=True)
+        rng_state = run.rng.bit_generator.state
+        with pytest.raises(SchedulingError, match="probe pulse"):
+            logical_hadamard(run, "sys", "anc")
+        assert "measure_logical_x" not in [e.op for e in run.record]
+        assert run.rng.bit_generator.state == rng_state
 
     def test_leaked_input_aborts(self):
         run = ProtocolRun.create([("sys", "2L"), ("anc", "+L")], seed=2)
