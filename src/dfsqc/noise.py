@@ -28,10 +28,11 @@ Transport noise: moving the atom pair with separation time tau_T filters
 the spectrum through sin^2(w tau_T/2) and smears it with a Gaussian kernel
 of width 4/tau_T (motion through the spatially correlated field).  A
 frozen :class:`TransportNoise` integrates the transported power once, when
-it is built; every transport of a run lasts its tau_T and reads that
-power.  The differential dephasing power is referred symmetrically to the
-two atoms (factor 1/2), so a narrow noise line at w0 << 1/tau_T is
-suppressed by sin^2(w0 tau_T/2)/2 -> (tau_T w0)^2/8.
+it is built, by the midpoint rule on BAND_GRID cells (a tabulated spectrum
+from its first w, where S starts); every transport lasts its tau_T and
+reads that power.  The differential dephasing power is referred
+symmetrically to the two atoms (factor 1/2), so a narrow noise line at
+w0 << 1/tau_T is suppressed by sin^2(w0 tau_T/2)/2 -> (tau_T w0)^2/8.
 """
 
 from __future__ import annotations
@@ -255,10 +256,15 @@ def _free_filter_sq(omega: np.ndarray, total_time: float) -> np.ndarray:
 
 
 def _band_integral(spectrum: NoiseSpectrum, weight) -> float:
-    """int S(w) weight(w) dw over the two-sided band (midpoint rule)."""
+    """int S(w) weight(w) dw over the two-sided band (midpoint rule).
+
+    A table's S is 0 below its first w, so its grid starts one cell below
+    it: the same cells as the full grid's, less some whose terms are 0.
+    """
     band = spectrum.band()
     dw = band / BAND_GRID
-    w = (np.arange(BAND_GRID) + 0.5) * dw
+    first = 0 if spectrum.table is None else max(0, int(spectrum.table[0][0] / dw) - 1)
+    w = (np.arange(first, BAND_GRID) + 0.5) * dw
     return 2.0 * float(np.sum(spectrum.psd(w) * weight(w)) * dw)
 
 

@@ -23,7 +23,16 @@ from dfsqc.noise import (
     transport_phase_std,
 )
 from dfsqc import noise
-from dfsqc.noise import TWO_PI, _component_grid, _sincos_turns
+from dfsqc.cli import main
+from dfsqc.noise import (
+    BAND_GRID,
+    TWO_PI,
+    _band_integral,
+    _component_grid,
+    _echo_filter_sq,
+    _free_filter_sq,
+    _sincos_turns,
+)
 from dfsqc.scenarios import narrow_line_spectrum
 
 Q = LogicalQubit(0, 1)
@@ -222,6 +231,89 @@ class TestEchoVariance:
     def test_requires_enough_realizations(self):
         with pytest.raises(NoiseModelError):
             monte_carlo_dephasing(EchoSequence(1e-4), default_spectrum(), 10, 1)
+
+
+def full_grid_integral(spectrum, weight):
+    """2 int_0^band S weight dw as a midpoint sum over all BAND_GRID cells.
+
+    A tabulated spectrum's integral skips the cells below its first w; this
+    reference sums every cell.
+    """
+    dw = spectrum.band() / BAND_GRID
+    w = (np.arange(BAND_GRID) + 0.5) * dw
+    return 2.0 * float(np.sum(spectrum.psd(w) * weight(w)) * dw)
+
+
+BAND_WEIGHTS = {
+    "transport": lambda w: np.sin(w * 100e-6 / 2.0) ** 2,
+    "echo-1": lambda w: _echo_filter_sq(w, EchoSequence(1e-4, 1)),
+    "echo-3": lambda w: _echo_filter_sq(w, EchoSequence(1e-4, 3)),
+    "free": lambda w: _free_filter_sq(w, 6e-4),
+}
+
+
+def ramp_table(first):
+    """Table from ``first`` to 65536 rad/s, so that a grid cell is 1 rad/s wide."""
+    return NoiseSpectrum.from_table([first, 1000.0, 65536.0], [1.0, 2.0, 0.5])
+
+
+class TestBandIntegral:
+    @pytest.mark.parametrize("weight", BAND_WEIGHTS.values(), ids=BAND_WEIGHTS.keys())
+    @pytest.mark.parametrize("spectrum", [
+        narrow_line_spectrum(200.0, 4.0), narrow_line_spectrum(2e3, 40.0),
+        narrow_line_spectrum(1e5, 2e3), ramp_table(100.5), ramp_table(100.0),
+        ramp_table(0.25)],
+        ids=["line-200", "line-2e3", "line-1e5", "first-on-midpoint",
+             "first-on-edge", "first-in-cell-0"])
+    def test_table_from_first_row_matches_full_grid(self, spectrum, weight):
+        # the skipped cells hold S = 0 exactly; only the summation order moves
+        ref = full_grid_integral(spectrum, weight)
+        assert ref > 0.0
+        assert abs(_band_integral(spectrum, weight) - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("weight", BAND_WEIGHTS.values(), ids=BAND_WEIGHTS.keys())
+    @pytest.mark.parametrize("spectrum", [
+        default_spectrum(), NoiseSpectrum.lorentzian(tau_co=1e-3, cutoff=100.0),
+        ramp_table(0.0)],
+        ids=["band-limited-white", "lorentzian", "table-from-0"])
+    def test_full_grid_spectra_are_unchanged(self, spectrum, weight):
+        assert _band_integral(spectrum, weight) == full_grid_integral(spectrum, weight)
+
+    def test_narrow_line_evaluates_only_its_cells(self, monkeypatch):
+        sizes = []
+        psd = NoiseSpectrum.psd
+
+        def counting_psd(self, omega):
+            sizes.append(np.size(omega))
+            return psd(self, omega)
+
+        monkeypatch.setattr(NoiseSpectrum, "psd", counting_psd)
+        w0 = 0.1 / 100e-6
+        TransportNoise(100e-6, narrow_line_spectrum(w0, w0 / 50))
+        assert len(sizes) == 1 and sizes[0] <= 0.3 * BAND_GRID
+        sizes.clear()
+        TransportNoise(100e-6, default_spectrum())
+        assert sizes == [BAND_GRID]
+
+    def test_table_decoupling_run_matches_full_grid(self, tmp_path):
+        # a table starting above w = 0, end to end through the CLI
+        table = tmp_path / "table.txt"
+        table.write_text("100 1\n200 3\n300 4\n400 4\n500 2\n600 1\n")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("kind: decoupling\nname: tabled\nrealizations: 2000\n"
+                       f"noise: {{model: table, table_path: {table}}}\n")
+        assert main(["simulate", str(cfg), "--check", "--out", str(tmp_path / "out")]) == 0
+        lines = [l for l in (tmp_path / "out" / "tabled.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        spectrum = NoiseSpectrum.from_table_file(table)
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, map(float, line.split(","))))
+            seq = EchoSequence(row["dt"])
+            echo = full_grid_integral(spectrum, lambda w: _echo_filter_sq(w, seq))
+            free = full_grid_integral(spectrum, lambda w: _free_filter_sq(w, seq.total_time))
+            assert abs(row["var_echo_analytic"] - echo) <= 1e-15 * echo
+            assert abs(row["var_free_analytic"] - free) <= 1e-15 * free
 
 
 def _longdouble_variances(seq, spectrum, n_realizations, seed, n_components=512):
