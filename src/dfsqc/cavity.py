@@ -15,21 +15,23 @@ r(0) = -1: a resonant pulse is reflected with a flipped phase.  That
 conditional phase is what turns one reflection into a physical CZ gate on
 the two atoms addressed by the pulse.
 
-All pulse propagation is done spectrally on a fixed grid (4096 samples
-spanning 16 standard deviations of the pulse spectrum) so results are
-bit-reproducible.  Transforms between the time and frequency grids use the
-chirp-z method (Bluestein), O(N log N) on FFTs.  The spectral moments
+Every probe pulse is the odd cat N_-(|alpha> - |-alpha>) in one Gaussian
+mode.  Its spectrum is taken once, on a fixed grid (4096 samples spanning
+16 standard deviations) so results are bit-reproducible, by a forward
+chirp-z transform (Bluestein), O(N log N) on FFTs.  The spectral moments
 <f, r f> and <rf, rf> of a pulse are memoized in its grids, keyed on the
 exact floats (kappa, gamma, G^2) that fix r(w); they do not depend on the
 amplitude alpha, so every ``with_alpha`` copy shares them, and a sweep makes
-one reflection pass per distinct coupling.  A reflection is nothing but
-these moments: :func:`cz_output_state` gives the pair (O, E) of each
-logical CZ component, the conditional phase is arg O and the photon loss
-1 - E.  The CZ fidelity follows the conditional-state convention: branch
-amplitudes keep the photon-loss conditioning factors and the global output
-state is normalized at the end.  :func:`cz_diagonal` is the same
-reflection as a diagonal map on the two addressed atoms, the lossy CZ a
-protocol run applies; its only cache is the pulse's moment memo.
+one reflection pass per distinct coupling.  That pass is where a pulse meets
+a cavity, so it warns when T*kappa < 10 puts the pulse outside the adiabatic
+regime.  A reflection is nothing but these moments: :func:`cz_output_state`
+gives the pair (O, E) of each logical CZ component, the conditional phase
+is arg O and the photon loss 1 - E.  The CZ fidelity follows the
+conditional-state convention: branch amplitudes keep the photon-loss
+conditioning factors and the global output state is normalized at the end.
+:func:`cz_diagonal` is the same reflection as a diagonal map on the two
+addressed atoms, the lossy CZ a protocol run applies; its only cache is the
+pulse's moment memo.
 """
 
 from __future__ import annotations
@@ -38,14 +40,12 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 N_TIME = 4096
 N_FREQ = 4096
 FREQ_WINDOW_SIGMAS = 16.0
-SHAPE_ATOL = 1e-10
 
 COMPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -129,57 +129,39 @@ def reflection_coefficient(omega, p: CavityParams) -> complex | np.ndarray:
 # pulses
 # ---------------------------------------------------------------------------
 
-def _default_gaussian(T: float) -> Callable[[np.ndarray], np.ndarray]:
-    def f(t):
-        return np.exp(-((t - T / 2) ** 2) / (T / 5) ** 2)
-
-    return f
-
-
 def _chirp_z(x: np.ndarray, n0: float, dn: float, k0: float, dk: float,
-             m: int, sign: float) -> np.ndarray:
-    """sum_n exp(sign*1j*(k0 + k*dk)*(n0 + n*dn)) * x[n] for k < m.
+             m: int) -> np.ndarray:
+    """sum_n exp(1j*(k0 + k*dk)*(n0 + n*dn)) * x[n] for k < m.
 
     Bluestein's chirp-z transform: k*n = (k^2 + n^2 - (k - n)^2)/2 turns the
     sum into a convolution with a chirp, done with zero-padded FFTs.
     """
     n = x.shape[0]
     nfft = 1 << (n + m - 2).bit_length()  # >= n + m - 1: no wrap-around
-    half = sign * dk * dn / 2.0
+    half = dk * dn / 2.0
     j = np.arange(1 - n, m, dtype=float)
     kernel = np.fft.fft(np.exp(-1j * half * j**2), nfft)
     nn, kk = np.arange(n, dtype=float), np.arange(m, dtype=float)
-    u = x * np.exp(1j * (sign * k0 * dn * nn + half * nn**2))
+    u = x * np.exp(1j * (k0 * dn * nn + half * nn**2))
     conv = np.fft.ifft(np.fft.fft(u, nfft) * kernel)[n - 1:n - 1 + m]
-    return conv * np.exp(1j * (sign * n0 * (k0 + dk * kk) + half * kk**2))
+    return conv * np.exp(1j * (n0 * (k0 + dk * kk) + half * kk**2))
 
 
 @dataclass(eq=False)
 class PulseSpec:
-    """Input pulse: duration T, normalized shape f(t) on [0, T], amplitude.
-
-    ``kind`` selects a plain coherent state or the odd cat
-    N_-(|alpha> - |-alpha>) with N_- = 1/sqrt(2(1 - e^{-2|alpha|^2})).
-    A user-supplied shape must satisfy int |f|^2 dt = 1 within 1e-10; use
-    :meth:`gaussian` for the standard pulse which is normalized exactly on
-    the sampling grid.
+    """Probe pulse of duration T and amplitude alpha: the odd cat
+    N_-(|alpha> - |-alpha>), N_- = 1/sqrt(2(1 - e^{-2|alpha|^2})), in the
+    Gaussian mode f(t) ~ exp(-(t - T/2)^2/(T/5)^2) on [0, T], normalized
+    exactly on its sampling grid.
     """
 
     T: float
     alpha: complex = 1.0
-    kind: str = "coherent"
-    shape: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.T <= 0:
             raise CavityModelError("pulse duration must be positive")
-        if self.kind not in ("coherent", "odd_cat"):
-            raise CavityModelError("kind must be 'coherent' or 'odd_cat'")
         self._grids = None
-
-    @classmethod
-    def gaussian(cls, T: float, alpha: complex = 1.0, kind: str = "coherent"):
-        return cls(T, alpha, kind)
 
     @property
     def mean_photon_number(self) -> float:
@@ -193,17 +175,10 @@ class PulseSpec:
 
     # -- sampled grids, built once ------------------------------------
     def _build(self):
-        t = (np.arange(N_TIME) + 0.5) * (self.T / N_TIME)
         dt = self.T / N_TIME
-        fn = self.shape if self.shape is not None else _default_gaussian(self.T)
-        f = np.asarray(fn(t), dtype=complex)
-        norm = float(np.sum(np.abs(f) ** 2) * dt)
-        if self.shape is None:
-            f = f / math.sqrt(norm)
-        elif abs(norm - 1.0) > SHAPE_ATOL:
-            raise CavityModelError(
-                f"pulse shape is not normalized: int |f|^2 dt = {norm:.6g}"
-            )
+        t = (np.arange(N_TIME) + 0.5) * dt
+        f = np.exp(-((t - self.T / 2) ** 2) / (self.T / 5) ** 2).astype(complex)
+        f /= math.sqrt(float(np.sum(np.abs(f) ** 2) * dt))
 
         # provisional FFT to locate the spectrum, then a dedicated window
         pad = 4
@@ -217,10 +192,9 @@ class PulseSpec:
         half = FREQ_WINDOW_SIGMAS / 2.0 * sigma
         w = mean + np.linspace(-half, half, N_FREQ)
         dw = w[1] - w[0]
-        ft = _chirp_z(f, t[0], dt, w[0], dw, N_FREQ, +1.0) * dt
+        ft = _chirp_z(f, t[0], dt, w[0], dw, N_FREQ) * dt
         norm_w = float(np.sum(np.abs(ft) ** 2) * dw / (2 * math.pi))
-        self._grids = {"t": t, "dt": dt, "f": f, "w": w, "dw": dw,
-                       "ft": ft, "norm_w": norm_w, "moments": {}}
+        self._grids = {"w": w, "dw": dw, "ft": ft, "norm_w": norm_w, "moments": {}}
 
     @property
     def grids(self) -> dict:
@@ -230,38 +204,27 @@ class PulseSpec:
 
 
 # ---------------------------------------------------------------------------
-# propagation
+# reflection moments
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ReflectionResult:
-    """Reflected-pulse summary.
-
-    amp_ratio is alpha'/alpha: magnitude from the reflected energy, phase
-    from the matched filter <f_in, r f_in>.  eta = 1 - |amp_ratio|^2 is the
-    photon loss.  mode_overlap is <f_out, f_in> between normalized modes.
-    """
-
-    amp_ratio: complex
-    eta: float
-    mode_overlap: complex
-    out_shape: np.ndarray
-    out_times: np.ndarray
-
-
-def _spectral_moments(ps: PulseSpec, p: CavityParams, n_coupled: int, rf=None):
+def _spectral_moments(ps: PulseSpec, p: CavityParams, n_coupled: int):
     """Matched-filter overlap O = <f, r f> and energy ratio E = <rf, rf>.
 
     Memoized in the pulse grids on (kappa, gamma, G^2), every input of r(w)
-    besides the grid.  A caller that already holds r f on the grid for
-    ``n_coupled`` atoms passes it as ``rf``.
+    besides the grid.  A miss is where a pulse first meets a cavity, so it
+    warns there when T*kappa < 10 puts the pulse outside the adiabatic regime.
     """
     g = ps.grids
     memo = g["moments"]
     key = (p.kappa, p.gamma, p.bright_coupling_sq(n_coupled))
     if key not in memo:
-        if rf is None:
-            rf = reflection_coefficient(g["w"], p.with_coupled(n_coupled)) * g["ft"]
+        if ps.T * p.kappa < 10:
+            warnings.warn(
+                f"pulse duration T*kappa = {ps.T * p.kappa:.2f} < 10: outside the "
+                "adiabatic regime, reflection is strongly distorted",
+                stacklevel=2,
+            )
+        rf = reflection_coefficient(g["w"], p.with_coupled(n_coupled)) * g["ft"]
         scale = g["dw"] / (2 * math.pi) / g["norm_w"]
         O = complex(np.sum(np.conj(g["ft"]) * rf) * scale)
         E = float(np.real(np.sum(np.abs(rf) ** 2) * scale))
@@ -275,55 +238,20 @@ def photon_loss(ps: PulseSpec, p: CavityParams) -> float:
     return min(max(1.0 - E, 0.0), 1.0)
 
 
-def propagate_pulse(ps: PulseSpec, p: CavityParams) -> ReflectionResult:
-    """Reflect the pulse off the (possibly atom-loaded) cavity.
-
-    Spectral route: transform the shape, apply r(w), transform back.  The
-    output mode is reported on a grid twice the input duration to capture
-    the cavity ring-down tail.
-    """
-    if ps.T * p.kappa < 10:
-        warnings.warn(
-            f"pulse duration T*kappa = {ps.T * p.kappa:.2f} < 10: outside the "
-            "adiabatic regime, reflection is strongly distorted",
-            stacklevel=2,
-        )
-    g = ps.grids
-    rf = reflection_coefficient(g["w"], p) * g["ft"]
-    O, E = _spectral_moments(ps, p, p.n_coupled, rf)
-    if ps.alpha == 0:
-        amp_ratio, eta = 1.0 + 0j, 0.0  # vacuum in, vacuum out (convention)
-    else:
-        amp_ratio = math.sqrt(max(E, 0.0)) * cmath.exp(1j * cmath.phase(O))
-        eta = min(max(1.0 - E, 0.0), 1.0)
-
-    dt = g["dt"]
-    t_out = (np.arange(2 * N_TIME) + 0.5) * dt
-    scale = g["dw"] / (2 * math.pi)
-    out = _chirp_z(rf, g["w"][0], g["dw"], t_out[0], dt, 2 * N_TIME, -1.0) * scale
-    nrm = math.sqrt(float(np.sum(np.abs(out) ** 2) * dt))
-    if nrm > 0:
-        out = out / nrm
-    mode_overlap = O / math.sqrt(E) if E > 0 else 0.0 + 0j
-    return ReflectionResult(amp_ratio, eta, mode_overlap, out, t_out)
-
-
 # ---------------------------------------------------------------------------
 # logical CZ through one reflection
 # ---------------------------------------------------------------------------
 
 def _as_weights(eps) -> dict:
+    """|eps|^2 of each logical component, uniform for ``eps=None``."""
     if eps is None:
         return {c: 0.25 for c in COMPONENTS}
-    if isinstance(eps, dict):
-        amp = {c: complex(eps[c]) for c in COMPONENTS}
-    else:
-        arr = np.asarray(eps, dtype=complex).reshape(4)
-        amp = {c: arr[i] for i, c in enumerate(COMPONENTS)}
-    total = sum(abs(v) ** 2 for v in amp.values())
+    amp = np.asarray(eps, dtype=complex).reshape(4)
+    weights = {c: abs(a) ** 2 for c, a in zip(COMPONENTS, amp)}
+    total = sum(weights.values())
     if abs(total - 1.0) > 1e-10:
         raise CavityModelError(f"sum |eps|^2 = {total:.6g}, expected 1")
-    return {c: abs(v) ** 2 for c, v in amp.items()}
+    return weights
 
 
 def cz_output_state(ps: PulseSpec, p: CavityParams) -> dict:
@@ -334,8 +262,6 @@ def cz_output_state(ps: PulseSpec, p: CavityParams) -> dict:
     conditional phase is arg O.  The moments do not depend on the atomic
     amplitudes, which only weight the components.
     """
-    if ps.kind != "odd_cat":
-        raise CavityModelError("the CZ probe pulse must be an odd cat")
     return {(m, n): _spectral_moments(ps, p, (m == 0) + (n == 0))
             for (m, n) in COMPONENTS}
 
@@ -401,23 +327,3 @@ def cz_gate_fidelity(eps, ps: PulseSpec, p: CavityParams) -> float:
     if fid > 1.0 + 1e-9:
         raise CavityModelError(f"fidelity {fid} exceeds 1: numerical breakdown")
     return min(fid, 1.0)
-
-
-def fidelity_sweep(values, ps: PulseSpec, p: CavityParams,
-                   vary: str = "nbar") -> np.ndarray:
-    """Rows (x, F) of the uniform-weight CZ input over a grid of mean photon
-    number or coupling ratio."""
-    values = np.asarray(list(values), dtype=float)
-    if values.size == 0:
-        raise CavityModelError("sweep grid must not be empty")
-    rows = []
-    for x in values:
-        if vary == "nbar":
-            if x < 0:
-                raise CavityModelError("mean photon number must be >= 0")
-            rows.append((x, cz_gate_fidelity(None, ps.with_alpha(math.sqrt(x)), p)))
-        elif vary == "g_ratio":
-            rows.append((x, cz_gate_fidelity(None, ps, p.scaled_g(x))))
-        else:
-            raise CavityModelError(f"unknown sweep variable {vary!r}")
-    return np.array(rows)

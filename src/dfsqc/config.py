@@ -12,10 +12,11 @@ Two rules the table does not show: a ``noise`` key of the other kind of
 model (``table_path`` under an analytic model, ``tau_co_ms`` or
 ``cutoff_hz`` under ``table``) is rejected, and ``echo.dt_cutoff_product``
 needs two or more distinct values.  A number, complex number or list
-entry must be finite.  The transport-noise kind builds its own narrow
-noise line at each grid point; its ``transport.d_um`` is validated but
-changes no number, and stays only while the benchmark's generated configs
-still set it.
+entry must be finite.  Two keys are validated but change no number, and
+stay only while the benchmark's generated configs still set them: the
+transport-noise kind builds its own narrow noise line at each grid point,
+so its ``transport.d_um`` is unused, and ``pulse.kind`` allows only
+``odd_cat``, the one pulse there is (a Gaussian odd cat).
 """
 
 from __future__ import annotations
@@ -187,8 +188,8 @@ class ScenarioConfig:
         ratio = self.get("pulse", "duration_over_kappa")
         if ratio <= 0:
             raise ConfigError("pulse duration must be positive")
-        return PulseSpec.gaussian(ratio / params.kappa, self.get("pulse", "alpha"),
-                                  self.get("pulse", "kind"))
+        self.get("pulse", "kind")  # raises unless SCHEMA allows it
+        return PulseSpec(ratio / params.kappa, self.get("pulse", "alpha"))
 
     def sweep_grid(self):
         """The kind's sweep grid, log-spaced for transport-noise."""

@@ -296,24 +296,31 @@ def _require_probe(run: ProtocolRun):
         raise SchedulingError("a homodyne label error needs the probe pulse")
 
 
-def _measure_pair(run: ProtocolRun, op: str, atoms, ps, force, frame=None):
-    """Measure ``ps`` (in ``frame``) on the register, report the label and log it.
+def _report_label(run: ProtocolRun, op: str, atoms, label, p, labels):
+    """Log and return the reported ``label`` of a measurement with outcome
+    ``labels`` (a pair).
 
     With ``homodyne_error`` the reported label (never the state) is flipped
-    with the homodyne discrimination error probability of the probe pulse,
-    one extra draw.
+    to the other one of ``labels`` with the homodyne discrimination error
+    probability of the probe pulse, one draw per measurement.  A label
+    outside ``labels`` (a leak) draws nothing and is never flipped.
     """
-    _require_probe(run)
-    label, p, _ = measure(run.register, ps, run.rng, force=force, frame=frame)
     flipped = False
-    if run.homodyne_error:
+    if run.homodyne_error and label in labels:
         p_err = 0.5 * math.erfc(math.sqrt(2.0) * abs(run.pulse.alpha))
         if run.rng.random() < p_err:
-            label = [l for l in ps.outcome_labels if l != label][0]
+            label = labels[labels.index(label) ^ 1]
             flipped = True
     run.log(op, atoms=atoms, outcome=label, p=p,
             **({"label_flip": True} if flipped else {}))
-    return label, run
+    return label
+
+
+def _measure_pair(run: ProtocolRun, op: str, atoms, ps, force, frame=None):
+    """Measure ``ps`` (in ``frame``) on the register, report the label and log it."""
+    _require_probe(run)
+    label, p, _ = measure(run.register, ps, run.rng, force=force, frame=frame)
+    return _report_label(run, op, atoms, label, p, ps.outcome_labels), run
 
 
 def measure_p12(run: ProtocolRun, atom_i: int, atom_j: int, force=None):
@@ -365,16 +372,16 @@ def logical_hadamard(run: ProtocolRun, sys_a, ancilla_b, force=None):
     _ensure_in_cavity(run, qa.atoms)  # the x measurement reflects off both atoms
     _require_probe(run)
     res = logical_basis_measurement(run.register, qa, "X", run.rng, force=force)
-    run.log("measure_logical_x", atoms=qa.atoms, outcome=res.label,
-            p=res.probability)
-    if res.label == "leak":
+    label = _report_label(run, "measure_logical_x", qa.atoms, res.label,
+                          res.probability, ("x+", "x-"))
+    if label == "leak":
         run.log("abort", reason="leak during Hadamard input measurement")
         return "leak", qb
-    if res.label == "x-":
+    if label == "x-":
         apply_unitary(run.register, SX, (qb.atom_a,))
         apply_unitary(run.register, SX, (qb.atom_b,))
         run.log("correction", target=qb.atoms, which="sx.sx", trigger="x-")
-    return res.label, qb
+    return label, qb
 
 
 def arbitrary_logical_rotation(run: ProtocolRun, q, alpha: float, beta: float,

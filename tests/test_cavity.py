@@ -5,8 +5,9 @@ were frozen, not by the module under test):
 
 * r(0) with one coupled atom at (g, kappa, gamma)/2pi = (27, 2.4, 2.6) MHz
   equals 1 - 2/(1 + 4C) = 0.99572930...
-* bare-cavity mode overlap for the standard T = 200/kappa Gaussian pulse
-  is 0.99504 (the ring-down delay 4/kappa shifts the pulse slightly).
+* bare-cavity mode overlap O/sqrt(E) for the standard T = 200/kappa
+  Gaussian pulse is -0.99504 (the ring-down delay 4/kappa shifts the
+  pulse slightly).
 """
 
 import cmath
@@ -25,14 +26,13 @@ from dfsqc.cavity import (
     cz_diagonal,
     cz_gate_fidelity,
     cz_output_state,
-    fidelity_sweep,
     photon_loss,
-    propagate_pulse,
     reflection_coefficient,
     _chirp_z,
     _spectral_moments,
 )
 from dfsqc.config import ScenarioConfig
+from dfsqc.scenarios import run_fidelity_sweep, run_g_sweep
 
 MHZ = 2 * math.pi * 1e6
 
@@ -41,9 +41,20 @@ def realistic_params(n_coupled=0) -> CavityParams:
     return CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ, n_coupled)
 
 
-def standard_pulse(alpha=1.26, kind="odd_cat") -> PulseSpec:
+def standard_pulse(alpha=1.26) -> PulseSpec:
     p = realistic_params()
-    return PulseSpec.gaussian(200 / p.kappa, alpha, kind)
+    return PulseSpec(200 / p.kappa, alpha)
+
+
+def nbar_sweep(values, pulse, p) -> np.ndarray:
+    """Uniform-weight CZ fidelity over a grid of mean photon numbers."""
+    return np.array([cz_gate_fidelity(None, pulse.with_alpha(math.sqrt(x)), p)
+                     for x in values])
+
+
+def g_sweep(ratios, pulse, p) -> np.ndarray:
+    """Uniform-weight CZ fidelity over a grid of coupling ratios."""
+    return np.array([cz_gate_fidelity(None, pulse, p.scaled_g(x)) for x in ratios])
 
 
 def oracle_reflection(omega, g, kappa, gamma, n_coupled):
@@ -133,62 +144,41 @@ class TestReflectionCoefficient:
 
 class TestChirpZ:
     @pytest.mark.parametrize("n, m", [(7, 13), (13, 7), (9, 9)])
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_matches_direct_sum(self, n, m, sign):
+    def test_matches_direct_sum(self, n, m):
         rng = np.random.default_rng(n * m)
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         n0, dn, k0, dk = 0.37, 0.21, -1.9, 0.13
         rows = k0 + dk * np.arange(m)
         cols = n0 + dn * np.arange(n)
-        direct = np.exp(sign * 1j * np.outer(rows, cols)) @ x
-        np.testing.assert_allclose(_chirp_z(x, n0, dn, k0, dk, m, sign),
+        direct = np.exp(1j * np.outer(rows, cols)) @ x
+        np.testing.assert_allclose(_chirp_z(x, n0, dn, k0, dk, m),
                                    direct, rtol=1e-12)
 
 
-class TestPropagatePulse:
+class TestReflectionMoments:
     def test_bare_cavity_narrowband(self):
-        res = propagate_pulse(standard_pulse(), realistic_params(0))
+        O, E = _spectral_moments(standard_pulse(), realistic_params(), 0)
         # phase flip with a small ring-down delay; frozen oracle overlap
-        assert res.eta < 1e-3
-        assert abs(res.mode_overlap) > 0.99
-        assert res.mode_overlap.real == pytest.approx(-0.995037, abs=2e-5)
-        assert abs(cmath.phase(res.amp_ratio)) == pytest.approx(math.pi, abs=1e-6)
-
-    def test_output_shape_is_delayed_flip(self):
-        pulse = standard_pulse()
-        res = propagate_pulse(pulse, realistic_params(0))
-        g = pulse.grids
-        delay = 4 / realistic_params().kappa
-        expected = np.interp(res.out_times - delay, g["t"], g["f"].real,
-                             left=0.0, right=0.0)
-        expected = -expected / math.sqrt(np.sum(expected**2) * (g["t"][1] - g["t"][0]))
-        overlap = np.sum(np.conj(expected) * res.out_shape) * (g["t"][1] - g["t"][0])
-        assert abs(overlap) > 0.9999
+        assert 1 - E < 1e-3
+        assert abs(O) / math.sqrt(E) > 0.99
+        assert (O / math.sqrt(E)).real == pytest.approx(-0.995037, abs=2e-5)
+        assert abs(cmath.phase(O)) == pytest.approx(math.pi, abs=1e-6)
 
     def test_eta_scaling_with_coupled_atoms(self):
         p = realistic_params()
         for n in (1, 2):
-            res = propagate_pulse(standard_pulse(), p.with_coupled(n))
+            eta = photon_loss(standard_pulse(), p.with_coupled(n))
             predicted = p.kappa * p.gamma / (n * p.g**2)
-            assert res.eta == pytest.approx(predicted, rel=0.2)
-            assert photon_loss(standard_pulse(), p.with_coupled(n)) == pytest.approx(
-                res.eta, abs=1e-15
-            )
-
-    def test_vacuum_pulse_convention(self):
-        res = propagate_pulse(standard_pulse(alpha=0.0), realistic_params(1))
-        assert res.eta == 0.0 and res.amp_ratio == 1.0
-
-    def test_non_normalized_shape_rejected(self):
-        pulse = PulseSpec(1e-5, 1.0, "coherent", shape=lambda t: np.ones_like(t))
-        with pytest.raises(CavityModelError, match="normalized"):
-            pulse.grids
+            assert eta == pytest.approx(predicted, rel=0.2)
+            _, E = _spectral_moments(standard_pulse(), p, n)
+            assert eta == pytest.approx(1 - E, abs=1e-15)
 
     def test_short_pulse_warns(self):
         p = realistic_params(0)
-        pulse = PulseSpec.gaussian(5 / p.kappa, 1.0)
+        pulse = PulseSpec(5 / p.kappa, 1.0)
         with pytest.warns(UserWarning, match="adiabatic"):
-            propagate_pulse(pulse, p)
+            photon_loss(pulse, p)
+        photon_loss(pulse, p)  # a memo hit meets no new cavity: no warning
 
     def test_time_domain_langevin_cross_check(self):
         """Frequency-domain moments vs the exact time-domain propagator (independent)."""
@@ -199,9 +189,11 @@ class TestPropagatePulse:
             gamma = rng.uniform(0.5, 5) * MHZ
             n = int(rng.integers(1, 3))
             p = CavityParams(g, kappa, gamma, n)
-            pulse = PulseSpec.gaussian(rng.uniform(30, 80) / kappa, 1.0)
-            grids = pulse.grids
-            t_grid, f_grid = grids["t"], grids["f"].real
+            pulse = PulseSpec(rng.uniform(30, 80) / kappa, 1.0)
+            # the Gaussian mode on the pulse's own time samples
+            t_grid = (np.arange(cavity.N_TIME) + 0.5) * (pulse.T / cavity.N_TIME)
+            f_grid = np.exp(-((t_grid - pulse.T / 2) ** 2) / (pulse.T / 5) ** 2)
+            f_grid /= math.sqrt(np.sum(f_grid**2) * (pulse.T / cavity.N_TIME))
             G = math.sqrt(p.bright_coupling_sq())
 
             t_end = 2.0 * pulse.T
@@ -226,11 +218,9 @@ class TestPropagatePulse:
             energy = float(np.sum(np.abs(fout) ** 2) * dt)
             matched = complex(np.sum(np.conj(fin) * fout) * dt)
 
-            res = propagate_pulse(pulse, p)
-            assert abs(res.amp_ratio) == pytest.approx(math.sqrt(energy), abs=1e-4)
-            assert cmath.phase(res.amp_ratio) == pytest.approx(
-                cmath.phase(matched), abs=1e-4
-            )
+            O, E = _spectral_moments(pulse, p, n)
+            assert math.sqrt(E) == pytest.approx(math.sqrt(energy), abs=1e-4)
+            assert cmath.phase(O) == pytest.approx(cmath.phase(matched), abs=1e-4)
 
 
 class TestCzOutput:
@@ -265,10 +255,6 @@ class TestCzOutput:
                                    rtol=0, atol=1e-8)
         assert d[1] == d[2]
 
-    def test_requires_odd_cat(self):
-        with pytest.raises(CavityModelError, match="odd cat"):
-            cz_output_state(standard_pulse(kind="coherent"), realistic_params())
-
     def test_rejects_unnormalized_amplitudes(self):
         with pytest.raises(CavityModelError, match="eps"):
             cz_gate_fidelity([1.0, 1.0, 0.0, 0.0], standard_pulse(), realistic_params())
@@ -293,7 +279,7 @@ class TestCzFidelity:
         other = pulse.with_alpha(0.5)
         assert other.alpha == 0.5 and pulse.alpha == 1.26
         assert other.grids is pulse.grids
-        assert other.kind == pulse.kind and other.T == pulse.T
+        assert other.T == pulse.T
 
     def test_with_alpha_matches_fresh_pulse(self):
         # the memoized moments are shared with the copy; alpha must not enter
@@ -317,7 +303,7 @@ class TestCzFidelity:
     def test_ideal_limit_is_unit_fidelity(self):
         # gamma = 0, huge coupling, very narrowband pulse
         p = CavityParams(27e3 * MHZ, 2.4 * MHZ, 0.0)
-        pulse = PulseSpec.gaussian(2e5 / p.kappa, 1.26, "odd_cat")
+        pulse = PulseSpec(2e5 / p.kappa, 1.26)
         assert cz_gate_fidelity(None, pulse, p) == pytest.approx(1.0, abs=1e-6)
 
     def test_haar_random_inputs_stay_bounded(self):
@@ -332,26 +318,18 @@ class TestCzFidelity:
 
 class TestFidelitySweep:
     def test_monotone_in_photon_number(self):
-        rows = fidelity_sweep(np.linspace(0.1, 4.0, 20), standard_pulse(),
-                              realistic_params())
-        fids = rows[:, 1]
+        fids = nbar_sweep(np.linspace(0.1, 4.0, 20), standard_pulse(), realistic_params())
         assert np.all(np.diff(fids) <= 1e-12)
 
     def test_g_sweep_stability(self):
-        rows = fidelity_sweep(np.linspace(0.5, 1.0, 11), standard_pulse(),
-                              realistic_params(), vary="g_ratio")
-        spread = rows[:, 1].max() - rows[:, 1].min()
+        fids = g_sweep(np.linspace(0.5, 1.0, 11), standard_pulse(), realistic_params())
+        spread = fids.max() - fids.min()
         assert spread <= 2e-2
 
     def test_single_point_consistency(self):
         pulse, p = standard_pulse(), realistic_params()
-        rows = fidelity_sweep([1.5876], pulse, p)
-        assert rows[0, 1] == pytest.approx(cz_gate_fidelity(None, pulse, p),
-                                           abs=1e-12)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(CavityModelError, match="empty"):
-            fidelity_sweep([], standard_pulse(), realistic_params())
+        fids = nbar_sweep([1.5876], pulse, p)
+        assert fids[0] == pytest.approx(cz_gate_fidelity(None, pulse, p), abs=1e-12)
 
     def test_eta_proportional_to_inverse_g_squared(self):
         p = realistic_params()
@@ -378,22 +356,26 @@ class TestSpectralMomentMemo:
         return count
 
     def test_nbar_sweep_makes_one_pass_per_coupling(self, calls):
-        pulse, p = standard_pulse(), realistic_params()
-        cz_gate_fidelity(None, pulse, p)
-        fidelity_sweep(np.linspace(0.0, 4.0, 20), pulse, p)
+        # the working point and all 20 grid points share one pulse memo
+        run_fidelity_sweep(ScenarioConfig.from_dict({"kind": "fidelity-sweep"}))
         assert calls[0] == 3  # n_coupled 0, 1 and 2
 
     def test_one_atom_photon_loss_served_after_g_point(self, calls):
         pulse, p = standard_pulse(), realistic_params()
-        (ratio, _), = fidelity_sweep([0.7], pulse, p, vary="g_ratio")
+        g_sweep([0.7], pulse, p)
         assert calls[0] == 3
-        photon_loss(pulse, p.scaled_g(ratio).with_coupled(1))
+        photon_loss(pulse, p.scaled_g(0.7).with_coupled(1))
         assert calls[0] == 3
 
     def test_g_sweep_shares_bare_cavity_pass(self, calls):
-        fidelity_sweep(np.linspace(0.5, 1.0, 4), standard_pulse(),
-                       realistic_params(), vary="g_ratio")
+        g_sweep(np.linspace(0.5, 1.0, 4), standard_pulse(), realistic_params())
         assert calls[0] == 1 + 2 * 4
+
+    def test_g_sweep_runner_makes_one_pass_per_coupling(self, calls):
+        # per ratio: one and two atoms (its eta read from the memo); the
+        # bare cavity once; then the 9 one-atom points of the eta check
+        run_g_sweep(ScenarioConfig.from_dict({"kind": "g-sweep", "sweep": {"points": 4}}))
+        assert calls[0] == 1 + 2 * 4 + 9
 
     @pytest.mark.parametrize("variant", [
         dict(gamma=1.3 * MHZ), dict(gamma=0.0), dict(kappa=3.1 * MHZ),
@@ -408,14 +390,6 @@ class TestSpectralMomentMemo:
             got = _spectral_moments(pulse, other, n)
             assert got == _spectral_moments(standard_pulse(), other, n)
         assert _spectral_moments(pulse, other, 2) != _spectral_moments(pulse, base, 2)
-
-    def test_propagate_pulse_makes_one_pass(self, calls):
-        # the reflected spectrum it transforms back also gives the moments
-        pulse, p = standard_pulse(), realistic_params().with_coupled(1)
-        propagate_pulse(pulse, p)
-        assert calls[0] == 1
-        assert _spectral_moments(pulse, p, 1) == _spectral_moments(standard_pulse(), p, 1)
-        assert calls[0] == 2  # only the fresh pulse passes again
 
     def test_second_coupling_ignored_with_one_atom(self, calls):
         pulse, p = standard_pulse(), realistic_params()

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -140,8 +141,8 @@ def read_defaults(cfg):
     if cfg.kind in ("fidelity-sweep", "g-sweep"):
         params = cfg.physics()
         pulse = cfg.pulse(params)
-        return (params, round(pulse.T * params.kappa, 9), pulse.alpha, pulse.kind,
-                cfg.sweep_grid().tolist())
+        return (params, round(pulse.T * params.kappa, 9), pulse.alpha,
+                cfg.get("pulse", "kind"), cfg.sweep_grid().tolist())
     if cfg.kind == "decoupling":
         return (cfg.noise_spectrum(), *cfg.echo(), cfg.get("realizations"))
     if cfg.kind == "transport-noise":
@@ -440,6 +441,20 @@ class TestCliEntry:
         out = str(tmp_path / "out")
         assert main(["simulate", path, "--out", out]) == 0
         assert main(["simulate", path, "--check", "--out", out]) == 4
+
+    @pytest.mark.parametrize("kind", ["fidelity-sweep", "g-sweep"])
+    def test_short_pulse_warns_adiabatic(self, tmp_path, kind):
+        # T*kappa = 5 distorts the reflection (F ~ 0.53); the run says so
+        path = self.write(tmp_path, f"kind: {kind}\npulse: {{duration_over_kappa: 5}}\n")
+        with pytest.warns(UserWarning, match="adiabatic"):
+            assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
+                             ids=lambda p: p.stem)
+    def test_shipped_configs_do_not_warn(self, tmp_path, path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(path), "--check", "--out", str(tmp_path)]) == 0
 
     def test_seed_override(self, tmp_path):
         path = self.write(tmp_path, LEAK_CFG)

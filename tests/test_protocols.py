@@ -82,7 +82,7 @@ class TestErrorModels:
             ProtocolRun.create([("q", "0L")], mode="noisy")
 
     def test_ideal_without_an_error_model(self):
-        run = ProtocolRun.create([("q", "0L")], pulse=PulseSpec.gaussian(1e-5, 1.0, "odd_cat"))
+        run = ProtocolRun.create([("q", "0L")], pulse=PulseSpec(1e-5, 1.0))
         assert run.mode == "ideal" and run.fork().mode == "ideal"
 
     @pytest.mark.parametrize("model", ["cavity", "transport_noise", "homodyne_error"])
@@ -149,7 +149,7 @@ class TestPhysicalCz:
     def test_noisy_map_reduces_to_ideal(self):
         # enormous coupling, no spontaneous decay, narrowband pulse
         p = CavityParams(27e3 * MHZ, 2.4 * MHZ, 0.0)
-        pulse = PulseSpec.gaussian(2e5 / p.kappa, 1.26, "odd_cat")
+        pulse = PulseSpec(2e5 / p.kappa, 1.26)
         rng = np.random.default_rng(5)
         worst = 0.0
         for _ in range(10):
@@ -166,7 +166,7 @@ class TestPhysicalCz:
 
     def test_noisy_map_damps_amplitudes(self):
         p = CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ)
-        pulse = PulseSpec.gaussian(200 / p.kappa, 1.26, "odd_cat")
+        pulse = PulseSpec(200 / p.kappa, 1.26)
         run = two_pair_run(encode_two(np.ones(4) / 2), cavity=p, pulse=pulse)
         transport(run, TransportStep((0, 2)))
         physical_cz(run, 0, 2)
@@ -179,7 +179,7 @@ class TestPhysicalCz:
 
     def test_noisy_cz_leaves_inputs_unmodified(self):
         p = CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ)
-        pulse = PulseSpec.gaussian(200 / p.kappa, 1.26, "odd_cat")
+        pulse = PulseSpec(200 / p.kappa, 1.26)
         run = two_pair_run(encode_two(np.ones(4) / 2), cavity=p, pulse=pulse)
         transport(run, TransportStep((0, 2)))
         before = run.register.amplitudes
@@ -194,10 +194,10 @@ class TestPhysicalCz:
         # built on fresh grids, even for a pulse that reuses the id() of a
         # pulse dropped earlier
         p = CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ)
-        base = PulseSpec.gaussian(200 / p.kappa, 1.26, "odd_cat")
+        base = PulseSpec(200 / p.kappa, 1.26)
 
         def fresh_map(pulse):
-            return cz_diagonal(PulseSpec.gaussian(pulse.T, pulse.alpha, "odd_cat"), p)
+            return cz_diagonal(PulseSpec(pulse.T, pulse.alpha), p)
 
         maps = []
         for alpha in (0.5, 2.0):
@@ -278,7 +278,7 @@ class TestProjectiveMeasurements:
     def test_homodyne_label_error_flips_label_only(self):
         run = ProtocolRun.create([("q", "3L")], seed=0,
                                  cavity=CavityParams(27 * MHZ, 2.4 * MHZ, 2.6 * MHZ),
-                                 pulse=PulseSpec.gaussian(1e-5, 0.05, "odd_cat"),
+                                 pulse=PulseSpec(1e-5, 0.05),
                                  homodyne_error=True)
         # alpha = 0.05 makes p_err = erfc(sqrt2*0.05)/2 ~ 0.46: flips happen
         labels = set()
@@ -422,6 +422,39 @@ class TestLogicalHadamard:
             logical_hadamard(run, "sys", "anc")
         assert "measure_logical_x" not in [e.op for e in run.record]
         assert run.rng.bit_generator.state == rng_state
+
+    def test_homodyne_error_flips_the_x_label(self):
+        # alpha = 0.05: p_err = erfc(sqrt2*0.05)/2 ~ 0.47 per measurement
+        pulse, n = PulseSpec(1e-5, 0.05), 40
+        p_err = 0.5 * math.erfc(math.sqrt(2.0) * 0.05)
+        flips = 0
+        for seed in range(n):
+            run = ProtocolRun.create([("sys", "0L"), ("anc", "+L")], seed=seed,
+                                     pulse=pulse, homodyne_error=True)
+            label, _ = logical_hadamard(run, "sys", "anc")
+            ideal = ProtocolRun.create([("sys", "0L"), ("anc", "+L")], seed=seed)
+            measured, _ = logical_hadamard(ideal, "sys", "anc")
+            ideal.rng.random()  # the one flip draw
+            assert run.rng.bit_generator.state == ideal.rng.bit_generator.state
+            entry, = [e for e in run.record if e.op == "measure_logical_x"]
+            flipped = bool(entry.detail.get("label_flip"))
+            assert entry.detail["outcome"] == label
+            assert label == ({"x+": "x-", "x-": "x+"}[measured] if flipped else measured)
+            # the correction follows the reported label, not the measured one
+            corrections = [e.detail["trigger"] for e in run.record if e.op == "correction"]
+            assert corrections == (["x-"] if label == "x-" else [])
+            flips += flipped
+        assert abs(flips - n * p_err) <= 3 * math.sqrt(n * p_err * (1 - p_err))
+
+    def test_homodyne_error_never_flips_a_leak(self):
+        kw = dict(pulse=PulseSpec(1e-5, 0.05), homodyne_error=True)
+        for seed in range(10):
+            run = ProtocolRun.create([("sys", "2L"), ("anc", "+L")], seed=seed, **kw)
+            ideal = ProtocolRun.create([("sys", "2L"), ("anc", "+L")], seed=seed)
+            assert logical_hadamard(run, "sys", "anc")[0] == "leak"
+            logical_hadamard(ideal, "sys", "anc")
+            assert run.rng.bit_generator.state == ideal.rng.bit_generator.state
+            assert not any(e.detail.get("label_flip") for e in run.record)
 
     def test_leaked_input_aborts(self):
         run = ProtocolRun.create([("sys", "2L"), ("anc", "+L")], seed=2)
@@ -900,7 +933,7 @@ class TestProjectionInChangedFrame:
         tn = TransportNoise(100e-6, NoiseSpectrum.band_limited_white(
             tau_co=3e-5, cutoff=2 * math.pi * 4e3))
         kw = dict(transport_noise=tn, homodyne_error=True,
-                  pulse=PulseSpec.gaussian(1e-5, 0.3, "odd_cat"))
+                  pulse=PulseSpec(1e-5, 0.3))
         rng = np.random.default_rng(32)
         flips = 0
         for seed in range(8):
