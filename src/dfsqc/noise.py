@@ -1,4 +1,4 @@
-"""Stochastic dephasing, the swap-echo filter function, and transport noise.
+"""Stochastic dephasing, the swap-echo Monte Carlo, and transport noise.
 
 The dephasing rate eps(t) is a real stationary Gaussian process with a
 two-sided power spectral density S(w) normalized so that
@@ -6,31 +6,30 @@ two-sided power spectral density S(w) normalized so that
     <eps(t) eps(t + tau)> = int S(w) e^{i w tau} dw,   int S dw = total_power.
 
 Spectral synthesis draws eps(t) = sum_k A_k cos(w_k t + theta_k) on a
-midpoint frequency grid with A_k = 2 sqrt(S(w_k) dw) (folding the two
-sides), so the sample variance reproduces total_power exactly and segment
-integrals of eps have closed forms (no time-discretization error in the
-accumulated phases).  The Monte Carlo writes each segment integral by the
-midpoint identity, 2 A sin(w (t1 - t0)/2) cos(w (t0 + t1)/2 + theta)/w,
-and folds the signed sum over segments into a cosine and a sine
-coefficient per component (one pair for the echo phase, one for the free
-phase), so a realization costs cos(theta_k) and sin(theta_k) whatever the
-number of echo cycles.  The phases are drawn as turns u_k = theta_k/(2 pi)
-and their sines and cosines come from a 4096-entry table and a short
-Taylor series (:func:`_sincos_turns`), within 1e-15 of libm.
+midpoint grid of MC_COMPONENTS frequencies with A_k = 2 sqrt(S(w_k) dw)
+(folding the two sides), so the sample variance reproduces total_power
+exactly and segment integrals of eps have closed forms.  The Monte Carlo
+writes each segment integral by the midpoint identity and folds the signed
+sum over segments into coefficient columns c_k, s_k (echo and free phase),
+so a realization costs cos(theta_k) and sin(theta_k), from a 4096-entry
+table and a short Taylor series (:func:`_sincos_turns`), whatever the
+number of echo cycles.  Its block buffers are allocated once per call: a
+new 256 KB temporary per operation is served by glibc with mmap, or
+trimmed after it is freed, and page-faults in again on every block.
 
-Echo sequence [dt, U_x, dt, U_x]: the +/- toggling of the accumulated
-phase gives the one-cycle filter |Y(w)|^2 = 16 dt^2 sin^4(w dt/2)/(w dt)^2,
-i.e. 16 dt^2 times :func:`filter_function_dfs` (the proportionality
-constant is fixed by matching free evolution, where |W(w)|^2 =
-4 sin^2(w T/2)/w^2).
+The analytic echo and free variances are the exact moments of the
+synthesis, sum_k (c_k^2 + s_k^2)/2 for uniform independent theta_k, so the
+Monte Carlo differs from them by sampling error alone.  They approach the
+continuous filter integrals int S |Y|^2 dw (swap echo [dt, U_x, dt, U_x]:
+|Y_1(w)|^2 = 16 sin^4(w dt/2)/w^2; free: 4 sin^2(w T/2)/w^2) as the
+component spacing shrinks.
 
 Transport noise: moving the atom pair with separation time tau_T filters
 the spectrum through sin^2(w tau_T/2) and smears it with a Gaussian kernel
 of width 4/tau_T (motion through the spatially correlated field).  A
-frozen :class:`TransportNoise` integrates the transported power once, when
-it is built, by the midpoint rule on BAND_GRID cells (a tabulated spectrum
-from its first w, where S starts); every transport lasts its tau_T and
-reads that power.  The differential dephasing power is referred
+frozen :class:`TransportNoise` computes the transported power once, when
+it is built, on the same component grid; every transport lasts its tau_T
+and reads that power.  The differential dephasing power is referred
 symmetrically to the two atoms (factor 1/2), so a narrow noise line at
 w0 << 1/tau_T is suppressed by sin^2(w0 tau_T/2)/2 -> (tau_T w0)^2/8.
 """
@@ -52,7 +51,6 @@ MC_COMPONENTS = 512  # cosine components per Monte Carlo noise realization
 # realizations per block, so the (64, MC_COMPONENTS) arrays stay in cache; it
 # sets the BLAS summation order (the last bits of the variances), not the draws
 MC_CHUNK = 64
-BAND_GRID = 65536  # midpoint samples of the one-sided band in band integrals
 SINCOS_TABLE = 4096  # entries per turn of the sincos table
 _TABLE_STEP = TWO_PI / SINCOS_TABLE
 _COS_TABLE = np.cos(np.arange(SINCOS_TABLE) * _TABLE_STEP)
@@ -166,11 +164,12 @@ class TransportNoise:
     """Dephasing accrued while shuttling atoms; each transport lasts tau_T.
 
     ``power`` is the total power of the transport-filtered spectrum,
-    int S_tT(w) dw, integrated once when the model is built.  S_tT(w) =
+    int S_tT(w) dw, computed once when the model is built.  S_tT(w) =
     int S(w - v) sin^2((w - v) tau_T/2) K(v) dv with K a normalized
     Gaussian of standard deviation 4/tau_T.  Integrating over all
     frequencies collapses the kernel exactly, leaving
-    int S(u) sin^2(u tau_T/2) du.
+    int S(u) sin^2(u tau_T/2) du, which on the synthesis grid is
+    sum_k A_k^2 sin^2(w_k tau_T/2)/2.
     """
 
     tau_T: float
@@ -180,11 +179,12 @@ class TransportNoise:
     def __post_init__(self):
         if self.tau_T <= 0:
             raise NoiseModelError("separation time must be positive")
-        power = _band_integral(self.base, lambda w: np.sin(w * self.tau_T / 2.0) ** 2)
+        freqs, amps = _component_grid(self.base, MC_COMPONENTS)
+        power = 0.5 * float(np.sum((amps * np.sin(freqs * self.tau_T / 2.0)) ** 2))
         object.__setattr__(self, "power", power)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EchoSequence:
     """Swap-echo cycle [dt, U_x, dt, U_x] repeated n_cycles times."""
 
@@ -215,73 +215,31 @@ def _component_grid(spectrum: NoiseSpectrum, n_components: int):
     return freqs, amps
 
 
-# ---------------------------------------------------------------------------
-# filter functions
-# ---------------------------------------------------------------------------
-
-def filter_function_dfs(omega, dt: float):
-    """Echo filter sin^4(dt*w/2)/(dt*w)^2 with unit proportionality constant.
-
-    Returns the w -> 0 limit (zero) at w = 0; small-argument behavior is
-    (dt*w)^2/16.
-    """
-    if dt <= 0:
-        raise NoiseModelError("dt must be positive")
-    w = np.asarray(omega, dtype=float)
-    x = dt * w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.sin(x / 2.0) ** 4 / x**2
-    return np.where(x == 0.0, 0.0, val)
-
-
-def _echo_filter_sq(omega: np.ndarray, seq: EchoSequence) -> np.ndarray:
-    """|Y_n(w)|^2 for the n-cycle echo modulation function."""
-    w = np.asarray(omega, dtype=float)
-    one = 16.0 * seq.dt**2 * filter_function_dfs(w, seq.dt)
-    if seq.n_cycles == 1:
-        return one
-    x = seq.dt * w
-    sin_x = np.sin(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        comb = (np.sin(seq.n_cycles * x) / sin_x) ** 2
-    comb = np.where(np.abs(sin_x) < 1e-9, float(seq.n_cycles**2), comb)
-    return one * comb
-
-
-def _free_filter_sq(omega: np.ndarray, total_time: float) -> np.ndarray:
-    w = np.asarray(omega, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = 4.0 * np.sin(w * total_time / 2.0) ** 2 / w**2
-    return np.where(w == 0.0, total_time**2, val)
-
-
-def _band_integral(spectrum: NoiseSpectrum, weight) -> float:
-    """int S(w) weight(w) dw over the two-sided band (midpoint rule).
-
-    A table's S is 0 below its first w, so its grid starts one cell below
-    it: the same cells as the full grid's, less some whose terms are 0.
-    """
-    band = spectrum.band()
-    dw = band / BAND_GRID
-    first = 0 if spectrum.table is None else max(0, int(spectrum.table[0][0] / dw) - 1)
-    w = (np.arange(first, BAND_GRID) + 0.5) * dw
-    return 2.0 * float(np.sum(spectrum.psd(w) * weight(w)) * dw)
+def _phase_coefficients(seq: EchoSequence, spectrum: NoiseSpectrum):
+    """Columns (c, s), echo then free: a phase is sum_k (c_k cos th_k - s_k sin th_k)."""
+    freqs, amps = _component_grid(spectrum, MC_COMPONENTS)
+    centers = np.multiply.outer(freqs, (2 * np.arange(seq.n_cycles) + 1) * seq.dt)
+    echo_amp = 4.0 * amps * np.sin(freqs * seq.dt / 2.0) ** 2 / freqs
+    half_t = freqs * seq.total_time / 2.0
+    free_amp = 2.0 * amps * np.sin(half_t) / freqs
+    c = np.column_stack([echo_amp * np.sin(centers).sum(axis=1),
+                         free_amp * np.cos(half_t)])
+    s = np.column_stack([-echo_amp * np.cos(centers).sum(axis=1),
+                         free_amp * np.sin(half_t)])
+    return c, s
 
 
 def echo_variance_analytic(seq: EchoSequence, spectrum: NoiseSpectrum) -> float:
-    """Variance of the echo phase: int S(w) |Y_n(w)|^2 dw."""
-    return _band_integral(spectrum, lambda w: _echo_filter_sq(w, seq))
+    """Exact variance sum_k (c_k^2 + s_k^2)/2 of the synthesized echo phase."""
+    c, s = _phase_coefficients(seq, spectrum)
+    return 0.5 * float(np.sum(c[:, 0] ** 2 + s[:, 0] ** 2))
 
 
 def free_variance_analytic(total_time: float, spectrum: NoiseSpectrum) -> float:
-    """Variance of the freely accumulated phase over total_time."""
-    return _band_integral(spectrum, lambda w: _free_filter_sq(w, total_time))
-
-
-def echo_suppression_analytic(seq: EchoSequence, spectrum: NoiseSpectrum) -> float:
-    ve = echo_variance_analytic(seq, spectrum)
-    vf = free_variance_analytic(seq.total_time, spectrum)
-    return ve / vf
+    """Exact variance of the synthesized phase accumulated freely over total_time."""
+    # the free column depends on the record length alone
+    c, s = _phase_coefficients(EchoSequence(total_time / 2.0), spectrum)
+    return 0.5 * float(np.sum(c[:, 1] ** 2 + s[:, 1] ** 2))
 
 
 class DephasingStats(NamedTuple):
@@ -292,7 +250,7 @@ class DephasingStats(NamedTuple):
     n_realizations: int
 
 
-def _sincos_turns(u: np.ndarray):
+def _sincos_turns(u: np.ndarray, work: np.ndarray, index: np.ndarray):
     """cos(2 pi u) and sin(2 pi u) for turns 0 <= u < 1, without libm.
 
     With j = floor(4096 u) the angle splits into the table angle
@@ -304,18 +262,43 @@ def _sincos_turns(u: np.ndarray):
     draws it is within 8.9e-16 of np.cos(2 pi u) (whose argument is itself
     rounded), and cos^2 + sin^2, summed in extended precision, within
     3.0e-16 of 1.
+
+    Nothing is allocated: ``u`` and ``work``, five float arrays of u's
+    shape, are overwritten, ``index`` (intp, u's shape) receives j, and
+    (cos, sin) are returned in two of the ``work`` arrays.  The ufuncs are
+    those of the expressions in the comments, in the same order, so the
+    bits do not depend on the buffers.
     """
-    scaled = u * SINCOS_TABLE
-    whole = np.trunc(scaled)
-    index = whole.astype(np.intp)
-    x = (scaled - whole) * _TABLE_STEP
-    x2 = x * x
-    versin_x = x2 * (0.5 - x2 * (1.0 / 24.0))  # 1 - cos(x)
-    sin_x = x * (1.0 - x2 * (1.0 / 6.0 - x2 * (1.0 / 120.0)))
-    cos_j = _COS_TABLE.take(index)
-    sin_j = _SIN_TABLE.take(index)
-    return (cos_j - (cos_j * versin_x + sin_j * sin_x),
-            sin_j + (cos_j * sin_x - sin_j * versin_x))
+    whole, x2, versin_x, sin_x, tmp = work
+    x = np.multiply(u, SINCOS_TABLE, out=u)  # scaled = 4096 u
+    np.trunc(x, out=whole)
+    np.copyto(index, whole, casting="unsafe")  # whole.astype(np.intp)
+    np.subtract(x, whole, out=x)
+    np.multiply(x, _TABLE_STEP, out=x)  # x = (scaled - whole) * step
+    np.multiply(x, x, out=x2)
+    # versin_x = 1 - cos(x) = x2 * (0.5 - x2 * (1/24))
+    np.multiply(x2, 1.0 / 24.0, out=versin_x)
+    np.subtract(0.5, versin_x, out=versin_x)
+    np.multiply(x2, versin_x, out=versin_x)
+    # sin_x = x * (1 - x2 * (1/6 - x2 * (1/120)))
+    np.multiply(x2, 1.0 / 120.0, out=sin_x)
+    np.subtract(1.0 / 6.0, sin_x, out=sin_x)
+    np.multiply(x2, sin_x, out=sin_x)
+    np.subtract(1.0, sin_x, out=sin_x)
+    np.multiply(x, sin_x, out=sin_x)
+    # j < 4096 since u < 1, so "clip" clips nothing; "raise" would buffer
+    cos_j = _COS_TABLE.take(index, out=whole, mode="clip")
+    sin_j = _SIN_TABLE.take(index, out=x2, mode="clip")
+    # cos = cos_j - (cos_j * versin_x + sin_j * sin_x)
+    np.multiply(cos_j, versin_x, out=x)
+    np.multiply(sin_j, sin_x, out=tmp)
+    np.add(x, tmp, out=x)
+    # sin = sin_j + (cos_j * sin_x - sin_j * versin_x)
+    np.multiply(cos_j, sin_x, out=sin_x)
+    np.multiply(sin_j, versin_x, out=versin_x)
+    np.subtract(sin_x, versin_x, out=sin_x)
+    return (np.subtract(cos_j, x, out=cos_j),
+            np.add(sin_j, sin_x, out=sin_j))
 
 
 def monte_carlo_dephasing(seq: EchoSequence, spectrum: NoiseSpectrum,
@@ -332,32 +315,30 @@ def monte_carlo_dephasing(seq: EchoSequence, spectrum: NoiseSpectrum,
     tau_c = (2c + 1) dt, and the free phase is one segment over [0, T].
     Expanding in cos(th) and sin(th) folds both sums, once per call, into
     per-component coefficients c[k] and s[k] with an echo and a free
-    column; a chunk of realizations then costs cos(th) @ c - sin(th) @ s,
-    two transcendentals per component whatever n_cycles is.  Phases are
-    drawn as turns th/(2 pi) = gen.random(), the same stream as
-    gen.uniform(0, 2 pi), MC_CHUNK realizations at a time, and
-    :func:`_sincos_turns` evaluates both transcendentals from a table,
-    within 1e-15 of libm.  The draws do not depend on MC_CHUNK; the BLAS
-    summation order, and so the last bits of the variances, do.
+    column (:func:`_phase_coefficients`); a chunk of realizations then
+    costs cos(th) @ c - sin(th) @ s, two transcendentals per component
+    whatever n_cycles is.  Phases are drawn as turns th/(2 pi) =
+    gen.random(), the same stream as gen.uniform(0, 2 pi), MC_CHUNK
+    realizations at a time, and :func:`_sincos_turns` evaluates both
+    transcendentals from a table, within 1e-15 of libm, in buffers
+    allocated once per call (so concurrent calls share none).  The draws
+    do not depend on MC_CHUNK; the BLAS summation order, and so the last
+    bits of the variances, do.
     """
     if n_realizations < 100:
         raise NoiseModelError("need at least 100 realizations")
     gen = as_generator(rng)
-    freqs, amps = _component_grid(spectrum, MC_COMPONENTS)
-    centers = np.multiply.outer(freqs, (2 * np.arange(seq.n_cycles) + 1) * seq.dt)
-    echo_amp = 4.0 * amps * np.sin(freqs * seq.dt / 2.0) ** 2 / freqs
-    half_t = freqs * seq.total_time / 2.0
-    free_amp = 2.0 * amps * np.sin(half_t) / freqs
-    c = np.column_stack([echo_amp * np.sin(centers).sum(axis=1),
-                         free_amp * np.cos(half_t)])
-    s = np.column_stack([-echo_amp * np.cos(centers).sum(axis=1),
-                         free_amp * np.sin(half_t)])
+    c, s = _phase_coefficients(seq, spectrum)
+    block = (MC_CHUNK, MC_COMPONENTS)
+    buffers = np.empty((6,) + block)  # the turns, then _sincos_turns' work
+    index = np.empty(block, dtype=np.intp)
 
     phase = np.empty((2, n_realizations))  # rows: echo, free
     done = 0
     while done < n_realizations:
         m = min(MC_CHUNK, n_realizations - done)
-        cos_th, sin_th = _sincos_turns(gen.random(size=(m, len(freqs))))
+        u = gen.random(out=buffers[0, :m])
+        cos_th, sin_th = _sincos_turns(u, buffers[1:, :m], index[:m])
         phase[:, done:done + m] = (cos_th @ c - sin_th @ s).T
         done += m
 

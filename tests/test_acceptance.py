@@ -24,8 +24,8 @@ from dfsqc.noise import (
     EchoSequence,
     NoiseSpectrum,
     TransportNoise,
-    echo_suppression_analytic,
     echo_variance_analytic,
+    free_variance_analytic,
     monte_carlo_dephasing,
     suppression_factor,
 )
@@ -95,8 +95,9 @@ def test_criterion_4_decoupling_validation():
     assert pull <= 5.0, f"MC vs analytic pull {pull:.2f} SE"
 
     prods = np.array([0.01, 0.02, 0.05, 0.1])
-    ratios = [echo_suppression_analytic(EchoSequence(p / spectrum.cutoff),
-                                        spectrum) for p in prods]
+    seqs = [EchoSequence(p / spectrum.cutoff) for p in prods]
+    ratios = [echo_variance_analytic(q, spectrum) / free_variance_analytic(q.total_time, spectrum)
+              for q in seqs]
     slope = float(np.polyfit(np.log(prods), np.log(ratios), 1)[0])
     assert abs(slope - 2.0) <= 0.1, f"slope {slope}"
 

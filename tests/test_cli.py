@@ -24,7 +24,7 @@ from dfsqc.config import (
     rate_to_mhz,
 )
 from dfsqc.noise import NoiseSpectrum
-from dfsqc.scenarios import emit_report, run_scenario
+from dfsqc.scenarios import emit_report, run_decoupling, run_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -331,6 +331,47 @@ class TestArtifacts:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), cfg.name
         assert pooled == ["decoupling"]
+
+
+def decoupling_checks(model, products, realizations=100):
+    cfg = ScenarioConfig.from_yaml(
+        f"kind: decoupling\nname: echo\nseed: 9\nrealizations: {realizations}\n"
+        f"noise: {{model: {model}}}\necho: {{dt_cutoff_product: {products}}}\n")
+    return {c.name: c for c in run_decoupling(cfg).checks}
+
+
+class TestDecouplingChecks:
+    def test_lorentzian_shipped_grid_passes(self, tmp_path):
+        # dt*band = 200*dt*cutoff reaches 20: suppression is not quadratic there,
+        # and the Monte Carlo's own slope (1.08) matches the analytic one
+        text = (ROOT / "configs" / "decoupling.yaml").read_text().replace(
+            "band-limited-white", "lorentzian")
+        path = tmp_path / "lorentzian.yaml"
+        path.write_text(text)
+        assert main(["simulate", str(path), "--check", "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("model, top, applies", [
+        ("band-limited-white", 0.99, True), ("band-limited-white", 1.01, False),
+        ("lorentzian", 0.99 / 200, True), ("lorentzian", 1.01 / 200, False)])
+    def test_suppression_slope_applies_up_to_dt_band_one(self, model, top, applies):
+        # inside, the slow-noise premise holds and the slope is 2
+        check = decoupling_checks(model, [top / 10, top])["suppression_slope"]
+        assert check.passed
+        assert check.detail.startswith("not applicable") != applies
+        assert ("target 2.0" in check.detail) == applies
+        assert ("max dt*band = 1.01 > 1" in check.detail) != applies
+
+    def test_mc_slope_fails_when_the_monte_carlo_scales_wrongly(self, monkeypatch):
+        real = dfsqc.scenarios.monte_carlo_dephasing
+
+        def steeper(seq, *args):
+            stats = real(seq, *args)
+            return stats._replace(var_echo=stats.var_echo * seq.dt * 1e4)
+
+        products = [0.01, 0.02, 0.05, 0.1]
+        assert decoupling_checks("lorentzian", products, 2000)["mc_suppression_slope"].passed
+        monkeypatch.setattr(dfsqc.scenarios, "monte_carlo_dephasing", steeper)
+        assert not decoupling_checks("lorentzian", products, 2000)["mc_suppression_slope"].passed
 
 
 class TestCliEntry:

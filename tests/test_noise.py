@@ -1,4 +1,4 @@
-"""Noise components, filter functions, transport spectrum, dephasing channel."""
+"""Noise components, exact moments, transport spectrum, dephasing channel."""
 
 import math
 from dataclasses import FrozenInstanceError
@@ -14,9 +14,7 @@ from dfsqc.noise import (
     NoiseModelError,
     NoiseSpectrum,
     TransportNoise,
-    echo_suppression_analytic,
     echo_variance_analytic,
-    filter_function_dfs,
     free_variance_analytic,
     monte_carlo_dephasing,
     suppression_factor,
@@ -25,12 +23,14 @@ from dfsqc.noise import (
 from dfsqc import noise
 from dfsqc.cli import main
 from dfsqc.noise import (
-    BAND_GRID,
+    _COS_TABLE,
+    _SIN_TABLE,
+    _TABLE_STEP,
+    MC_COMPONENTS,
+    SINCOS_TABLE,
     TWO_PI,
-    _band_integral,
     _component_grid,
-    _echo_filter_sq,
-    _free_filter_sq,
+    _phase_coefficients,
     _sincos_turns,
 )
 from dfsqc.scenarios import narrow_line_spectrum
@@ -41,6 +41,56 @@ Q = LogicalQubit(0, 1)
 def default_spectrum():
     """Band-limited white, tau_co = 1 ms, cutoff 2*pi*100 Hz."""
     return NoiseSpectrum.band_limited_white(tau_co=1e-3)
+
+
+def filter_function_dfs(omega, dt):
+    """Echo filter sin^4(dt*w/2)/(dt*w)^2 with unit proportionality constant.
+
+    Zero at w = 0, its w -> 0 limit; small-argument behavior (dt*w)^2/16.
+    """
+    w = np.asarray(omega, dtype=float)
+    x = dt * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = np.sin(x / 2.0) ** 4 / x**2
+    return np.where(x == 0.0, 0.0, val)
+
+
+def echo_filter_sq(omega, dt, n_cycles):
+    """|Y_n(w)|^2 = 16 dt^2 F(w, dt) sin^2(n w dt)/sin^2(w dt), swap echo x n."""
+    x = dt * np.asarray(omega, dtype=float)
+    sin_x = np.sin(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        comb = (np.sin(n_cycles * x) / sin_x) ** 2
+    comb = np.where(np.abs(sin_x) < 1e-9, float(n_cycles**2), comb)
+    return 16.0 * dt**2 * filter_function_dfs(omega, dt) * comb
+
+
+def free_filter_sq(omega, total_time):
+    """|W(w)|^2 = 4 sin^2(w T/2)/w^2 of free evolution over T."""
+    w = np.asarray(omega, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = 4.0 * np.sin(w * total_time / 2.0) ** 2 / w**2
+    return np.where(w == 0.0, total_time**2, val)
+
+
+def transport_weight(omega, tau_t):
+    """sin^2(w tau_T/2): what a transport of tau_T leaves of S(w)."""
+    return np.sin(np.asarray(omega, dtype=float) * tau_t / 2.0) ** 2
+
+
+def band_quad(spectrum, weight):
+    """int S(w) weight(w) dw over the two-sided band by scipy quad.
+
+    A tabulated spectrum is piecewise linear, so its rows are breakpoints.
+    """
+    lo, points = 0.0, None
+    if spectrum.table is not None:
+        rows = spectrum.table[0]
+        lo, points = rows[0], rows[1:-1]
+    val, err = quad(lambda w: float(spectrum.psd(w) * weight(w)), lo, spectrum.band(),
+                    points=points, limit=4000, epsrel=1e-12, epsabs=0.0)
+    assert err <= 1e-11 * abs(val)
+    return 2.0 * val
 
 
 def integrated_power(spectrum, n_grid=200001):
@@ -209,22 +259,12 @@ class TestEchoVariance:
         assert b.var_echo == pytest.approx(2 * a.var_echo, rel=1e-12)
         assert b.var_free == pytest.approx(2 * a.var_free, rel=1e-12)
 
-    def test_one_cycle_variance_equals_filter_integral(self):
-        # |Y|^2 = 16 dt^2 F(w, dt): tie the analytic route to the filter op
-        s = default_spectrum()
-        dt = 0.07 / s.cutoff
-        seq = EchoSequence(dt)
-        n = 65536
-        dw = s.band() / n
-        w = (np.arange(n) + 0.5) * dw
-        integral = 2 * np.sum(s.psd(w) * 16 * dt**2 * filter_function_dfs(w, dt)) * dw
-        assert echo_variance_analytic(seq, s) == pytest.approx(integral, rel=1e-9)
-
     def test_suppression_slope_is_two(self):
         s = default_spectrum()
         prods = np.array([0.01, 0.02, 0.05, 0.1])
-        ratios = [echo_suppression_analytic(EchoSequence(p / s.cutoff), s)
-                  for p in prods]
+        seqs = [EchoSequence(p / s.cutoff) for p in prods]
+        ratios = [echo_variance_analytic(q, s) / free_variance_analytic(q.total_time, s)
+                  for q in seqs]
         slope = np.polyfit(np.log(prods), np.log(ratios), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
@@ -232,70 +272,69 @@ class TestEchoVariance:
         with pytest.raises(NoiseModelError):
             monte_carlo_dephasing(EchoSequence(1e-4), default_spectrum(), 10, 1)
 
+    def test_sequence_is_frozen(self):
+        seq = EchoSequence(1e-4, 2)
+        for name, value in (("dt", 2e-4), ("n_cycles", 3)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(seq, name, value)
 
-def full_grid_integral(spectrum, weight):
-    """2 int_0^band S weight dw as a midpoint sum over all BAND_GRID cells.
 
-    A tabulated spectrum's integral skips the cells below its first w; this
-    reference sums every cell.
+LORENTZIAN = NoiseSpectrum.lorentzian(tau_co=1e-3, cutoff=100.0)
+# the table below steps from 0 to S at w = 100, inside a component cell, so
+# its synthesized moments sit 2.2e-5 (echo) and 2.8e-4 (free) off the
+# continuous integrals (measured)
+TABLE_RTOL = 5e-4
+
+
+class TestExactMoments:
+    """The analytic columns against quad of the continuous filter integrals.
+
+    Tolerances are the 512-component midpoint error, measured: the moments
+    themselves are exact for the synthesized process.
     """
-    dw = spectrum.band() / BAND_GRID
-    w = (np.arange(BAND_GRID) + 0.5) * dw
-    return 2.0 * float(np.sum(spectrum.psd(w) * weight(w)) * dw)
 
+    @pytest.mark.parametrize("n_cycles", [1, 2, 3])
+    @pytest.mark.parametrize("spectrum, rtol", [(default_spectrum(), 1e-6), (LORENTZIAN, 2e-5)],
+                             ids=["band-limited-white", "lorentzian"])
+    @pytest.mark.parametrize("product", [0.01, 0.1, 1.0])
+    def test_echo_and_free_match_quad(self, spectrum, rtol, product, n_cycles):
+        seq = EchoSequence(product / spectrum.cutoff, n_cycles)
+        echo = band_quad(spectrum, lambda w: echo_filter_sq(w, seq.dt, n_cycles))
+        free = band_quad(spectrum, lambda w: free_filter_sq(w, seq.total_time))
+        assert abs(echo_variance_analytic(seq, spectrum) - echo) <= rtol * echo
+        assert abs(free_variance_analytic(seq.total_time, spectrum) - free) <= rtol * free
 
-BAND_WEIGHTS = {
-    "transport": lambda w: np.sin(w * 100e-6 / 2.0) ** 2,
-    "echo-1": lambda w: _echo_filter_sq(w, EchoSequence(1e-4, 1)),
-    "echo-3": lambda w: _echo_filter_sq(w, EchoSequence(1e-4, 3)),
-    "free": lambda w: _free_filter_sq(w, 6e-4),
-}
+    @pytest.mark.parametrize("product", [0.02, 0.1, 1.0, 3.0])
+    def test_narrow_line_transport_power_matches_quad(self, product):
+        tau = 100e-6
+        w0 = product / tau
+        tn = TransportNoise(tau, narrow_line_spectrum(w0, w0 / 50))
+        ref = band_quad(tn.base, lambda w: transport_weight(w, tau))
+        assert abs(tn.power - ref) <= 1e-8 * ref
 
+    def test_variances_are_half_the_coefficient_norms(self):
+        # a phase sum_k (c_k cos th_k - s_k sin th_k) in uniform independent th_k
+        s = LORENTZIAN
+        seq = EchoSequence(0.02 / s.cutoff, 2)
+        c, sn = (a.astype(np.longdouble) for a in _phase_coefficients(seq, s))
+        echo, free = (c**2 + sn**2).sum(axis=0) / 2
+        assert echo_variance_analytic(seq, s) == pytest.approx(float(echo), rel=1e-14)
+        assert free_variance_analytic(seq.total_time, s) == pytest.approx(float(free),
+                                                                          rel=1e-14)
 
-def ramp_table(first):
-    """Table from ``first`` to 65536 rad/s, so that a grid cell is 1 rad/s wide."""
-    return NoiseSpectrum.from_table([first, 1000.0, 65536.0], [1.0, 2.0, 0.5])
+    @pytest.mark.parametrize("spectrum, n_cycles", [(default_spectrum(), 2), (LORENTZIAN, 1)],
+                             ids=["band-limited-white", "lorentzian"])
+    def test_monte_carlo_mean_is_the_exact_moment(self, spectrum, n_cycles):
+        # sampling error only: 40 seeds' mean within 4 standard errors
+        seq = EchoSequence(0.05 / spectrum.cutoff, n_cycles)
+        runs = np.array([monte_carlo_dephasing(seq, spectrum, 1000, seed)[:2]
+                         for seed in range(40)])
+        exact = (echo_variance_analytic(seq, spectrum),
+                 free_variance_analytic(seq.total_time, spectrum))
+        stderr = runs.std(axis=0, ddof=1) / math.sqrt(len(runs))
+        assert np.all(np.abs(runs.mean(axis=0) - exact) <= 4 * stderr)
 
-
-class TestBandIntegral:
-    @pytest.mark.parametrize("weight", BAND_WEIGHTS.values(), ids=BAND_WEIGHTS.keys())
-    @pytest.mark.parametrize("spectrum", [
-        narrow_line_spectrum(200.0, 4.0), narrow_line_spectrum(2e3, 40.0),
-        narrow_line_spectrum(1e5, 2e3), ramp_table(100.5), ramp_table(100.0),
-        ramp_table(0.25)],
-        ids=["line-200", "line-2e3", "line-1e5", "first-on-midpoint",
-             "first-on-edge", "first-in-cell-0"])
-    def test_table_from_first_row_matches_full_grid(self, spectrum, weight):
-        # the skipped cells hold S = 0 exactly; only the summation order moves
-        ref = full_grid_integral(spectrum, weight)
-        assert ref > 0.0
-        assert abs(_band_integral(spectrum, weight) - ref) <= 1e-15 * ref
-
-    @pytest.mark.parametrize("weight", BAND_WEIGHTS.values(), ids=BAND_WEIGHTS.keys())
-    @pytest.mark.parametrize("spectrum", [
-        default_spectrum(), NoiseSpectrum.lorentzian(tau_co=1e-3, cutoff=100.0),
-        ramp_table(0.0)],
-        ids=["band-limited-white", "lorentzian", "table-from-0"])
-    def test_full_grid_spectra_are_unchanged(self, spectrum, weight):
-        assert _band_integral(spectrum, weight) == full_grid_integral(spectrum, weight)
-
-    def test_narrow_line_evaluates_only_its_cells(self, monkeypatch):
-        sizes = []
-        psd = NoiseSpectrum.psd
-
-        def counting_psd(self, omega):
-            sizes.append(np.size(omega))
-            return psd(self, omega)
-
-        monkeypatch.setattr(NoiseSpectrum, "psd", counting_psd)
-        w0 = 0.1 / 100e-6
-        TransportNoise(100e-6, narrow_line_spectrum(w0, w0 / 50))
-        assert len(sizes) == 1 and sizes[0] <= 0.3 * BAND_GRID
-        sizes.clear()
-        TransportNoise(100e-6, default_spectrum())
-        assert sizes == [BAND_GRID]
-
-    def test_table_decoupling_run_matches_full_grid(self, tmp_path):
+    def test_table_decoupling_run(self, tmp_path):
         # a table starting above w = 0, end to end through the CLI
         table = tmp_path / "table.txt"
         table.write_text("100 1\n200 3\n300 4\n400 4\n500 2\n600 1\n")
@@ -310,10 +349,11 @@ class TestBandIntegral:
         for line in lines[1:]:
             row = dict(zip(header, map(float, line.split(","))))
             seq = EchoSequence(row["dt"])
-            echo = full_grid_integral(spectrum, lambda w: _echo_filter_sq(w, seq))
-            free = full_grid_integral(spectrum, lambda w: _free_filter_sq(w, seq.total_time))
-            assert abs(row["var_echo_analytic"] - echo) <= 1e-15 * echo
-            assert abs(row["var_free_analytic"] - free) <= 1e-15 * free
+            assert row["var_echo_analytic"] == echo_variance_analytic(seq, spectrum)
+            echo = band_quad(spectrum, lambda w: echo_filter_sq(w, seq.dt, 1))
+            free = band_quad(spectrum, lambda w: free_filter_sq(w, seq.total_time))
+            assert abs(row["var_echo_analytic"] - echo) <= TABLE_RTOL * echo
+            assert abs(row["var_free_analytic"] - free) <= TABLE_RTOL * free
 
 
 def _longdouble_variances(seq, spectrum, n_realizations, seed, n_components=512):
@@ -382,13 +422,62 @@ class TestMonteCarloSums:
         assert two.var_free == pytest.approx(one.var_free, rel=1e-13, abs=0)
 
 
+def sincos_reference(u):
+    """The table sincos as expressions, one temporary array per operation."""
+    scaled = u * SINCOS_TABLE
+    whole = np.trunc(scaled)
+    index = whole.astype(np.intp)
+    x = (scaled - whole) * _TABLE_STEP
+    x2 = x * x
+    versin_x = x2 * (0.5 - x2 * (1.0 / 24.0))  # 1 - cos(x)
+    sin_x = x * (1.0 - x2 * (1.0 / 6.0 - x2 * (1.0 / 120.0)))
+    cos_j = _COS_TABLE.take(index)
+    sin_j = _SIN_TABLE.take(index)
+    return (cos_j - (cos_j * versin_x + sin_j * sin_x),
+            sin_j + (cos_j * sin_x - sin_j * versin_x))
+
+
+def sincos(u):
+    """_sincos_turns on a copy of u, with buffers of its own."""
+    work = np.empty((5,) + u.shape)
+    return _sincos_turns(u.copy(), work, np.empty(u.shape, dtype=np.intp))
+
+
+def reference_dephasing(seq, spectrum, n_realizations, seed):
+    """monte_carlo_dephasing's block loop with the expression sincos."""
+    gen = np.random.default_rng(seed)
+    c, s = _phase_coefficients(seq, spectrum)
+    phase = np.empty((2, n_realizations))
+    for done in range(0, n_realizations, noise.MC_CHUNK):
+        m = min(noise.MC_CHUNK, n_realizations - done)
+        cos_th, sin_th = sincos_reference(gen.random(size=(m, MC_COMPONENTS)))
+        phase[:, done:done + m] = (cos_th @ c - sin_th @ s).T
+    var_echo, var_free = (float(v) for v in np.var(phase, axis=1, ddof=1))
+    factor = math.sqrt(2.0 / (n_realizations - 1))
+    return (var_echo, var_free, var_echo * factor, var_free * factor, n_realizations)
+
+
 class TestSincosTurns:
+    def test_in_place_kernel_is_the_expressions_bit_for_bit(self):
+        u = np.concatenate([np.random.default_rng(2026).random(10**6),
+                            [0.0, 2.0**-53, 1.0 - 2.0**-53], np.arange(4096) / 4096])
+        cos_u, sin_u = sincos(u)
+        ref_cos, ref_sin = sincos_reference(u)
+        assert np.array_equal(cos_u, ref_cos) and np.array_equal(sin_u, ref_sin)
+
+    @pytest.mark.parametrize("n_realizations", [4000, 4037])
+    def test_stats_are_the_reference_block_loop(self, n_realizations):
+        s = LORENTZIAN
+        seq = EchoSequence(0.03 / s.cutoff, 2)
+        stats = monte_carlo_dephasing(seq, s, n_realizations, 123)
+        assert tuple(stats) == reference_dephasing(seq, s, n_realizations, 123)
+
     def test_matches_libm(self):
         k = np.random.default_rng(5).integers(1, 4096, size=200)
         u = np.concatenate([np.random.default_rng(2026).random(10**6),
                             [0.0, 2.0**-53, 1.0 - 2.0**-53],
                             k / 4096, k / 4096 - 2.0**-53])
-        cos_u, sin_u = _sincos_turns(u)
+        cos_u, sin_u = sincos(u)
         assert np.abs(cos_u - np.cos(TWO_PI * u)).max() <= 2e-15
         assert np.abs(sin_u - np.sin(TWO_PI * u)).max() <= 2e-15
         # extended precision, so the squares add no rounding of their own

@@ -348,16 +348,16 @@ class TestTransportScheduling:
         assert len(phis) >= 4
         assert phis == [replay.normal(0.0, std) for _ in phis]
 
-    def test_transport_power_is_integrated_once(self, monkeypatch):
+    def test_transport_power_is_computed_once(self, monkeypatch):
         from dfsqc import noise
 
-        orig, calls = noise._band_integral, []
+        orig, calls = noise._component_grid, []
 
         def counting(*args):
             calls.append(args)
             return orig(*args)
 
-        monkeypatch.setattr(noise, "_band_integral", counting)
+        monkeypatch.setattr(noise, "_component_grid", counting)
         tn = TransportNoise(100e-6, NoiseSpectrum.band_limited_white(
             tau_co=5e-3, cutoff=2 * math.pi * 30))
         assert len(calls) == 1
