@@ -312,6 +312,39 @@ class TestExactMoments:
         ref = band_quad(tn.base, lambda w: transport_weight(w, tau))
         assert abs(tn.power - ref) <= 1e-8 * ref
 
+    @pytest.mark.parametrize("first", [100.5, 100.0, 0.25],
+                             ids=["first-on-midpoint", "first-on-edge", "first-in-cell-0"])
+    def test_table_moments_sample_the_first_rows_cell(self, first):
+        # one component per rad/s; the table steps from 0 to S at ``first``.
+        # The component k0 whose cell holds the step weighs S at its
+        # midpoint over the whole cell; the cells above it are smooth, so
+        # there the midpoint sum meets quad to O(dw^2) (2.3e-6, measured)
+        spectrum = NoiseSpectrum.from_table([first, 300.0, 512.0], [1.0, 2.0, 0.5])
+        dw = spectrum.band() / MC_COMPONENTS
+        assert dw == 1.0
+        k0 = math.floor(first / dw)
+        mid, edge = (k0 + 0.5) * dw, (k0 + 1) * dw
+        rows = spectrum.table[0]
+
+        def reference(weight):
+            val, err = quad(lambda w: float(spectrum.psd(w) * weight(w)), edge,
+                            spectrum.band(), points=rows[(rows > edge) & (rows < rows[-1])],
+                            limit=4000, epsrel=1e-12, epsabs=0.0)
+            assert err <= 1e-11 * abs(val)
+            return 2.0 * (val + float(spectrum.psd(mid) * weight(mid)) * dw)
+
+        tau = 5e-3
+        seqs = [EchoSequence(1e-3, 1), EchoSequence(3e-3, 3)]
+        pairs = [(TransportNoise(tau, spectrum).power,
+                  reference(lambda w: transport_weight(w, tau)))]
+        for seq in seqs:
+            pairs.append((echo_variance_analytic(seq, spectrum),
+                          reference(lambda w: echo_filter_sq(w, seq.dt, seq.n_cycles))))
+            pairs.append((free_variance_analytic(seq.total_time, spectrum),
+                          reference(lambda w: free_filter_sq(w, seq.total_time))))
+        for got, ref in pairs:
+            assert abs(got - ref) <= 5e-6 * ref
+
     def test_variances_are_half_the_coefficient_norms(self):
         # a phase sum_k (c_k cos th_k - s_k sin th_k) in uniform independent th_k
         s = LORENTZIAN
