@@ -8,14 +8,18 @@ two-sided power spectral density S(w) normalized so that
 Spectral synthesis draws eps(t) = sum_k A_k cos(w_k t + theta_k) on a
 midpoint grid of MC_COMPONENTS frequencies with A_k = 2 sqrt(S(w_k) dw)
 (folding the two sides), so the sample variance reproduces total_power
-exactly and segment integrals of eps have closed forms.  The Monte Carlo
-writes each segment integral by the midpoint identity and folds the signed
-sum over segments into coefficient columns c_k, s_k (echo and free phase),
-so a realization costs cos(theta_k) and sin(theta_k), from a 4096-entry
-table and a short Taylor series (:func:`_sincos_turns`), whatever the
-number of echo cycles.  Its block buffers are allocated once per call: a
-new 256 KB temporary per operation is served by glibc with mmap, or
-trimmed after it is freed, and page-faults in again on every block.
+exactly and segment integrals of eps have closed forms.  The grid spans
+[0, band] for the modeled spectra and a table's own rows otherwise.  The
+Monte Carlo writes each segment integral by the midpoint identity and
+folds the signed sum over segments into coefficient columns c_k, s_k (echo
+and free phase), so a realization costs one table lookup per component,
+whatever the number of echo cycles: theta_k is drawn uniformly from the
+4096th roots of unity.  That is exact for every statistic reported, not
+an approximation of continuous phases: the mean of e^{i m theta} over the
+4096 roots vanishes for 0 < |m| < 4096, so every moment of order below
+4096 in cos(theta_k) and sin(theta_k), the variances (order 2) and their
+standard errors (order 4) among them, equals its value under uniform
+continuous phases.
 
 The analytic echo and free variances are the exact moments of the
 synthesis, sum_k (c_k^2 + s_k^2)/2 for uniform independent theta_k, so the
@@ -47,14 +51,12 @@ from .register import as_generator
 
 TWO_PI = 2.0 * math.pi
 LORENTZIAN_BAND_FACTOR = 200.0  # hard synthesis cutoff, keeps 99.7% of power
-MC_COMPONENTS = 512  # cosine components per Monte Carlo noise realization
+MC_COMPONENTS = 512  # cosine components per realization; four phases per raw word
 # realizations per block, so the (64, MC_COMPONENTS) arrays stay in cache; it
 # sets the BLAS summation order (the last bits of the variances), not the draws
 MC_CHUNK = 64
-SINCOS_TABLE = 4096  # entries per turn of the sincos table
-_TABLE_STEP = TWO_PI / SINCOS_TABLE
-_COS_TABLE = np.cos(np.arange(SINCOS_TABLE) * _TABLE_STEP)
-_SIN_TABLE = np.sin(np.arange(SINCOS_TABLE) * _TABLE_STEP)
+ROOT_BITS = 12  # a Monte Carlo phase is one of the 2**ROOT_BITS roots of unity
+_ROOTS = np.exp(1j * (TWO_PI / 2**ROOT_BITS) * np.arange(2**ROOT_BITS))
 
 
 class NoiseModelError(ValueError):
@@ -118,14 +120,21 @@ class NoiseSpectrum:
             raise NoiseModelError("table omega values must be >= 0")
         order = np.argsort(w)
         w, s = w[order], s[order]
-        return cls("table", 2.0 * float(np.trapezoid(s, w)), float(w[-1]), table=(w, s))
+        power = 2.0 * float(np.trapezoid(s, w))
+        if power == 0.0:
+            # no dephasing to suppress: the echo/free ratio would be 0/0
+            raise NoiseModelError("table spectrum has zero total power")
+        return cls("table", power, float(w[-1]), table=(w, s))
 
     @classmethod
     def from_table_file(cls, path):
         data = np.loadtxt(path, ndmin=2)
-        if data.shape[1] != 2:
-            raise NoiseModelError(f"table file needs two columns (w, S), has {data.shape[1]}")
-        return cls.from_table(data[:, 0], data[:, 1])
+        try:
+            if data.shape[1] != 2:
+                raise NoiseModelError(f"needs two columns (w, S), has {data.shape[1]}")
+            return cls.from_table(data[:, 0], data[:, 1])
+        except NoiseModelError as exc:
+            raise NoiseModelError(f"noise table {path}: {exc}") from None
 
     # -- evaluation ----------------------------------------------------
     def band(self) -> float:
@@ -207,10 +216,14 @@ class EchoSequence:
 # ---------------------------------------------------------------------------
 
 def _component_grid(spectrum: NoiseSpectrum, n_components: int):
-    """Midpoint frequencies w_k and cosine amplitudes A_k = 2 sqrt(S(w_k) dw)."""
-    band = spectrum.band()
-    dw = band / n_components
-    freqs = (np.arange(n_components) + 0.5) * dw
+    """Midpoint frequencies w_k and cosine amplitudes A_k = 2 sqrt(S(w_k) dw).
+
+    The cells span [0, band], or a table's first to last row, so that no
+    cell straddles the step from zero at a table's first row.
+    """
+    lo = 0.0 if spectrum.table is None else spectrum.table[0][0]
+    dw = (spectrum.band() - lo) / n_components
+    freqs = lo + (np.arange(n_components) + 0.5) * dw
     amps = 2.0 * np.sqrt(spectrum.psd(freqs) * dw)
     return freqs, amps
 
@@ -250,57 +263,6 @@ class DephasingStats(NamedTuple):
     n_realizations: int
 
 
-def _sincos_turns(u: np.ndarray, work: np.ndarray, index: np.ndarray):
-    """cos(2 pi u) and sin(2 pi u) for turns 0 <= u < 1, without libm.
-
-    With j = floor(4096 u) the angle splits into the table angle
-    2 pi j/4096 and a residual x = (4096 u - j) 2 pi/4096 <= 1.54e-3; both
-    4096 u and the subtraction are exact.  cos x = 1 - x^2/2 + x^4/24 and
-    sin x = x - x^3/6 + x^5/120 truncate below 2e-20, and the angle-addition
-    formulas add the small corrections to the table entries last, so a
-    result carries one rounding on top of its table entry's.  Over 10^6
-    draws it is within 8.9e-16 of np.cos(2 pi u) (whose argument is itself
-    rounded), and cos^2 + sin^2, summed in extended precision, within
-    3.0e-16 of 1.
-
-    Nothing is allocated: ``u`` and ``work``, five float arrays of u's
-    shape, are overwritten, ``index`` (intp, u's shape) receives j, and
-    (cos, sin) are returned in two of the ``work`` arrays.  The ufuncs are
-    those of the expressions in the comments, in the same order, so the
-    bits do not depend on the buffers.
-    """
-    whole, x2, versin_x, sin_x, tmp = work
-    x = np.multiply(u, SINCOS_TABLE, out=u)  # scaled = 4096 u
-    np.trunc(x, out=whole)
-    np.copyto(index, whole, casting="unsafe")  # whole.astype(np.intp)
-    np.subtract(x, whole, out=x)
-    np.multiply(x, _TABLE_STEP, out=x)  # x = (scaled - whole) * step
-    np.multiply(x, x, out=x2)
-    # versin_x = 1 - cos(x) = x2 * (0.5 - x2 * (1/24))
-    np.multiply(x2, 1.0 / 24.0, out=versin_x)
-    np.subtract(0.5, versin_x, out=versin_x)
-    np.multiply(x2, versin_x, out=versin_x)
-    # sin_x = x * (1 - x2 * (1/6 - x2 * (1/120)))
-    np.multiply(x2, 1.0 / 120.0, out=sin_x)
-    np.subtract(1.0 / 6.0, sin_x, out=sin_x)
-    np.multiply(x2, sin_x, out=sin_x)
-    np.subtract(1.0, sin_x, out=sin_x)
-    np.multiply(x, sin_x, out=sin_x)
-    # j < 4096 since u < 1, so "clip" clips nothing; "raise" would buffer
-    cos_j = _COS_TABLE.take(index, out=whole, mode="clip")
-    sin_j = _SIN_TABLE.take(index, out=x2, mode="clip")
-    # cos = cos_j - (cos_j * versin_x + sin_j * sin_x)
-    np.multiply(cos_j, versin_x, out=x)
-    np.multiply(sin_j, sin_x, out=tmp)
-    np.add(x, tmp, out=x)
-    # sin = sin_j + (cos_j * sin_x - sin_j * versin_x)
-    np.multiply(cos_j, sin_x, out=sin_x)
-    np.multiply(sin_j, versin_x, out=versin_x)
-    np.subtract(sin_x, versin_x, out=sin_x)
-    return (np.subtract(cos_j, x, out=cos_j),
-            np.add(sin_j, sin_x, out=sin_j))
-
-
 def monte_carlo_dephasing(seq: EchoSequence, spectrum: NoiseSpectrum,
                           n_realizations: int, rng) -> DephasingStats:
     """Sample echo and free phase variances over noise realizations.
@@ -316,12 +278,17 @@ def monte_carlo_dephasing(seq: EchoSequence, spectrum: NoiseSpectrum,
     Expanding in cos(th) and sin(th) folds both sums, once per call, into
     per-component coefficients c[k] and s[k] with an echo and a free
     column (:func:`_phase_coefficients`); a chunk of realizations then
-    costs cos(th) @ c - sin(th) @ s, two transcendentals per component
-    whatever n_cycles is.  Phases are drawn as turns th/(2 pi) =
-    gen.random(), the same stream as gen.uniform(0, 2 pi), MC_CHUNK
-    realizations at a time, and :func:`_sincos_turns` evaluates both
-    transcendentals from a table, within 1e-15 of libm, in buffers
-    allocated once per call (so concurrent calls share none).  The draws
+    costs sum_k (c_k cos th_k - s_k sin th_k) whatever n_cycles is.
+
+    Each th_k is one of the 4096th roots of unity, drawn as 12 raw bits
+    (:func:`_root_indices`), which reproduces every moment below order 4096
+    of uniform continuous phases (see the module docstring), and
+    e^{i th_k} is read from a table.  Viewed as (cos, sin) pairs, a block of
+    roots times the interleaved columns (c, -s) gives the phases in one
+    real product.  Realizations come MC_CHUNK at a time, in buffers
+    allocated once per call (so concurrent calls share none): a new 256 KB
+    temporary per block would be served by glibc with mmap, or trimmed
+    after it is freed, and page-fault in again on every block.  The draws
     do not depend on MC_CHUNK; the BLAS summation order, and so the last
     bits of the variances, do.
     """
@@ -329,23 +296,35 @@ def monte_carlo_dephasing(seq: EchoSequence, spectrum: NoiseSpectrum,
         raise NoiseModelError("need at least 100 realizations")
     gen = as_generator(rng)
     c, s = _phase_coefficients(seq, spectrum)
-    block = (MC_CHUNK, MC_COMPONENTS)
-    buffers = np.empty((6,) + block)  # the turns, then _sincos_turns' work
-    index = np.empty(block, dtype=np.intp)
+    cols = np.stack([c, -s], axis=1).reshape(2 * MC_COMPONENTS, 2)
+    index = np.empty((MC_CHUNK, MC_COMPONENTS), dtype=np.uint16)
+    roots = np.empty((MC_CHUNK, MC_COMPONENTS), dtype=complex)
 
     phase = np.empty((2, n_realizations))  # rows: echo, free
     done = 0
     while done < n_realizations:
         m = min(MC_CHUNK, n_realizations - done)
-        u = gen.random(out=buffers[0, :m])
-        cos_th, sin_th = _sincos_turns(u, buffers[1:, :m], index[:m])
-        phase[:, done:done + m] = (cos_th @ c - sin_th @ s).T
+        # the indices are below 4096, so "clip" clips nothing; "raise" would buffer
+        z = _ROOTS.take(_root_indices(gen, index[:m]), out=roots[:m], mode="clip")
+        phase[:, done:done + m] = (z.view(float) @ cols).T
         done += m
 
     var_echo, var_free = (float(v) for v in np.var(phase, axis=1, ddof=1))
     factor = math.sqrt(2.0 / (n_realizations - 1))
     return DephasingStats(var_echo, var_free, var_echo * factor,
                           var_free * factor, n_realizations)
+
+
+def _root_indices(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill uint16 ``out`` with uniform 12-bit root indices, four per raw word.
+
+    A word's 16-bit lanes are read least significant first, (word >> 16 j)
+    & 4095 for lane j, whatever the host's byte order, so a seed gives the
+    same phases everywhere; a call consumes out.size/4 raw words.
+    """
+    raw = gen.bit_generator.random_raw(out.size // 4)
+    lanes = raw.astype("<u8", copy=False).view("<u2").reshape(out.shape)
+    return np.bitwise_and(lanes, 2**ROOT_BITS - 1, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -429,15 +429,17 @@ class TestCliEntry:
         assert not Path(out).exists()
 
     @pytest.mark.parametrize("table", ["1\n2\n3\n", "10 1\n", "0 1\n10 nan\n20 1\n",
-                                       "-50 1\n0 1\n100 1\n"],
-                             ids=["one-column", "one-row", "nan-value", "negative-omega"])
+                                       "-50 1\n0 1\n100 1\n", "100 0\n200 0\n"],
+                             ids=["one-column", "one-row", "nan-value", "negative-omega",
+                                  "all-zero"])
     def test_malformed_noise_table_exits_2(self, tmp_path, capsys, table):
         (tmp_path / "table.txt").write_text(table)
         text = (f"kind: decoupling\nnoise: {{model: table, "
                 f"table_path: {tmp_path / 'table.txt'}}}\n")
         out = str(tmp_path / "out")
         assert main(["simulate", self.write(tmp_path, text), "--out", out]) == 2
-        assert "invalid config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid config" in err and f"noise table {tmp_path / 'table.txt'}:" in err
         assert not Path(out).exists()
 
     @pytest.mark.parametrize("model, key, value", [

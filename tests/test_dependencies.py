@@ -38,6 +38,16 @@ def test_runtime_dependencies_are_numpy_and_pyyaml():
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
+def test_numpy_floor_is_2_0():
+    # np.trapezoid, which table spectra and the transport-noise line
+    # integrate with, is new in NumPy 2.0 (1.x named it trapz)
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert "numpy>=2.0" in project["dependencies"]
+    sources = "".join(p.read_text() for p in (ROOT / "src" / "dfsqc").glob("*.py"))
+    assert "np.trapezoid(" in sources
+
+
 def dfsqc_imports(path):
     """(module, name) of each name one source file imports from a dfsqc module."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):

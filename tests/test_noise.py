@@ -1,7 +1,11 @@
 """Noise components, exact moments, transport spectrum, dephasing channel."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,15 +27,12 @@ from dfsqc.noise import (
 from dfsqc import noise
 from dfsqc.cli import main
 from dfsqc.noise import (
-    _COS_TABLE,
-    _SIN_TABLE,
-    _TABLE_STEP,
     MC_COMPONENTS,
-    SINCOS_TABLE,
-    TWO_PI,
+    ROOT_BITS,
+    _ROOTS,
     _component_grid,
     _phase_coefficients,
-    _sincos_turns,
+    _root_indices,
 )
 from dfsqc.scenarios import narrow_line_spectrum
 
@@ -150,6 +151,11 @@ class TestSpectra:
     def test_negative_table_rejected(self):
         with pytest.raises(NoiseModelError, match="non-negative"):
             NoiseSpectrum.from_table([0.0, 1.0], [1.0, -1.0])
+
+    def test_zero_table_rejected(self):
+        # S = 0 everywhere: no dephasing, and an echo/free ratio of 0/0
+        with pytest.raises(NoiseModelError, match="zero total power"):
+            NoiseSpectrum.from_table([100.0, 200.0], [0.0, 0.0])
 
     def test_negative_omega_table_rejected(self):
         # psd reads the table at |w|, so rows at w < 0 would be counted twice
@@ -280,10 +286,10 @@ class TestEchoVariance:
 
 
 LORENTZIAN = NoiseSpectrum.lorentzian(tau_co=1e-3, cutoff=100.0)
-# the table below steps from 0 to S at w = 100, inside a component cell, so
-# its synthesized moments sit 2.2e-5 (echo) and 2.8e-4 (free) off the
-# continuous integrals (measured)
-TABLE_RTOL = 5e-4
+# the table below steps from 0 to S at w = 100, its first row and so the
+# lower edge of its first cell: its synthesized moments sit 2.8e-7 (echo)
+# and 4.1e-7 (free) off the continuous integrals (measured)
+TABLE_RTOL = 1e-6
 
 
 class TestExactMoments:
@@ -315,33 +321,25 @@ class TestExactMoments:
     @pytest.mark.parametrize("first", [100.5, 100.0, 0.25],
                              ids=["first-on-midpoint", "first-on-edge", "first-in-cell-0"])
     def test_table_moments_sample_the_first_rows_cell(self, first):
-        # one component per rad/s; the table steps from 0 to S at ``first``.
-        # The component k0 whose cell holds the step weighs S at its
-        # midpoint over the whole cell; the cells above it are smooth, so
-        # there the midpoint sum meets quad to O(dw^2) (2.3e-6, measured)
+        # the table steps from 0 to S at ``first``.  Its cells span its rows,
+        # so the step is the lower edge of cell 0 and every cell is smooth:
+        # the midpoint sums meet quad over the rows to O(dw^2) (2.0e-6,
+        # measured).  The ids say where the step would fall in a [0, band]
+        # grid of 1 rad/s cells, whose step cell is off by up to 1e-3.
         spectrum = NoiseSpectrum.from_table([first, 300.0, 512.0], [1.0, 2.0, 0.5])
-        dw = spectrum.band() / MC_COMPONENTS
-        assert dw == 1.0
-        k0 = math.floor(first / dw)
-        mid, edge = (k0 + 0.5) * dw, (k0 + 1) * dw
-        rows = spectrum.table[0]
-
-        def reference(weight):
-            val, err = quad(lambda w: float(spectrum.psd(w) * weight(w)), edge,
-                            spectrum.band(), points=rows[(rows > edge) & (rows < rows[-1])],
-                            limit=4000, epsrel=1e-12, epsabs=0.0)
-            assert err <= 1e-11 * abs(val)
-            return 2.0 * (val + float(spectrum.psd(mid) * weight(mid)) * dw)
+        freqs, _ = _component_grid(spectrum, MC_COMPONENTS)
+        dw = (512.0 - first) / MC_COMPONENTS
+        assert freqs[0] == first + dw / 2 and freqs[-1] == pytest.approx(512.0 - dw / 2)
 
         tau = 5e-3
         seqs = [EchoSequence(1e-3, 1), EchoSequence(3e-3, 3)]
         pairs = [(TransportNoise(tau, spectrum).power,
-                  reference(lambda w: transport_weight(w, tau)))]
+                  band_quad(spectrum, lambda w: transport_weight(w, tau)))]
         for seq in seqs:
             pairs.append((echo_variance_analytic(seq, spectrum),
-                          reference(lambda w: echo_filter_sq(w, seq.dt, seq.n_cycles))))
+                          band_quad(spectrum, lambda w: echo_filter_sq(w, seq.dt, seq.n_cycles))))
             pairs.append((free_variance_analytic(seq.total_time, spectrum),
-                          reference(lambda w: free_filter_sq(w, seq.total_time))))
+                          band_quad(spectrum, lambda w: free_filter_sq(w, seq.total_time))))
         for got, ref in pairs:
             assert abs(got - ref) <= 5e-6 * ref
 
@@ -389,17 +387,28 @@ class TestExactMoments:
             assert abs(row["var_free_analytic"] - free) <= TABLE_RTOL * free
 
 
+def root_indices(seed, n_realizations):
+    """The root indices monte_carlo_dephasing draws from ``seed``, by shifts.
+
+    Component 4 i + j of the block is bits 16 j to 16 j + 11 of raw word i,
+    which does not depend on the host's byte order.
+    """
+    raw = np.random.default_rng(seed).bit_generator.random_raw(
+        n_realizations * MC_COMPONENTS // 4)
+    lanes = [(raw >> np.uint64(16 * j)) & np.uint64(4095) for j in range(4)]
+    return np.stack(lanes, axis=1).reshape(n_realizations, MC_COMPONENTS)
+
+
 def _longdouble_variances(seq, spectrum, n_realizations, seed, n_components=512):
     """Echo and free variances from the segment-difference sums, in longdouble.
 
-    Same draws as ``monte_carlo_dephasing``, whatever its chunking; the
-    extended precision absorbs the sin(w t1 + th) - sin(w t0 + th)
-    cancellation.
+    Same phases as ``monte_carlo_dephasing``, whatever its chunking, with
+    the angles 2 pi j/4096 taken in extended precision, which also absorbs
+    the sin(w t1 + th) - sin(w t0 + th) cancellation.
     """
     ld = np.longdouble
     freqs, amps = (np.asarray(a, dtype=ld) for a in _component_grid(spectrum, n_components))
-    phases = np.random.default_rng(seed).uniform(
-        0.0, 2 * math.pi, size=(n_realizations, n_components)).astype(ld)
+    phases = root_indices(seed, n_realizations).astype(ld) * (2 * np.pi * ld(1) / 4096)
     echo = np.zeros(n_realizations, dtype=ld)
     free = np.zeros(n_realizations, dtype=ld)
     prev = np.sin(phases)
@@ -410,6 +419,20 @@ def _longdouble_variances(seq, spectrum, n_realizations, seed, n_components=512)
         free += seg
         prev = cur
     return float(np.var(echo, ddof=1)), float(np.var(free, ddof=1))
+
+
+def reference_dephasing(seq, spectrum, n_realizations, seed):
+    """monte_carlo_dephasing's block loop as expressions, a new array per operation."""
+    c, s = _phase_coefficients(seq, spectrum)
+    cols = np.stack([c, -s], axis=1).reshape(2 * MC_COMPONENTS, 2)
+    index = root_indices(seed, n_realizations)
+    phase = np.empty((2, n_realizations))
+    for done in range(0, n_realizations, noise.MC_CHUNK):
+        z = _ROOTS[index[done:done + noise.MC_CHUNK]]
+        phase[:, done:done + len(z)] = (z.view(float) @ cols).T
+    var_echo, var_free = (float(v) for v in np.var(phase, axis=1, ddof=1))
+    factor = math.sqrt(2.0 / (n_realizations - 1))
+    return (var_echo, var_free, var_echo * factor, var_free * factor, n_realizations)
 
 
 class TestMonteCarloSums:
@@ -423,20 +446,20 @@ class TestMonteCarloSums:
         assert stats.var_free == pytest.approx(ref_free, rel=1e-13, abs=0)
 
     def test_draw_stream_unchanged(self):
-        # 5000 realizations span two chunks: (4096, K) then (904, K) uniforms
+        # 5000 realizations of 512 twelve-bit phases, four to a raw word
         s = default_spectrum()
         gen = np.random.default_rng(42)
         monte_carlo_dephasing(EchoSequence(0.05 / s.cutoff), s, 5000, gen)
         fresh = np.random.default_rng(42)
-        fresh.uniform(0.0, 2 * math.pi, size=(4096, 512))
-        fresh.uniform(0.0, 2 * math.pi, size=(904, 512))
-        assert gen.random() == fresh.random()
+        fresh.bit_generator.random_raw(5000 * 512 // 4)
+        assert gen.bit_generator.random_raw() == fresh.bit_generator.random_raw()
 
-    def test_turn_draws_are_the_uniform_draws(self):
-        # monte_carlo_dephasing draws turns; the angles are the same numbers
-        angles = np.random.default_rng(611).uniform(0.0, TWO_PI, size=(300, 512))
-        turns = np.random.default_rng(611).random(size=(300, 512))
-        assert np.array_equal(angles, TWO_PI * turns)
+    @pytest.mark.parametrize("n_realizations", [4000, 4037])
+    def test_stats_are_the_reference_block_loop(self, n_realizations):
+        s = LORENTZIAN
+        seq = EchoSequence(0.03 / s.cutoff, 2)
+        stats = monte_carlo_dephasing(seq, s, n_realizations, 123)
+        assert tuple(stats) == reference_dephasing(seq, s, n_realizations, 123)
 
     def test_stats_do_not_depend_on_chunk(self, monkeypatch):
         s = default_spectrum()
@@ -454,69 +477,47 @@ class TestMonteCarloSums:
         one = monte_carlo_dephasing(EchoSequence(2 * dt, 1), s, 1000, 5)
         assert two.var_free == pytest.approx(one.var_free, rel=1e-13, abs=0)
 
-
-def sincos_reference(u):
-    """The table sincos as expressions, one temporary array per operation."""
-    scaled = u * SINCOS_TABLE
-    whole = np.trunc(scaled)
-    index = whole.astype(np.intp)
-    x = (scaled - whole) * _TABLE_STEP
-    x2 = x * x
-    versin_x = x2 * (0.5 - x2 * (1.0 / 24.0))  # 1 - cos(x)
-    sin_x = x * (1.0 - x2 * (1.0 / 6.0 - x2 * (1.0 / 120.0)))
-    cos_j = _COS_TABLE.take(index)
-    sin_j = _SIN_TABLE.take(index)
-    return (cos_j - (cos_j * versin_x + sin_j * sin_x),
-            sin_j + (cos_j * sin_x - sin_j * versin_x))
-
-
-def sincos(u):
-    """_sincos_turns on a copy of u, with buffers of its own."""
-    work = np.empty((5,) + u.shape)
-    return _sincos_turns(u.copy(), work, np.empty(u.shape, dtype=np.intp))
-
-
-def reference_dephasing(seq, spectrum, n_realizations, seed):
-    """monte_carlo_dephasing's block loop with the expression sincos."""
-    gen = np.random.default_rng(seed)
-    c, s = _phase_coefficients(seq, spectrum)
-    phase = np.empty((2, n_realizations))
-    for done in range(0, n_realizations, noise.MC_CHUNK):
-        m = min(noise.MC_CHUNK, n_realizations - done)
-        cos_th, sin_th = sincos_reference(gen.random(size=(m, MC_COMPONENTS)))
-        phase[:, done:done + m] = (cos_th @ c - sin_th @ s).T
-    var_echo, var_free = (float(v) for v in np.var(phase, axis=1, ddof=1))
-    factor = math.sqrt(2.0 / (n_realizations - 1))
-    return (var_echo, var_free, var_echo * factor, var_free * factor, n_realizations)
+    def test_warm_call_does_not_fault_per_block(self):
+        # A new 256 KB temporary per block of a 63-block call page-faults
+        # on every block once the allocator returns it to the system: 224
+        # faults a call, measured in a fresh process, against 0.  The
+        # pytest process's heap hides that, so the calls run in a child;
+        # the first call maps the buffers, the next ones reuse them.
+        code = (
+            "import resource\n"
+            "from dfsqc.noise import EchoSequence, NoiseSpectrum, monte_carlo_dephasing\n"
+            "s = NoiseSpectrum.band_limited_white(tau_co=1e-3)\n"
+            "seq = EchoSequence(0.05 / s.cutoff, 2)\n"
+            "monte_carlo_dephasing(seq, s, 4000, 1)\n"
+            "faults = []\n"
+            "for seed in (2, 3, 4):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    monte_carlo_dephasing(seq, s, 4000, seed)\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(min(faults))\n")
+        src = str(Path(noise.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        assert int(out.stdout) <= 100
 
 
-class TestSincosTurns:
-    def test_in_place_kernel_is_the_expressions_bit_for_bit(self):
-        u = np.concatenate([np.random.default_rng(2026).random(10**6),
-                            [0.0, 2.0**-53, 1.0 - 2.0**-53], np.arange(4096) / 4096])
-        cos_u, sin_u = sincos(u)
-        ref_cos, ref_sin = sincos_reference(u)
-        assert np.array_equal(cos_u, ref_cos) and np.array_equal(sin_u, ref_sin)
+class TestRootsOfUnity:
+    def test_table_has_the_moments_of_uniform_phases(self):
+        # mean(z^m) = 0 for 0 < |m| < 4096: every moment of order < 4096 in
+        # cos and sin is that of a uniform continuous phase
+        assert _ROOTS.shape == (2**ROOT_BITS,) == (4096,)
+        z = _ROOTS.astype(np.clongdouble)
+        for m in [1, 2, 3, 4, 5, 6, 7, 8, 4095]:
+            assert abs(np.mean(z**m)) <= 1e-12, m
+        assert np.abs(np.abs(z) - 1).max() <= 2e-16
+        assert float(np.mean(z.real**4)) == pytest.approx(3 / 8, rel=1e-15)
+        assert float(np.mean(z.imag**4)) == pytest.approx(3 / 8, rel=1e-15)
 
-    @pytest.mark.parametrize("n_realizations", [4000, 4037])
-    def test_stats_are_the_reference_block_loop(self, n_realizations):
-        s = LORENTZIAN
-        seq = EchoSequence(0.03 / s.cutoff, 2)
-        stats = monte_carlo_dephasing(seq, s, n_realizations, 123)
-        assert tuple(stats) == reference_dephasing(seq, s, n_realizations, 123)
-
-    def test_matches_libm(self):
-        k = np.random.default_rng(5).integers(1, 4096, size=200)
-        u = np.concatenate([np.random.default_rng(2026).random(10**6),
-                            [0.0, 2.0**-53, 1.0 - 2.0**-53],
-                            k / 4096, k / 4096 - 2.0**-53])
-        cos_u, sin_u = sincos(u)
-        assert np.abs(cos_u - np.cos(TWO_PI * u)).max() <= 2e-15
-        assert np.abs(sin_u - np.sin(TWO_PI * u)).max() <= 2e-15
-        # extended precision, so the squares add no rounding of their own
-        ld = np.longdouble
-        norm = cos_u.astype(ld) ** 2 + sin_u.astype(ld) ** 2
-        assert np.abs(norm - 1).max() <= 4e-16
+    def test_indices_are_the_raw_words_lanes_low_first(self):
+        out = np.empty((noise.MC_CHUNK, MC_COMPONENTS), dtype=np.uint16)
+        assert _root_indices(np.random.default_rng(77), out) is out
+        assert np.array_equal(out, root_indices(77, noise.MC_CHUNK))
+        assert out.max() == 4095 and out.min() == 0
 
 
 class TestTransportSpectrum:
