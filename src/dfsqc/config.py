@@ -5,15 +5,17 @@ nu and converted internally to angular frequencies w = 2*pi*nu*1e6 rad/s;
 times are entered in microseconds.  Reports convert back, so a kappa
 entered as 2.4 stays 2.4 MHz on the way out.
 
-``SCHEMA`` lists each kind's keys, each section's sub-keys and their
-defaults; every kind also takes ``kind``, ``name`` (default: the kind) and
-``seed`` (default 12345), and a key the kind does not list is rejected.
-Two rules the table does not show: a ``noise`` key of the other kind of
-model (``table_path`` under an analytic model, ``tau_co_ms`` or
-``cutoff_hz`` under ``table``) is rejected, and ``echo.dt_cutoff_product``
-needs two or more distinct values.  A number, complex number or list
-entry must be finite.  Two keys are validated but change no number, and
-stay only while the benchmark's generated configs still set them: the
+``SCHEMA`` lists each kind's keys, each section's sub-keys, their defaults
+and their bounds; every kind also takes ``kind``, ``name`` (default: the
+kind; a plain file stem, ``NAME``) and ``seed`` (``SEED``), and a key the
+kind does not list is rejected.  A number, complex number or list entry
+must be finite.  Three rules join a key to another key or to a file, so
+the table does not show them: a ``noise`` key of the other kind of model
+(``table_path`` under an analytic model, ``tau_co_ms`` or ``cutoff_hz``
+under ``table``) is rejected, the table model needs a ``table_path`` that
+holds a valid table, and ``echo.dt_cutoff_product`` needs two or more
+distinct values.  Two keys are validated but change no number, and stay
+only while the benchmark's generated configs still set them: the
 transport-noise kind builds its own narrow noise line at each grid point,
 so its ``transport.d_um`` is unused, and ``pulse.kind`` allows only
 ``odd_cat``, the one pulse there is (a Gaussian odd cat).
@@ -24,6 +26,8 @@ from __future__ import annotations
 import cmath
 import hashlib
 import math
+import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,28 +36,68 @@ import yaml
 MHZ = 2.0 * math.pi * 1e6
 US = 1e-6
 
+
+@dataclass(frozen=True)
+class Bound:
+    """A SCHEMA default whose value, or each entry of a list, must pass
+    ``value <op> limit``."""
+
+    default: object
+    op: str
+    limit: object
+
+
+_OPS = {">": operator.gt, ">=": operator.ge,
+        "matching": lambda value, pattern: re.fullmatch(pattern, value) is not None}
+
+TABLE_MODEL = "table"
+# every kind takes a name, the artifacts' file stem (default: the kind), and a seed
+NAME = Bound("", "matching", "[A-Za-z0-9][A-Za-z0-9._-]*")
+SEED = Bound(12345, ">=", 0)
 # kind -> its keys besides kind/name/seed; a section maps its sub-keys to
 # their defaults.  A value converts to the type of its default; a tuple
-# lists the allowed values, the first being the default.
-TABLE_MODEL = "table"
+# lists the allowed values, the first being the default; a Bound limits
+# the value.
 _NOISE = {"model": ("band-limited-white", "lorentzian", TABLE_MODEL),
-          "tau_co_ms": 1.0, "cutoff_hz": 100.0, "table_path": ""}
-_CAVITY = {"physics": {"g_mhz": 27.0, "kappa_mhz": 2.4, "gamma_mhz": 2.6},
-           "pulse": {"duration_over_kappa": 200.0, "alpha": 1.26 + 0j,
+          "tau_co_ms": Bound(1.0, ">", 0), "cutoff_hz": Bound(100.0, ">", 0),
+          "table_path": ""}
+_CAVITY = {"physics": {"g_mhz": Bound(27.0, ">", 0), "kappa_mhz": Bound(2.4, ">", 0),
+                       "gamma_mhz": Bound(2.6, ">", 0)},
+           "pulse": {"duration_over_kappa": Bound(200.0, ">", 0), "alpha": 1.26 + 0j,
                      "kind": ("odd_cat",)}}
 SCHEMA = {
-    "fidelity-sweep": {**_CAVITY, "sweep": {"start": 0.1, "stop": 4.0, "points": 20}},
-    "g-sweep": {**_CAVITY, "sweep": {"start": 0.5, "stop": 1.0, "points": 11}},
+    "fidelity-sweep": {**_CAVITY, "sweep": {"start": Bound(0.1, ">=", 0),
+                                            "stop": Bound(4.0, ">=", 0),
+                                            "points": Bound(20, ">=", 1)}},
+    "g-sweep": {**_CAVITY, "sweep": {"start": Bound(0.5, ">", 0),
+                                     "stop": Bound(1.0, ">", 0),
+                                     "points": Bound(11, ">=", 1)}},
     "decoupling": {"noise": _NOISE,
-                   "echo": {"dt_cutoff_product": np.geomspace(0.01, 0.1, 5).tolist(),
-                            "n_cycles": 1},
-                   "realizations": 10000},
-    "transport-noise": {"transport": {"tau_t_us": 100.0, "d_um": 10.0},
-                        "sweep": {"start": 0.02, "stop": 0.2, "points": 5}},
-    "protocol-run": {"protocol": ("teleported-cnot", "bsm", "hadamard"), "trials": 100},
-    "leakage-demo": {"random_inputs": 50},
+                   "echo": {"dt_cutoff_product": Bound(np.geomspace(0.01, 0.1, 5).tolist(),
+                                                       ">", 0),
+                            "n_cycles": Bound(1, ">=", 1)},
+                   "realizations": Bound(10000, ">=", 100)},
+    "transport-noise": {"transport": {"tau_t_us": Bound(100.0, ">", 0),
+                                      "d_um": Bound(10.0, ">", 0)},
+                        "sweep": {"start": Bound(0.02, ">", 0), "stop": Bound(0.2, ">", 0),
+                                  "points": Bound(5, ">=", 1)}},
+    "protocol-run": {"protocol": ("teleported-cnot", "bsm", "hadamard"),
+                     "trials": Bound(100, ">=", 1)},
+    "leakage-demo": {"random_inputs": Bound(50, ">=", 0)},
 }
 KINDS = tuple(SCHEMA)
+
+
+def _rows(keys: dict) -> dict:
+    """One kind's SCHEMA rows by dotted key: ``physics.g_mhz``, ``trials``."""
+    rows = {}
+    for key, row in keys.items():
+        subs = row.items() if isinstance(row, dict) else [(None, row)]
+        rows.update((key if sub is None else f"{key}.{sub}", rule) for sub, rule in subs)
+    return rows
+
+
+ROWS = {kind: _rows(keys) for kind, keys in SCHEMA.items()}
 
 
 class ConfigError(ValueError):
@@ -64,12 +108,21 @@ _TYPE_NAMES = {float: "a number", int: "an integer", complex: "a complex number"
                str: "a string", list: "a list of numbers"}
 
 
-def _convert(name: str, val, default):
-    """``val`` converted to the type of ``default``, or ConfigError naming ``name``."""
-    if isinstance(default, tuple):
-        if val in default:
+def default_of(rule):
+    """The default of a SCHEMA row: a tuple's first value, a Bound's default."""
+    if isinstance(rule, tuple):
+        return rule[0]
+    return rule.default if isinstance(rule, Bound) else rule
+
+
+def _convert(name: str, val, rule):
+    """``val`` converted to the type of ``rule``'s default and checked against
+    the row's allowed values or bound, or ConfigError naming ``name``."""
+    if isinstance(rule, tuple):
+        if val in rule:
             return val
-        raise ConfigError(f"{name!r} must be one of {list(default)}, not {val!r}")
+        raise ConfigError(f"{name!r} must be one of {list(rule)}, not {val!r}")
+    default = default_of(rule)
     try:
         if isinstance(default, list):
             # a blank list keeps the default
@@ -86,7 +139,45 @@ def _convert(name: str, val, default):
     values = out if isinstance(out, list) else [out]
     if not isinstance(out, str) and not all(cmath.isfinite(v) for v in values):
         raise ConfigError(f"{name!r} must be finite, not {val!r}")
+    if isinstance(rule, Bound) and not all(_OPS[rule.op](v, rule.limit) for v in values):
+        raise ConfigError(f"{name!r} must be {rule.op} {rule.limit}, not {val!r}")
     return out
+
+
+def _validate(kind: str, data: dict) -> dict:
+    """Every key ``kind`` takes, by dotted name, given in ``data`` or else
+    defaulted, converted and checked."""
+    schema, given = SCHEMA[kind], {}
+    for key, val in data.items():
+        if key not in schema:
+            raise ConfigError(f"unknown key {key!r} for kind {kind!r}")
+        if not isinstance(schema[key], dict):
+            given[key] = val
+            continue
+        if not isinstance(val, dict | None):
+            raise ConfigError(f"section {key!r} must be a mapping")
+        unknown = sorted(set(val or {}) - set(schema[key]))
+        if unknown:
+            raise ConfigError(f"unknown key(s) {unknown} in section {key!r}")
+        given |= {f"{key}.{sub}": v for sub, v in (val or {}).items()}
+    values = {name: _convert(name, given.get(name, default_of(rule)), rule)
+              for name, rule in ROWS[kind].items()}
+    if kind == "decoupling":
+        model = values["noise.model"]
+        # a key of the other kind of model would change no number
+        for key in ("tau_co_ms", "cutoff_hz") if model == TABLE_MODEL else ("table_path",):
+            if f"noise.{key}" in given:
+                raise ConfigError(f"'noise.{key}' does not apply to noise model {model!r}")
+        if model == TABLE_MODEL:
+            from .noise import NoiseSpectrum
+
+            if not values["noise.table_path"]:
+                raise ConfigError("table model needs 'table_path'")
+            NoiseSpectrum.from_table_file(values["noise.table_path"])
+        if len(set(values["echo.dt_cutoff_product"])) < 2:
+            # the suppression slope is a fit over at least two products
+            raise ConfigError("'echo.dt_cutoff_product' needs two or more distinct values")
+    return values
 
 
 def rate_to_internal(nu_mhz: float) -> float:
@@ -99,18 +190,13 @@ def rate_to_mhz(omega: float) -> float:
     return omega / MHZ
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     kind: str
     name: str
     seed: int
-    data: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown scenario kind {self.kind!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+    data: dict  # the keys besides kind/name/seed, as given
+    values: dict = field(repr=False, compare=False)  # every key, as _validate returns
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:
@@ -127,13 +213,11 @@ class ScenarioConfig:
             raise ConfigError("config must be a mapping")
         if "kind" not in raw:
             raise ConfigError("config is missing the 'kind' field")
-        raw = dict(raw)
-        kind = raw.pop("kind")
-        name = raw.pop("name", kind)
-        seed = _convert("seed", raw.pop("seed", 12345), 12345)
-        cfg = cls(kind=kind, name=str(name), seed=seed, data=raw)
-        cfg.validate()
-        return cfg
+        data = dict(raw)
+        kind = _convert("kind", data.pop("kind"), KINDS)
+        name = _convert("name", data.pop("name", kind), NAME)
+        seed = _convert("seed", data.pop("seed", SEED.default), SEED)
+        return cls(kind, name, seed, data, _validate(kind, data))
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
@@ -152,83 +236,39 @@ class ScenarioConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_yaml().encode()).hexdigest()[:16]
 
-    # -- section accessors with defaults ---------------------------------
-    def section(self, key: str) -> dict:
-        val = self.data.get(key, {})
-        if val is None:
-            val = {}
-        if not isinstance(val, dict):
-            raise ConfigError(f"section {key!r} must be a mapping")
-        return val
-
+    # -- accessors -------------------------------------------------------
     def get(self, key: str, sub: str | None = None):
-        """Top-level ``key``, or ``sub`` of section ``key``: the given value
-        or else SCHEMA's default, converted to the default's type."""
-        default, given, name = SCHEMA[self.kind][key], self.data, key
-        if sub is not None:
-            default, given, name = default[sub], self.section(key), f"{key}.{sub}"
-            key = sub
-        fallback = default[0] if isinstance(default, tuple) else default
-        return _convert(name, given.get(key, fallback), default)
+        """Top-level ``key``, or ``sub`` of section ``key``."""
+        return self.values[key if sub is None else f"{key}.{sub}"]
 
     def physics(self):
         from .cavity import CavityParams
 
-        g, kappa, gamma = (self.get("physics", k)
-                           for k in ("g_mhz", "kappa_mhz", "gamma_mhz"))
-        if g <= 0 or kappa <= 0 or gamma <= 0:
-            raise ConfigError("physics rates must be positive")
-        return CavityParams(rate_to_internal(g), rate_to_internal(kappa),
-                            rate_to_internal(gamma))
+        return CavityParams(*(rate_to_internal(self.get("physics", k))
+                              for k in ("g_mhz", "kappa_mhz", "gamma_mhz")))
 
     def pulse(self, params=None):
         from .cavity import PulseSpec
 
         params = params if params is not None else self.physics()
-        ratio = self.get("pulse", "duration_over_kappa")
-        if ratio <= 0:
-            raise ConfigError("pulse duration must be positive")
-        self.get("pulse", "kind")  # raises unless SCHEMA allows it
-        return PulseSpec(ratio / params.kappa, self.get("pulse", "alpha"))
+        return PulseSpec(self.get("pulse", "duration_over_kappa") / params.kappa,
+                         self.get("pulse", "alpha"))
 
     def sweep_grid(self):
         """The kind's sweep grid, log-spaced for transport-noise."""
-        start, stop, points = (self.get("sweep", k) for k in ("start", "stop", "points"))
-        if points < 1:
-            raise ConfigError("sweep grid must not be empty")
-        if self.kind == "transport-noise":
-            if start <= 0 or stop <= 0:
-                raise ConfigError("log grid needs positive bounds")
-            return np.geomspace(start, stop, points)
-        return np.linspace(start, stop, points)
+        spacing = np.geomspace if self.kind == "transport-noise" else np.linspace
+        return spacing(*(self.get("sweep", k) for k in ("start", "stop", "points")))
 
     def echo(self):
         """``(dt_cutoff_products, n_cycles)`` of a decoupling scenario."""
-        n_cycles = self.get("echo", "n_cycles")
-        if n_cycles < 1:
-            raise ConfigError("echo n_cycles must be >= 1")
-        products = self.get("echo", "dt_cutoff_product")
-        if not products or min(products) <= 0:
-            raise ConfigError("echo dt_cutoff_product values must be positive")
-        if len(set(products)) < 2:
-            # the suppression slope is a fit over at least two products
-            raise ConfigError("echo dt_cutoff_product needs two or more distinct values")
-        return products, n_cycles
+        return self.get("echo", "dt_cutoff_product"), self.get("echo", "n_cycles")
 
     def noise_spectrum(self):
         from .noise import NoiseSpectrum
 
         model = self.get("noise", "model")
-        # a key of the other kind of model would change no number
-        foreign = ("tau_co_ms", "cutoff_hz") if model == TABLE_MODEL else ("table_path",)
-        for key in foreign:
-            if key in self.section("noise"):
-                raise ConfigError(f"'noise.{key}' does not apply to noise model {model!r}")
         if model == TABLE_MODEL:
-            path = self.get("noise", "table_path")
-            if not path:
-                raise ConfigError("table model needs 'table_path'")
-            return NoiseSpectrum.from_table_file(path)
+            return NoiseSpectrum.from_table_file(self.get("noise", "table_path"))
         # the analytic models are NoiseSpectrum constructors of the same name
         return getattr(NoiseSpectrum, model.replace("-", "_"))(
             tau_co=self.get("noise", "tau_co_ms") * 1e-3,
@@ -236,45 +276,4 @@ class ScenarioConfig:
 
     def transport(self):
         """tau_T of a transport-noise scenario, in s."""
-        d_um, tau_t = self.get("transport", "d_um"), self.get("transport", "tau_t_us") * US
-        if d_um <= 0 or tau_t <= 0:
-            raise ConfigError("transport distance and separation time must be positive")
-        return tau_t
-
-    # -- validation ------------------------------------------------------
-    def _check_keys(self):
-        schema = SCHEMA[self.kind]
-        for key in self.data:
-            if key not in schema:
-                raise ConfigError(f"unknown key {key!r} for kind {self.kind!r}")
-            if isinstance(schema[key], dict):
-                unknown = sorted(set(self.section(key)) - set(schema[key]))
-                if unknown:
-                    raise ConfigError(f"unknown key(s) {unknown} in section {key!r}")
-
-    def validate(self):
-        self._check_keys()
-        if self.kind in ("fidelity-sweep", "g-sweep"):
-            self.physics()
-            self.pulse()
-            grid = self.sweep_grid()
-            if self.kind == "fidelity-sweep" and np.any(grid < 0):
-                raise ConfigError("mean photon numbers must be >= 0")
-            if self.kind == "g-sweep" and np.any(grid <= 0):
-                raise ConfigError("coupling ratios must be positive")
-        elif self.kind == "decoupling":
-            self.noise_spectrum()
-            self.echo()
-            if self.get("realizations") < 100:
-                raise ConfigError("decoupling needs at least 100 realizations")
-        elif self.kind == "transport-noise":
-            self.transport()
-            self.sweep_grid()
-        elif self.kind == "protocol-run":
-            self.get("protocol")  # raises unless SCHEMA allows it
-            if self.get("trials") < 1:
-                raise ConfigError("trials must be >= 1")
-        elif self.kind == "leakage-demo":
-            if self.get("random_inputs") < 0:
-                raise ConfigError("random_inputs must be >= 0")
-        return self
+        return self.get("transport", "tau_t_us") * US

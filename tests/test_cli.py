@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,9 +18,13 @@ import dfsqc
 from dfsqc.cavity import CavityParams
 from dfsqc.cli import main
 from dfsqc.config import (
+    ROWS,
     SCHEMA,
+    SEED,
+    Bound,
     ConfigError,
     ScenarioConfig,
+    default_of,
     rate_to_internal,
     rate_to_mhz,
 )
@@ -122,18 +127,36 @@ EXPECTED_DEFAULTS = {
 def non_finite_cases():
     """(config text, key) with a NaN or an infinity in each float, complex
     and list key of SCHEMA."""
-    for kind, keys in SCHEMA.items():
-        for key, default in keys.items():
-            subs = default.items() if isinstance(default, dict) else [(None, default)]
-            for sub, value in subs:
-                if not isinstance(value, (float, complex, list)):
-                    continue
-                name = key if sub is None else f"{key}.{sub}"
-                for bad in (".nan", ".inf"):
-                    text = f"[0.05, {bad}]" if isinstance(value, list) else bad
-                    entry = f"{key}: {text}" if sub is None else f"{key}: {{{sub}: {text}}}"
-                    yield pytest.param(f"kind: {kind}\n{entry}\n", name,
-                                       id=f"{kind}-{name}-{bad[1:]}")
+    for kind, rows in ROWS.items():
+        for name, rule in rows.items():
+            value = default_of(rule)
+            if not isinstance(value, (float, complex, list)):
+                continue
+            key, _, sub = name.partition(".")
+            for bad in (".nan", ".inf"):
+                text = f"[0.05, {bad}]" if isinstance(value, list) else bad
+                entry = f"{key}: {{{sub}: {text}}}" if sub else f"{key}: {text}"
+                yield pytest.param(f"kind: {kind}\n{entry}\n", name,
+                                   id=f"{kind}-{name}-{bad[1:]}")
+
+
+def bound_cases():
+    """(kind, key, bound) of each number SCHEMA bounds, seed included."""
+    for kind, rows in ROWS.items():
+        for name, rule in {**rows, "seed": SEED}.items():
+            if isinstance(rule, Bound) and rule.op in (">", ">="):
+                yield pytest.param(kind, name, rule, id=f"{kind}-{name}")
+
+
+def config_setting(kind, name, rule, value):
+    """Config text of ``kind`` that sets the dotted key ``name`` to ``value``,
+    typed like the default of ``rule``; a list entry goes before the defaults."""
+    if isinstance(rule.default, list):
+        value = [float(value), *rule.default]
+    elif isinstance(rule.default, float):
+        value = float(value)
+    key, _, sub = name.partition(".")
+    return yaml.safe_dump({"kind": kind, key: {sub: value} if sub else value})
 
 
 def read_defaults(cfg):
@@ -223,6 +246,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"'{key}'"):
             ScenarioConfig.from_yaml(text)
 
+    @pytest.mark.parametrize("kind, key, rule", list(bound_cases()))
+    def test_value_at_bound(self, kind, key, rule):
+        # a >= bound takes its limit, a > bound does not
+        text = config_setting(kind, key, rule, rule.limit)
+        if rule.op == ">=":
+            ScenarioConfig.from_yaml(text)
+        else:
+            with pytest.raises(ConfigError, match=re.escape(f"'{key}' must be > {rule.limit},")):
+                ScenarioConfig.from_yaml(text)
+
     def test_integral_float_counts_accepted(self):
         cfg = ScenarioConfig.from_yaml("kind: protocol-run\nseed: 7.0\ntrials: 40.0\n")
         assert (cfg.seed, cfg.get("trials")) == (7, 40)
@@ -236,6 +269,9 @@ class TestConfig:
         for key, sub in explicit.items():
             if isinstance(sub, dict):
                 assert set(sub) == set(SCHEMA[kind][key]) - {"table_path"}
+            # each explicit value is its SCHEMA row's default, bounded or not
+            for name, value in sub.items() if isinstance(sub, dict) else [(None, sub)]:
+                assert value == default_of(ROWS[kind][key if name is None else f"{key}.{name}"])
         bare = read_defaults(ScenarioConfig.from_dict({"kind": kind}))
         assert bare == read_defaults(ScenarioConfig.from_dict({"kind": kind, **explicit}))
         assert bare == EXPECTED_DEFAULTS[kind]
@@ -427,6 +463,35 @@ class TestCliEntry:
         assert main(["simulate", self.write(tmp_path, text), "--check", "--out", out]) == 2
         assert f"'{key}' must be finite" in capsys.readouterr().err
         assert not Path(out).exists()
+
+    @pytest.mark.parametrize("kind, key, rule", list(bound_cases()))
+    def test_value_past_bound_exits_2(self, tmp_path, capsys, kind, key, rule):
+        past = (rule.limit - 1 if isinstance(rule.default, int)
+                else math.nextafter(rule.limit, -math.inf))
+        out = str(tmp_path / "out")
+        text = config_setting(kind, key, rule, past)
+        assert main(["simulate", self.write(tmp_path, text), "--out", out]) == 2
+        assert f"'{key}' must be {rule.op} {rule.limit}, not" in capsys.readouterr().err
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("text", [
+        "kind: fidelity-sweep\nsweep: {start: 0, stop: 0, points: 1}\n",
+        "kind: leakage-demo\nrandom_inputs: 0\n",
+        "kind: g-sweep\npulse: {alpha: 0}\n"], ids=["one-point-vacuum", "no-inputs", "alpha-0"])
+    def test_values_at_bounds_run(self, tmp_path, text):
+        assert main(["simulate", self.write(tmp_path, text), "--check",
+                     "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("name", ["../../escape", "nl\nx", "q'x", "", ["a", "b"]],
+                             ids=["parent-dir", "newline", "quote", "empty", "list"])
+    def test_name_not_a_file_stem_exits_2(self, tmp_path, capsys, name):
+        # the name becomes the artifacts' file names, a CSV metadata line and
+        # a quoted gnuplot title
+        text = yaml.safe_dump({"kind": "leakage-demo", "name": name})
+        out = tmp_path / "x" / "a" / "b"
+        assert main(["simulate", self.write(tmp_path, text), "--out", str(out)]) == 2
+        assert "invalid config: 'name' must be" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("table", ["1\n2\n3\n", "10 1\n", "0 1\n10 nan\n20 1\n",
                                        "-50 1\n0 1\n100 1\n", "100 0\n200 0\n"],
