@@ -9,43 +9,44 @@ coefficient
 
     r(w) = 1 - kappa / (kappa/2 - i w + G^2 / (gamma/2 - i w)),
 
-with G^2 the summed coupling of the atoms currently in |0> (atoms in |1>
-are dark).  With no coupled atom this reduces to the bare-cavity response,
-r(0) = -1: a resonant pulse is reflected with a flipped phase.  That
-conditional phase is what turns one reflection into a physical CZ gate on
-the two atoms addressed by the pulse.
+with G^2 the summed squared coupling of the atoms currently in |0> (atoms
+in |1> are dark).  With no coupled atom this reduces to the bare-cavity
+response, r(0) = -1: a resonant pulse is reflected with a flipped phase.
+That conditional phase is what turns one reflection into a physical CZ
+gate on the two addressed atoms: logical component (m, n) sees
+G^2 = [m = 0] g^2 + [n = 0] g2^2, where ``g2`` couples the second atom and
+defaults to ``g``.
 
 Every probe pulse is the odd cat N_-(|alpha> - |-alpha>) in one Gaussian
-mode.  Its spectrum is taken once, on a fixed grid (4096 samples spanning
-16 standard deviations) so results are bit-reproducible, by a forward
-chirp-z transform (Bluestein), O(N log N) on FFTs.  The spectral moments
-<f, r f> and <rf, rf> of a pulse are memoized in its grids, keyed on the
-exact floats (kappa, gamma, G^2) that fix r(w); they do not depend on the
-amplitude alpha, so every ``with_alpha`` copy shares them, and a sweep makes
-one reflection pass per distinct coupling.  That pass is where a pulse meets
-a cavity, so it warns when T*kappa < 10 puts the pulse outside the adiabatic
-regime.  A reflection is nothing but these moments: :func:`cz_output_state`
-gives the pair (O, E) of each logical CZ component, the conditional phase
-is arg O and the photon loss 1 - E.  The CZ fidelity follows the
-conditional-state convention: branch amplitudes keep the photon-loss
-conditioning factors and the global output state is normalized at the end.
-:func:`cz_diagonal` is the same reflection as a diagonal map on the two
-addressed atoms, the lossy CZ a protocol run applies; its only cache is the
-pulse's moment memo.
+mode f(t) ~ exp(-(t - T/2)^2/(T/5)^2), whose spectral weight
+|F(w)|^2 ~ exp(-w^2 T^2/50) is Gaussian.  So its spectral moments
+<f, r f> and <rf, rf> are Gauss-Hermite sums of r and |r|^2 at the
+64 nodes w_j = 5 sqrt(2) x_j / T.  They are memoized in the pulse's grids,
+keyed on the exact floats (kappa, gamma, G^2) that fix r(w); they do not
+depend on the amplitude alpha, so every ``with_alpha`` copy shares them,
+and a sweep evaluates r once per distinct coupling.  That evaluation is
+where a pulse meets a cavity, so it warns when T*kappa < 10 puts the pulse
+outside the adiabatic regime.  A reflection is nothing but these moments:
+:func:`cz_output_state` gives the pair (O, E) of each logical CZ
+component, the conditional phase is arg O and the photon loss 1 - E.  The
+CZ fidelity follows the conditional-state convention: branch amplitudes
+keep the photon-loss conditioning factors and the global output state is
+normalized at the end.  :func:`cz_diagonal` is the same reflection as a
+diagonal map on the two addressed atoms, the lossy CZ a protocol run
+applies; its only cache is the pulse's moment memo.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-N_TIME = 4096
-N_FREQ = 4096
-FREQ_WINDOW_SIGMAS = 16.0
+N_NODES = 64
 
 COMPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -56,103 +57,57 @@ class CavityModelError(ValueError):
 
 @dataclass
 class CavityParams:
-    """Atom-cavity rates in rad/s plus the number of coupled atoms.
-
-    ``g2`` optionally gives the second atom its own coupling; by default
-    both coupled atoms share ``g`` and act as one bright mode with
-    G^2 = g^2 + g2^2.
-    """
+    """Atom-cavity rates in rad/s: ``g`` couples the first addressed atom,
+    ``g2`` the second (default ``g``)."""
 
     g: float
     kappa: float
     gamma: float
-    n_coupled: int = 0
     g2: float | None = None
 
     def __post_init__(self):
-        if self.g <= 0 or self.kappa <= 0 or self.gamma < 0:
-            raise CavityModelError("rates must be positive (gamma may be zero)")
-        if self.n_coupled not in (0, 1, 2):
-            raise CavityModelError("n_coupled must be 0, 1 or 2")
+        if self.g2 is None:
+            self.g2 = self.g
+        if min(self.g, self.g2, self.kappa, self.gamma) <= 0:
+            raise CavityModelError("rates must be positive")
 
     @property
     def cooperativity(self) -> float:
         """Strong-coupling figure of merit C = g^2/(kappa*gamma)."""
-        if self.gamma == 0:
-            return math.inf
         return self.g**2 / (self.kappa * self.gamma)
 
-    def bright_coupling_sq(self, n_coupled=None) -> float:
-        n = self.n_coupled if n_coupled is None else n_coupled
-        if n == 0:
-            return 0.0
-        if n == 1:
-            return self.g**2
-        g2 = self.g if self.g2 is None else self.g2
-        return self.g**2 + g2**2
-
-    def with_coupled(self, n: int) -> "CavityParams":
-        return CavityParams(self.g, self.kappa, self.gamma, n, self.g2)
-
     def scaled_g(self, ratio: float) -> "CavityParams":
-        g2 = None if self.g2 is None else self.g2 * ratio
-        return CavityParams(self.g * ratio, self.kappa, self.gamma, self.n_coupled, g2)
+        return CavityParams(self.g * ratio, self.kappa, self.gamma, self.g2 * ratio)
 
 
-def reflection_coefficient(omega, p: CavityParams) -> complex | np.ndarray:
-    """Amplitude reflection r(omega) for detuning omega from cavity resonance.
-
-    For gamma = 0 and a coupled atom the response is lossless; the w -> 0
-    limit is +1 and is returned exactly at omega = 0.
-    """
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    G2 = p.bright_coupling_sq()
-    if G2 == 0.0:
-        r = 1.0 - p.kappa / (p.kappa / 2 - 1j * w)
-    elif p.gamma > 0:  # the pole gamma/2 - i w cannot vanish
-        iw = 1j * w
-        r = G2 / (p.gamma / 2 - iw)
-        r += p.kappa / 2 - iw
-        np.divide(p.kappa, r, out=r)
-        np.subtract(1.0, r, out=r)
-    else:
-        pole = p.gamma / 2 - 1j * w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = 1.0 - p.kappa / (p.kappa / 2 - 1j * w + G2 / pole)
-        r = np.where(np.abs(pole) == 0.0, 1.0 + 0j, r)
-    return complex(r[0]) if scalar else r
+def reflection_coefficient(omega, p: CavityParams, G2: float) -> complex | np.ndarray:
+    """Amplitude reflection r(omega) for detuning omega from cavity resonance,
+    with G2 the summed squared coupling of the atoms in |0>."""
+    iw = 1j * np.asarray(omega, dtype=float)
+    r = 1.0 - p.kappa / (p.kappa / 2 - iw + G2 / (p.gamma / 2 - iw))
+    return complex(r) if r.ndim == 0 else r
 
 
 # ---------------------------------------------------------------------------
 # pulses
 # ---------------------------------------------------------------------------
 
-def _chirp_z(x: np.ndarray, n0: float, dn: float, k0: float, dk: float,
-             m: int) -> np.ndarray:
-    """sum_n exp(1j*(k0 + k*dk)*(n0 + n*dn)) * x[n] for k < m.
+@functools.cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes x_j for the weight exp(-x^2), with their weights
+    normalized to sum 1.  Loaded on first use: ``numpy.polynomial`` costs
+    milliseconds to import, which every run would pay."""
+    from numpy.polynomial.hermite import hermgauss
 
-    Bluestein's chirp-z transform: k*n = (k^2 + n^2 - (k - n)^2)/2 turns the
-    sum into a convolution with a chirp, done with zero-padded FFTs.
-    """
-    n = x.shape[0]
-    nfft = 1 << (n + m - 2).bit_length()  # >= n + m - 1: no wrap-around
-    half = dk * dn / 2.0
-    j = np.arange(1 - n, m, dtype=float)
-    kernel = np.fft.fft(np.exp(-1j * half * j**2), nfft)
-    nn, kk = np.arange(n, dtype=float), np.arange(m, dtype=float)
-    u = x * np.exp(1j * (k0 * dn * nn + half * nn**2))
-    conv = np.fft.ifft(np.fft.fft(u, nfft) * kernel)[n - 1:n - 1 + m]
-    return conv * np.exp(1j * (n0 * (k0 + dk * kk) + half * kk**2))
+    x, w = hermgauss(N_NODES)
+    return x, w / w.sum()
 
 
 @dataclass(eq=False)
 class PulseSpec:
     """Probe pulse of duration T and amplitude alpha: the odd cat
     N_-(|alpha> - |-alpha>), N_- = 1/sqrt(2(1 - e^{-2|alpha|^2})), in the
-    Gaussian mode f(t) ~ exp(-(t - T/2)^2/(T/5)^2) on [0, T], normalized
-    exactly on its sampling grid.
+    normalized Gaussian mode f(t) ~ exp(-(t - T/2)^2/(T/5)^2).
     """
 
     T: float
@@ -173,33 +128,14 @@ class PulseSpec:
         spec._grids = self.grids
         return spec
 
-    # -- sampled grids, built once ------------------------------------
-    def _build(self):
-        dt = self.T / N_TIME
-        t = (np.arange(N_TIME) + 0.5) * dt
-        f = np.exp(-((t - self.T / 2) ** 2) / (self.T / 5) ** 2).astype(complex)
-        f /= math.sqrt(float(np.sum(np.abs(f) ** 2) * dt))
-
-        # provisional FFT to locate the spectrum, then a dedicated window
-        pad = 4
-        spec = np.fft.fftshift(np.fft.fft(f, n=pad * N_TIME)) * dt
-        wgrid = np.fft.fftshift(np.fft.fftfreq(pad * N_TIME, dt)) * 2 * math.pi
-        weight = np.abs(spec) ** 2
-        weight /= weight.sum()
-        mean = float(np.sum(wgrid * weight))
-        sigma = math.sqrt(float(np.sum((wgrid - mean) ** 2 * weight)))
-
-        half = FREQ_WINDOW_SIGMAS / 2.0 * sigma
-        w = mean + np.linspace(-half, half, N_FREQ)
-        dw = w[1] - w[0]
-        ft = _chirp_z(f, t[0], dt, w[0], dw, N_FREQ) * dt
-        norm_w = float(np.sum(np.abs(ft) ** 2) * dw / (2 * math.pi))
-        self._grids = {"w": w, "dw": dw, "ft": ft, "norm_w": norm_w, "moments": {}}
-
     @property
     def grids(self) -> dict:
+        """The quadrature nodes ``w`` (rad/s), their normalized ``weight`` and
+        the ``moments`` memo, built on first use."""
         if self._grids is None:
-            self._build()
+            x, weight = _hermite_rule()
+            self._grids = {"w": 5 * math.sqrt(2) / self.T * x, "weight": weight,
+                           "moments": {}}
         return self._grids
 
 
@@ -207,16 +143,16 @@ class PulseSpec:
 # reflection moments
 # ---------------------------------------------------------------------------
 
-def _spectral_moments(ps: PulseSpec, p: CavityParams, n_coupled: int):
+def _spectral_moments(ps: PulseSpec, p: CavityParams, G2: float):
     """Matched-filter overlap O = <f, r f> and energy ratio E = <rf, rf>.
 
-    Memoized in the pulse grids on (kappa, gamma, G^2), every input of r(w)
-    besides the grid.  A miss is where a pulse first meets a cavity, so it
+    Memoized in the pulse grids on (kappa, gamma, G2), every input of r(w)
+    besides the nodes.  A miss is where a pulse first meets a cavity, so it
     warns there when T*kappa < 10 puts the pulse outside the adiabatic regime.
     """
     g = ps.grids
     memo = g["moments"]
-    key = (p.kappa, p.gamma, p.bright_coupling_sq(n_coupled))
+    key = (p.kappa, p.gamma, G2)
     if key not in memo:
         if ps.T * p.kappa < 10:
             warnings.warn(
@@ -224,17 +160,15 @@ def _spectral_moments(ps: PulseSpec, p: CavityParams, n_coupled: int):
                 "adiabatic regime, reflection is strongly distorted",
                 stacklevel=2,
             )
-        rf = reflection_coefficient(g["w"], p.with_coupled(n_coupled)) * g["ft"]
-        scale = g["dw"] / (2 * math.pi) / g["norm_w"]
-        O = complex(np.sum(np.conj(g["ft"]) * rf) * scale)
-        E = float(np.real(np.sum(np.abs(rf) ** 2) * scale))
-        memo[key] = O, min(E, 1.0 + 1e-12)
+        r = reflection_coefficient(g["w"], p, G2)
+        memo[key] = complex(g["weight"] @ r), float(g["weight"] @ (r.real**2 + r.imag**2))
     return memo[key]
 
 
-def photon_loss(ps: PulseSpec, p: CavityParams) -> float:
-    """eta = 1 - |alpha'/alpha|^2 from the spectral moments alone (fast)."""
-    _, E = _spectral_moments(ps, p, p.n_coupled)
+def photon_loss(ps: PulseSpec, p: CavityParams, G2: float) -> float:
+    """eta = 1 - |alpha'/alpha|^2 of a reflection that sees the summed squared
+    coupling G2."""
+    _, E = _spectral_moments(ps, p, G2)
     return min(max(1.0 - E, 0.0), 1.0)
 
 
@@ -257,12 +191,13 @@ def _as_weights(eps) -> dict:
 def cz_output_state(ps: PulseSpec, p: CavityParams) -> dict:
     """The moments (O, E) of each logical component (m, n) of the CZ input.
 
-    Component (m, n) couples (m == 0) + (n == 0) atoms: atom 1 and atom 3
-    couple through their |0> level, and (1, 1) sees the bare cavity.  Its
+    The first atom couples (g) when m = 0 and the second (g2) when n = 0,
+    through their |0> level, so the component sees
+    G^2 = [m = 0] g^2 + [n = 0] g2^2, and (1, 1) the bare cavity.  Its
     conditional phase is arg O.  The moments do not depend on the atomic
     amplitudes, which only weight the components.
     """
-    return {(m, n): _spectral_moments(ps, p, (m == 0) + (n == 0))
+    return {(m, n): _spectral_moments(ps, p, (m == 0) * p.g**2 + (n == 0) * p.g2**2)
             for (m, n) in COMPONENTS}
 
 

@@ -9,16 +9,17 @@ entered as 2.4 stays 2.4 MHz on the way out.
 and their bounds; every kind also takes ``kind``, ``name`` (default: the
 kind; a plain file stem, ``NAME``) and ``seed`` (``SEED``), and a key the
 kind does not list is rejected.  A number, complex number or list entry
-must be finite.  Three rules join a key to another key or to a file, so
-the table does not show them: a ``noise`` key of the other kind of model
-(``table_path`` under an analytic model, ``tau_co_ms`` or ``cutoff_hz``
-under ``table``) is rejected, the table model needs a ``table_path`` that
-holds a valid table, and ``echo.dt_cutoff_product`` needs two or more
-distinct values.  Two keys are validated but change no number, and stay
-only while the benchmark's generated configs still set them: the
-transport-noise kind builds its own narrow noise line at each grid point,
-so its ``transport.d_um`` is unused, and ``pulse.kind`` allows only
-``odd_cat``, the one pulse there is (a Gaussian odd cat).
+must be finite, and a rate (a ``_mhz`` key) must stay finite in rad/s.
+Three rules join a key to another key or to a file, so the table does not
+show them: a ``noise`` key of the other kind of model (``table_path``
+under an analytic model, ``tau_co_ms`` or ``cutoff_hz`` under ``table``)
+is rejected, the table model needs a ``table_path`` that holds a valid
+table, and ``echo.dt_cutoff_product`` needs two or more distinct values.
+Two keys are validated but change no number, and stay only while the
+benchmark's generated configs still set them: the transport-noise kind
+builds its own narrow noise line at each grid point, so its
+``transport.d_um`` is unused, and ``pulse.kind`` allows only ``odd_cat``,
+the one pulse there is (a Gaussian odd cat).
 """
 
 from __future__ import annotations
@@ -162,6 +163,9 @@ def _validate(kind: str, data: dict) -> dict:
         given |= {f"{key}.{sub}": v for sub, v in (val or {}).items()}
     values = {name: _convert(name, given.get(name, default_of(rule)), rule)
               for name, rule in ROWS[kind].items()}
+    for name, value in values.items():
+        if name.endswith("_mhz") and not math.isfinite(rate_to_internal(value)):
+            raise ConfigError(f"{name!r} must be finite in rad/s, not {value!r} MHz")
     if kind == "decoupling":
         model = values["noise.model"]
         # a key of the other kind of model would change no number

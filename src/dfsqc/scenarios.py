@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, rate_to_mhz
+from .config import ScenarioConfig, rate_to_internal, rate_to_mhz
 from .cavity import CavityParams, cz_gate_fidelity, photon_loss
 from .noise import (
     EchoSequence,
@@ -145,15 +145,15 @@ def run_g_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
         scaled = params.scaled_g(ratio)
         rows.append((float(ratio), rate_to_mhz(scaled.g),
                      cz_gate_fidelity(None, pulse, scaled),
-                     photon_loss(pulse, scaled.with_coupled(1))))
+                     photon_loss(pulse, scaled, scaled.g**2)))
     fids = [r[2] for r in rows]
     delta = max(fids) - min(fids)
 
     # photon-loss scaling probed over the wide coupling range
     etas = []
     for g_mhz in np.linspace(10.0, 50.0, 9):
-        scaled = CavityParams(g_mhz * 2e6 * math.pi, params.kappa, params.gamma, 1)
-        eta = photon_loss(pulse, scaled)
+        scaled = CavityParams(rate_to_internal(g_mhz), params.kappa, params.gamma)
+        eta = photon_loss(pulse, scaled, scaled.g**2)
         etas.append(eta * scaled.g**2 / (params.kappa * params.gamma))
     scaling_spread = max(etas) / min(etas) - 1.0
 

@@ -78,8 +78,9 @@ def test_criterion_3_photon_loss_scaling():
     pulse = standard_pulse()
     scaled = []
     for g_mhz in np.linspace(10.0, 50.0, 9):
-        p = CavityParams(g_mhz * MHZ, REALISTIC.kappa, REALISTIC.gamma, 1)
-        scaled.append(photon_loss(pulse, p) * p.g**2 / (REALISTIC.kappa * REALISTIC.gamma))
+        p = CavityParams(g_mhz * MHZ, REALISTIC.kappa, REALISTIC.gamma)
+        scaled.append(photon_loss(pulse, p, p.g**2) * p.g**2
+                      / (REALISTIC.kappa * REALISTIC.gamma))
     spread = max(scaled) / min(scaled) - 1.0
     assert spread <= 0.20, f"eta scaling spread {spread:.1%}"
     print(f"[PASS] criterion 3: eta*g^2/(kappa*gamma) constant within "

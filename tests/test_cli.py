@@ -464,6 +464,16 @@ class TestCliEntry:
         assert f"'{key}' must be finite" in capsys.readouterr().err
         assert not Path(out).exists()
 
+    @pytest.mark.parametrize("key", ["g_mhz", "kappa_mhz", "gamma_mhz"])
+    def test_rate_overflowing_rad_per_s_exits_2(self, tmp_path, capsys, key):
+        # 1e308 MHz passes the finite and > 0 checks but is inf in rad/s,
+        # which used to write nan fidelities and exit 0
+        out = str(tmp_path / "out")
+        text = f"kind: fidelity-sweep\nphysics: {{{key}: 1.0e+308}}\n"
+        assert main(["simulate", self.write(tmp_path, text), "--out", out]) == 2
+        assert f"'physics.{key}' must be finite in rad/s" in capsys.readouterr().err
+        assert not Path(out).exists()
+
     @pytest.mark.parametrize("kind, key, rule", list(bound_cases()))
     def test_value_past_bound_exits_2(self, tmp_path, capsys, kind, key, rule):
         past = (rule.limit - 1 if isinstance(rule.default, int)

@@ -2,7 +2,9 @@
 numpy and PyYAML; scipy serves the tests alone."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,3 +77,14 @@ def test_no_module_imports_a_private_name_of_another():
 def test_noise_imports_nothing_from_logical():
     imports = dfsqc_imports(ROOT / "src" / "dfsqc" / "noise.py")
     assert "logical" not in {module for module, _ in imports}
+
+
+def test_cli_import_loads_no_numerics_it_defers():
+    # every run pays what ``import dfsqc.cli`` loads; the Gauss-Hermite
+    # nodes load numpy.polynomial on first use, and scipy serves tests only
+    code = ("import sys, dfsqc.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m.startswith(('numpy.polynomial', 'numpy.fft'))))\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]"

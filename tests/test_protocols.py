@@ -147,8 +147,8 @@ class TestPhysicalCz:
             physical_cz(run, 0, 2)
 
     def test_noisy_map_reduces_to_ideal(self):
-        # enormous coupling, no spontaneous decay, narrowband pulse
-        p = CavityParams(27e3 * MHZ, 2.4 * MHZ, 0.0)
+        # enormous coupling, little spontaneous decay, narrowband pulse
+        p = CavityParams(27e3 * MHZ, 2.4 * MHZ, 2.6e-3 * MHZ)
         pulse = PulseSpec(2e5 / p.kappa, 1.26)
         rng = np.random.default_rng(5)
         worst = 0.0
