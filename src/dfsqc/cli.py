@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig
 from .scenarios import emit_report, run_scenario
@@ -49,8 +48,7 @@ def cmd_simulate(args) -> int:
     try:
         cfg = ScenarioConfig.from_file(args.config)
         if args.seed is not None:
-            cfg = ScenarioConfig.from_dict(
-                {**cfg.to_dict(), "seed": int(args.seed)})
+            cfg = ScenarioConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -72,9 +70,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    directory = Path(args.directory)
     try:
-        text = emit_report(directory)
+        text = emit_report(args.directory)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,11 +10,13 @@ and their bounds; every kind also takes ``kind``, ``name`` (default: the
 kind; a plain file stem, ``NAME``) and ``seed`` (``SEED``), and a key the
 kind does not list is rejected.  A number, complex number or list entry
 must be finite, and a rate (a ``_mhz`` key) must stay finite in rad/s.
-Three rules join a key to another key or to a file, so the table does not
+Four rules join a key to another key or to a file, so the table does not
 show them: a ``noise`` key of the other kind of model (``table_path``
 under an analytic model, ``tau_co_ms`` or ``cutoff_hz`` under ``table``)
 is rejected, the table model needs a ``table_path`` that holds a valid
-table, and ``echo.dt_cutoff_product`` needs two or more distinct values.
+table, ``echo.dt_cutoff_product`` needs two or more distinct values, and
+the cavity kinds' products g^2 (at each end of a g-sweep grid),
+kappa*gamma and T = duration_over_kappa/kappa must be finite and nonzero.
 Two keys are validated but change no number, and stay only while the
 benchmark's generated configs still set them: the transport-noise kind
 builds its own narrow noise line at each grid point, so its
@@ -48,8 +50,9 @@ class Bound:
     limit: object
 
 
-_OPS = {">": operator.gt, ">=": operator.ge,
-        "matching": lambda value, pattern: re.fullmatch(pattern, value) is not None}
+# the comparisons of a SCHEMA bound and of a scenario check, by operator
+OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le,
+       "matching": lambda value, pattern: re.fullmatch(pattern, value) is not None}
 
 TABLE_MODEL = "table"
 # every kind takes a name, the artifacts' file stem (default: the kind), and a seed
@@ -140,7 +143,7 @@ def _convert(name: str, val, rule):
     values = out if isinstance(out, list) else [out]
     if not isinstance(out, str) and not all(cmath.isfinite(v) for v in values):
         raise ConfigError(f"{name!r} must be finite, not {val!r}")
-    if isinstance(rule, Bound) and not all(_OPS[rule.op](v, rule.limit) for v in values):
+    if isinstance(rule, Bound) and not all(OPS[rule.op](v, rule.limit) for v in values):
         raise ConfigError(f"{name!r} must be {rule.op} {rule.limit}, not {val!r}")
     return out
 
@@ -166,6 +169,8 @@ def _validate(kind: str, data: dict) -> dict:
     for name, value in values.items():
         if name.endswith("_mhz") and not math.isfinite(rate_to_internal(value)):
             raise ConfigError(f"{name!r} must be finite in rad/s, not {value!r} MHz")
+    if "physics.g_mhz" in values:
+        _check_cavity_products(kind, values)
     if kind == "decoupling":
         model = values["noise.model"]
         # a key of the other kind of model would change no number
@@ -182,6 +187,27 @@ def _validate(kind: str, data: dict) -> dict:
             # the suppression slope is a fit over at least two products
             raise ConfigError("'echo.dt_cutoff_product' needs two or more distinct values")
     return values
+
+
+def _check_cavity_products(kind: str, values: dict):
+    """ConfigError, naming the keys, unless the products the cavity model
+    forms are finite and nonzero: g^2 (g2 = g, scaled by each end of a
+    g-sweep grid), kappa*gamma and the pulse length T = duration/kappa.
+    Each key may pass its bound while its product overflows or underflows.
+    A product is ``x * x``, since a float ``**`` raises OverflowError."""
+    g, kappa, gamma = (rate_to_internal(values[f"physics.{k}"])
+                       for k in ("g_mhz", "kappa_mhz", "gamma_mhz"))
+    ends = ("sweep.start", "sweep.stop")
+    scaled = ([(("physics.g_mhz", end), g * values[end]) for end in ends]
+              if kind == "g-sweep" else [(("physics.g_mhz",), g)])
+    products = [("g^2", keys, x * x) for keys, x in scaled]
+    products += [("kappa*gamma", ("physics.kappa_mhz", "physics.gamma_mhz"), kappa * gamma),
+                 ("T", ("pulse.duration_over_kappa", "physics.kappa_mhz"),
+                  values["pulse.duration_over_kappa"] / kappa)]
+    for name, keys, value in products:
+        if not math.isfinite(value) or value == 0.0:
+            raise ConfigError(f"{name} from {' and '.join(map(repr, keys))} must be "
+                              f"finite and nonzero, not {value!r}")
 
 
 def rate_to_internal(nu_mhz: float) -> float:

@@ -1,5 +1,6 @@
 """Configuration handling, artifact reproducibility, exit codes, reports."""
 
+import concurrent.futures
 import importlib.util
 import json
 import math
@@ -346,13 +347,13 @@ class TestArtifacts:
         # threads only pay for the echo Monte Carlo: no other kind, and no
         # single-thread run, may enter a pool
         pools = []
-        real_pool = dfsqc.scenarios.ThreadPoolExecutor
+        real_pool = concurrent.futures.ThreadPoolExecutor
 
         def counting_pool(*args, **kwargs):
             pools.append(kwargs.get("max_workers"))
             return real_pool(*args, **kwargs)
 
-        monkeypatch.setattr(dfsqc.scenarios, "ThreadPoolExecutor", counting_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting_pool)
         pooled = []
         for text in SMALL_CFGS:
             cfg = ScenarioConfig.from_yaml(text)
@@ -472,6 +473,25 @@ class TestCliEntry:
         text = f"kind: fidelity-sweep\nphysics: {{{key}: 1.0e+308}}\n"
         assert main(["simulate", self.write(tmp_path, text), "--out", out]) == 2
         assert f"'physics.{key}' must be finite in rad/s" in capsys.readouterr().err
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("text, keys", [
+        ("kind: fidelity-sweep\nphysics: {kappa_mhz: 1.0e-320}\n",
+         ["pulse.duration_over_kappa", "physics.kappa_mhz"]),
+        ("kind: g-sweep\nsweep: {stop: 1.0e+300}\n", ["physics.g_mhz", "sweep.stop"]),
+        ("kind: fidelity-sweep\nphysics: {g_mhz: 1.0e+160}\n", ["physics.g_mhz"]),
+        ("kind: fidelity-sweep\nphysics: {kappa_mhz: 1.0e-200, gamma_mhz: 1.0e-200}\n",
+         ["physics.kappa_mhz", "physics.gamma_mhz"])],
+        ids=["pulse-length-inf", "scaled-g2-inf", "g2-inf", "kappa-gamma-zero"])
+    def test_derived_value_out_of_range_exits_2(self, tmp_path, capsys, text, keys):
+        # each key passes its bound, but a product of them overflows or
+        # underflows: these used to exit 4 (nan fidelities), 0 (nan rows that
+        # passed) and 3 (OverflowError, ZeroDivisionError)
+        out = str(tmp_path / "out")
+        assert main(["simulate", self.write(tmp_path, text), "--check", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and "must be finite and nonzero" in err
+        assert all(f"'{key}'" in err for key in keys)
         assert not Path(out).exists()
 
     @pytest.mark.parametrize("kind, key, rule", list(bound_cases()))
@@ -617,8 +637,8 @@ class TestReport:
         cfg = ScenarioConfig.from_yaml(FID_CFG)
         run_scenario(cfg, tmp_path)
         text = emit_report(tmp_path)
-        assert "fidelity_at_alpha" in text
-        assert "target 0.99 +/- 0.01" in text
+        assert "fidelity_at_alpha: |F - 0.99| at F(nbar=1.59) = 0.9957: " in text
+        assert "(limit <= 0.01): PASS" in text
         assert text.strip().endswith("PASS")
 
     def test_emit_report_requires_artifacts(self, tmp_path):

@@ -81,10 +81,12 @@ def test_noise_imports_nothing_from_logical():
 
 def test_cli_import_loads_no_numerics_it_defers():
     # every run pays what ``import dfsqc.cli`` loads; the Gauss-Hermite
-    # nodes load numpy.polynomial on first use, and scipy serves tests only
+    # nodes load numpy.polynomial on first use, scipy serves tests only, and
+    # only a pooled echo Monte Carlo needs concurrent.futures (and logging)
     code = ("import sys, dfsqc.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-            "             or m.startswith(('numpy.polynomial', 'numpy.fft'))))\n")
+            "             or m.startswith(('numpy.polynomial', 'numpy.fft'))\n"
+            "             or m in ('concurrent.futures', 'logging')))\n")
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"
