@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    dfsqc simulate <config.yaml> [--check] [--seed N] [--out DIR] [--threads K]
+    dfsqc simulate <config.yaml> [--check] [--seed N] [--out DIR]
     dfsqc report <dir>
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
@@ -36,8 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the config seed")
     sim.add_argument("--out", default="out", help="output directory")
     sim.add_argument("--threads", type=int, default=1,
-                     help="worker threads for the decoupling echo Monte Carlo "
-                          "(other kinds run serially)")
+                     help="ignored: every scenario runs in one thread")
 
     rep = sub.add_parser("report", help="summarize artifacts in a directory")
     rep.add_argument("directory")
@@ -54,7 +53,7 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
 
     try:
-        result, paths = run_scenario(cfg, args.out, threads=max(1, args.threads))
+        result, paths = run_scenario(cfg, args.out)
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -15,8 +15,8 @@ show them: a ``noise`` key of the other kind of model (``table_path``
 under an analytic model, ``tau_co_ms`` or ``cutoff_hz`` under ``table``)
 is rejected, the table model needs a ``table_path`` that holds a valid
 table, ``echo.dt_cutoff_product`` needs two or more distinct values, and
-the cavity kinds' products g^2 (at each end of a g-sweep grid),
-kappa*gamma and T = duration_over_kappa/kappa must be finite and nonzero.
+the numbers the cavity model forms from its keys must be finite
+(:func:`_check_cavity_products`).
 Two keys are validated but change no number, and stay only while the
 benchmark's generated configs still set them: the transport-noise kind
 builds its own narrow noise line at each grid point, so its
@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
+
+from .cavity import N_NODES, CavityParams, PulseSpec
 
 MHZ = 2.0 * math.pi * 1e6
 US = 1e-6
@@ -190,24 +192,33 @@ def _validate(kind: str, data: dict) -> dict:
 
 
 def _check_cavity_products(kind: str, values: dict):
-    """ConfigError, naming the keys, unless the products the cavity model
-    forms are finite and nonzero: g^2 (g2 = g, scaled by each end of a
-    g-sweep grid), kappa*gamma and the pulse length T = duration/kappa.
-    Each key may pass its bound while its product overflows or underflows.
-    A product is ``x * x``, since a float ``**`` raises OverflowError."""
+    """ConfigError, naming the keys, unless the numbers the cavity model forms
+    from them are finite: g^2 (g2 = g, scaled by each end of a g-sweep grid),
+    kappa*gamma, the pulse length T = duration/kappa and the scale of its
+    largest quadrature node, below 5 sqrt(2 (2N + 1))/T for N nodes, all
+    nonzero too; and the largest cat exponent 2|alpha|^2 (2 nbar at each end
+    of a fidelity-sweep grid).  A key may pass its bound while these overflow
+    or underflow.  A square is ``x * x``: a float ``**`` raises OverflowError."""
     g, kappa, gamma = (rate_to_internal(values[f"physics.{k}"])
                        for k in ("g_mhz", "kappa_mhz", "gamma_mhz"))
     ends = ("sweep.start", "sweep.stop")
     scaled = ([(("physics.g_mhz", end), g * values[end]) for end in ends]
               if kind == "g-sweep" else [(("physics.g_mhz",), g)])
-    products = [("g^2", keys, x * x) for keys, x in scaled]
-    products += [("kappa*gamma", ("physics.kappa_mhz", "physics.gamma_mhz"), kappa * gamma),
-                 ("T", ("pulse.duration_over_kappa", "physics.kappa_mhz"),
-                  values["pulse.duration_over_kappa"] / kappa)]
-    for name, keys, value in products:
-        if not math.isfinite(value) or value == 0.0:
-            raise ConfigError(f"{name} from {' and '.join(map(repr, keys))} must be "
-                              f"finite and nonzero, not {value!r}")
+    pulse = ("pulse.duration_over_kappa", "physics.kappa_mhz")
+    duration, alpha = values["pulse.duration_over_kappa"], values["pulse.alpha"]
+    amp = math.hypot(alpha.real, alpha.imag)  # abs() of a complex may raise
+    node = 5.0 * math.sqrt(2.0 * (2 * N_NODES + 1)) * kappa / duration
+    # (name, keys, value, whether the value may be zero)
+    products = [("g^2", keys, x * x, False) for keys, x in scaled] + [
+        ("kappa*gamma", ("physics.kappa_mhz", "physics.gamma_mhz"), kappa * gamma, False),
+        ("T", pulse, duration / kappa, False), ("node scale", pulse, node, False),
+        ("2|alpha|^2", ("pulse.alpha",), 2.0 * amp * amp, True)]
+    if kind == "fidelity-sweep":
+        products += [("2 nbar", (end,), 2.0 * values[end], True) for end in ends]
+    for name, keys, value, zero_ok in products:
+        if not math.isfinite(value) or (value == 0.0 and not zero_ok):
+            raise ConfigError(f"{name} from {' and '.join(map(repr, keys))} must be finite"
+                              f"{'' if zero_ok else ' and nonzero'}, not {value!r}")
 
 
 def rate_to_internal(nu_mhz: float) -> float:
@@ -272,14 +283,10 @@ class ScenarioConfig:
         return self.values[key if sub is None else f"{key}.{sub}"]
 
     def physics(self):
-        from .cavity import CavityParams
-
         return CavityParams(*(rate_to_internal(self.get("physics", k))
                               for k in ("g_mhz", "kappa_mhz", "gamma_mhz")))
 
     def pulse(self, params=None):
-        from .cavity import PulseSpec
-
         params = params if params is not None else self.physics()
         return PulseSpec(self.get("pulse", "duration_over_kappa") / params.kappa,
                          self.get("pulse", "alpha"))

@@ -14,28 +14,27 @@ Monte Carlo writes each segment integral by the midpoint identity and
 folds the signed sum over segments into coefficient columns c_k, s_k (echo
 and free phase), so a realization costs one table lookup per component,
 whatever the number of echo cycles: theta_k is drawn uniformly from the
-4096th roots of unity.  That is exact for every statistic reported, not
-an approximation of continuous phases: the mean of e^{i m theta} over the
+4096th roots of unity, once per realization for all sequences of a
+scenario.  That is exact for every statistic reported, not an
+approximation of continuous phases: the mean of e^{i m theta} over the
 4096 roots vanishes for 0 < |m| < 4096, so every moment of order below
 4096 in cos(theta_k) and sin(theta_k), the variances (order 2) and their
-standard errors (order 4) among them, equals its value under uniform
+covariances (order 4) among them, equals its value under uniform
 continuous phases.
 
 The analytic echo and free variances are the exact moments of the
 synthesis, sum_k (c_k^2 + s_k^2)/2 for uniform independent theta_k, so the
-Monte Carlo differs from them by sampling error alone.  They approach the
+Monte Carlo differs from them by sampling error alone, whose covariance
+:func:`variance_covariance` gives exactly.  They approach the
 continuous filter integrals int S |Y|^2 dw (swap echo [dt, U_x, dt, U_x]:
 |Y_1(w)|^2 = 16 sin^4(w dt/2)/w^2; free: 4 sin^2(w T/2)/w^2) as the
 component spacing shrinks.
 
 Transport noise: moving the atom pair with separation time tau_T filters
 the spectrum through sin^2(w tau_T/2) and smears it with a Gaussian kernel
-of width 4/tau_T (motion through the spatially correlated field).  A
-frozen :class:`TransportNoise` computes the transported power once, when
-it is built, on the same component grid; every transport lasts its tau_T
-and reads that power.  The differential dephasing power is referred
-symmetrically to the two atoms (factor 1/2), so a narrow noise line at
-w0 << 1/tau_T is suppressed by sin^2(w0 tau_T/2)/2 -> (tau_T w0)^2/8.
+of width 4/tau_T (motion through the spatially correlated field); a frozen
+:class:`TransportNoise` computes that power once, on the same grid, and
+:func:`suppression_factor` refers it to one atom.
 """
 
 from __future__ import annotations
@@ -229,7 +228,11 @@ def _component_grid(spectrum: NoiseSpectrum, n_components: int):
 
 
 def _phase_coefficients(seq: EchoSequence, spectrum: NoiseSpectrum):
-    """Columns (c, s), echo then free: a phase is sum_k (c_k cos th_k - s_k sin th_k)."""
+    """Columns (c, s), echo then free: a phase is sum_k (c_k cos th_k - s_k sin th_k).
+
+    A segment integral of A cos(w t + th) is 2 A sin(w (t1 - t0)/2)
+    cos(w (t0 + t1)/2 + th)/w, so no cancelling difference of sines is formed.
+    """
     freqs, amps = _component_grid(spectrum, MC_COMPONENTS)
     centers = np.multiply.outer(freqs, (2 * np.arange(seq.n_cycles) + 1) * seq.dt)
     echo_amp = 4.0 * amps * np.sin(freqs * seq.dt / 2.0) ** 2 / freqs
@@ -256,51 +259,42 @@ def free_variance_analytic(total_time: float, spectrum: NoiseSpectrum) -> float:
 
 
 class DephasingStats(NamedTuple):
-    var_echo: float
-    var_free: float
-    stderr_echo: float
-    stderr_free: float
-    n_realizations: int
+    """Sample variances ``var[i] = (echo, free)`` of sequence i and the exact
+    covariance ``cov`` of their entries in ``var.ravel()`` order."""
+
+    var: np.ndarray
+    cov: np.ndarray
+
+    @property
+    def stderr(self) -> np.ndarray:
+        """Exact standard errors, shaped like ``var``."""
+        return np.sqrt(np.diag(self.cov)).reshape(self.var.shape)
 
 
-def monte_carlo_dephasing(seq: EchoSequence, spectrum: NoiseSpectrum,
+def monte_carlo_dephasing(seqs: list[EchoSequence], spectrum: NoiseSpectrum,
                           n_realizations: int, rng) -> DephasingStats:
-    """Sample echo and free phase variances over noise realizations.
+    """Echo and free phase variances of every sequence in ``seqs``, sampled
+    over one set of noise realizations.
 
-    Per realization the echo phase is sum over cycles of (integral of eps
-    over the first half) - (second half); the free phase integrates eps
-    over the whole record.  By the midpoint identity the integral of
-    A cos(w t + th) over [t0, t1] is 2 A sin(w (t1 - t0)/2) cos(w m + th)/w
-    with m = (t0 + t1)/2, so the cancelling difference
-    sin(w t1 + th) - sin(w t0 + th) is never formed.  The two halves of
-    cycle c pair up to 4 A sin^2(w dt/2) sin(w tau_c + th)/w with
-    tau_c = (2c + 1) dt, and the free phase is one segment over [0, T].
-    Expanding in cos(th) and sin(th) folds both sums, once per call, into
-    per-component coefficients c[k] and s[k] with an echo and a free
-    column (:func:`_phase_coefficients`); a chunk of realizations then
-    costs sum_k (c_k cos th_k - s_k sin th_k) whatever n_cycles is.
-
-    Each th_k is one of the 4096th roots of unity, drawn as 12 raw bits
-    (:func:`_root_indices`), which reproduces every moment below order 4096
-    of uniform continuous phases (see the module docstring), and
-    e^{i th_k} is read from a table.  Viewed as (cos, sin) pairs, a block of
-    roots times the interleaved columns (c, -s) gives the phases in one
-    real product.  Realizations come MC_CHUNK at a time, in buffers
-    allocated once per call (so concurrent calls share none): a new 256 KB
-    temporary per block would be served by glibc with mmap, or trimmed
-    after it is freed, and page-fault in again on every block.  The draws
-    do not depend on MC_CHUNK; the BLAS summation order, and so the last
-    bits of the variances, do.
+    The sequences' columns (:func:`_phase_coefficients`) stand side by
+    side, so a block of realizations costs one draw and one real product,
+    (cos th_k, sin th_k) pairs times the interleaved columns (c, -s), for
+    all 2P phases.  Each th_k is a 4096th root of unity, drawn as 12 raw
+    bits (:func:`_root_indices`) and read from a table.  Realizations come
+    MC_CHUNK at a time, in buffers allocated once per call: a new 256 KB
+    temporary per block would be served by glibc with mmap, or trimmed after
+    it is freed, and page-fault in again on every block.
     """
     if n_realizations < 100:
         raise NoiseModelError("need at least 100 realizations")
     gen = as_generator(rng)
-    c, s = _phase_coefficients(seq, spectrum)
-    cols = np.stack([c, -s], axis=1).reshape(2 * MC_COMPONENTS, 2)
+    c, s = (np.hstack(cols) for cols in zip(*(_phase_coefficients(q, spectrum)
+                                              for q in seqs)))
+    cols = np.stack([c, -s], axis=1).reshape(2 * MC_COMPONENTS, c.shape[1])
     index = np.empty((MC_CHUNK, MC_COMPONENTS), dtype=np.uint16)
     roots = np.empty((MC_CHUNK, MC_COMPONENTS), dtype=complex)
 
-    phase = np.empty((2, n_realizations))  # rows: echo, free
+    phase = np.empty((c.shape[1], n_realizations))  # rows: echo, free of each sequence
     done = 0
     while done < n_realizations:
         m = min(MC_CHUNK, n_realizations - done)
@@ -309,10 +303,23 @@ def monte_carlo_dephasing(seq: EchoSequence, spectrum: NoiseSpectrum,
         phase[:, done:done + m] = (z.view(float) @ cols).T
         done += m
 
-    var_echo, var_free = (float(v) for v in np.var(phase, axis=1, ddof=1))
-    factor = math.sqrt(2.0 / (n_realizations - 1))
-    return DephasingStats(var_echo, var_free, var_echo * factor,
-                          var_free * factor, n_realizations)
+    var = np.var(phase, axis=1, ddof=1).reshape(-1, 2)
+    return DephasingStats(var, variance_covariance(c, s, n_realizations))
+
+
+def variance_covariance(c: np.ndarray, s: np.ndarray, n_realizations: int) -> np.ndarray:
+    """Exact covariance of the sample variances (ddof 1) of the phases
+    sum_k (c_kj cos th_k - s_kj sin th_k), one per column j:
+    2 Sigma_ij^2/(n - 1) + K_ij/n, with Sigma = (C^T C + S^T S)/2 and K the
+    joint fourth cumulant, summed over the independent components,
+    -(c_ki c_kj + s_ki s_kj)^2/4 - (c_ki^2 + s_ki^2)(c_kj^2 + s_kj^2)/8.
+    Its diagonal, -(3/8) sum_k a_k^4, is where a random-phase cosine departs
+    from a Gaussian."""
+    sigma = (c.T @ c + s.T @ s) / 2.0
+    c2, s2, cs = c * c, s * s, c * s
+    a2 = c2 + s2
+    cumulant = -((c2.T @ c2 + s2.T @ s2 + 2.0 * cs.T @ cs) / 4.0 + a2.T @ a2 / 8.0)
+    return 2.0 * sigma**2 / (n_realizations - 1) + cumulant / n_realizations
 
 
 def _root_indices(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:

@@ -24,9 +24,8 @@ SCHEMA bounds use) and a limit, and it passes when the value is finite and
 check's ``name``, ``value``, ``op``, ``limit``, ``passed`` and ``detail``,
 the one line ``dfsqc report`` prints.
 
-Identical config + seed produce byte-identical CSVs.  Only the decoupling
-echo Monte Carlo reads ``threads``: it spreads the grid points over a pool
-(merged in grid order, one seeded stream per point).
+Identical config + seed produce byte-identical CSVs.  A decoupling
+scenario's grid points share one Monte Carlo pass from one seeded stream.
 """
 
 from __future__ import annotations
@@ -106,7 +105,7 @@ UNITS_NOTE = {
     "g-sweep": "g_ratio dimensionless; g_mhz MHz; fidelity, eta dimensionless",
     "decoupling": "dt s; variances rad^2",
     "transport-noise": "omega0_tau dimensionless; suppression dimensionless",
-    "protocol-run": "fidelity, trace_distance dimensionless",
+    "protocol-run": "fidelity dimensionless",
     "leakage-demo": "restoration_fidelity dimensionless",
 }
 
@@ -115,7 +114,7 @@ UNITS_NOTE = {
 # scenario implementations
 # ---------------------------------------------------------------------------
 
-def run_fidelity_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
+def run_fidelity_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     started = time.monotonic()
     params = cfg.physics()
     pulse = cfg.pulse(params)
@@ -138,7 +137,7 @@ def run_fidelity_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     return ScenarioResult(["nbar", "fidelity"], rows, checks, meta)
 
 
-def run_g_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
+def run_g_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     params = cfg.physics()
     pulse = cfg.pulse(params)
     rows = []
@@ -166,39 +165,27 @@ def run_g_sweep(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
                           rows, checks)
 
 
-def run_decoupling(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
+def run_decoupling(cfg: ScenarioConfig) -> ScenarioResult:
     spectrum = cfg.noise_spectrum()
     n_real = cfg.get("realizations")
     products, n_cycles = cfg.echo()
     dts = [p / spectrum.cutoff for p in products]
+    seqs = [EchoSequence(dt, n_cycles) for dt in dts]
+    stats = monte_carlo_dephasing(seqs, spectrum, n_real, cfg.seed)
+    exact = np.array([(echo_variance_analytic(seq, spectrum),
+                       free_variance_analytic(seq.total_time, spectrum)) for seq in seqs])
+    (ve, vf), (se_e, se_f), (ve_an, vf_an) = stats.var.T, stats.stderr.T, exact.T
+    rows = np.column_stack([dts, ve, se_e, ve_an, vf, se_f, vf_an, ve_an / vf_an]).tolist()
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(dts))
-
-    def point(idx: int):
-        seq = EchoSequence(dts[idx], n_cycles)
-        stats = monte_carlo_dephasing(seq, spectrum, n_real,
-                                      np.random.default_rng(seeds[idx]))
-        ve_an = echo_variance_analytic(seq, spectrum)
-        vf_an = free_variance_analytic(seq.total_time, spectrum)
-        return (dts[idx], stats.var_echo, stats.stderr_echo, ve_an,
-                stats.var_free, stats.stderr_free, vf_an, ve_an / vf_an)
-
-    if threads <= 1:  # even one pooled worker's malloc arena shows in the peak RSS
-        rows = [point(idx) for idx in range(len(dts))]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # off the start-up path
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(point, range(len(dts))))
-
-    worst_se = np.max([abs(r[1] - r[3]) / r[2] for r in rows])
+    worst_se = np.max(np.abs(ve - ve_an) / se_e)
     log_dt = np.log(dts)
-    slope = float(np.polyfit(log_dt, np.log([r[7] for r in rows]), 1)[0])
-    # weighted by the standard error of log(var_echo_mc/var_free_mc)
-    log_se = [math.hypot(r[2] / r[1], r[5] / r[4]) for r in rows]
-    (mc_slope, _), cov = np.polyfit(log_dt, np.log([r[1] / r[4] for r in rows]), 1,
-                                    w=1.0 / np.array(log_se), cov="unscaled")
-    pull = abs(mc_slope - slope) / math.sqrt(cov[0, 0])
+    slope = float(np.polyfit(log_dt, np.log(ve_an / vf_an), 1)[0])
+    mc_slope = float(np.polyfit(log_dt, np.log(ve / vf), 1)[0])
+    # the fit is the linear form lin @ log(ve/vf); the points share draws, so
+    # its error takes their exact covariance through the gradient at the exact moments
+    lin = (log_dt - log_dt.mean()) / np.sum((log_dt - log_dt.mean()) ** 2)
+    grad = np.column_stack([lin / ve_an, -lin / vf_an]).ravel()
+    pull = abs(mc_slope - slope) / math.sqrt(grad @ stats.cov @ grad)
     # quadratic suppression needs noise slow on the cycle time
     dt_band = max(dts) * spectrum.band()
     applies = dt_band <= 1.0
@@ -228,7 +215,7 @@ def narrow_line_spectrum(omega0: float, width: float, power: float = 1.0) -> Noi
     return NoiseSpectrum.from_table(w, s)
 
 
-def run_transport_noise(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
+def run_transport_noise(cfg: ScenarioConfig) -> ScenarioResult:
     tau_t = cfg.transport()
     grid = cfg.sweep_grid()
 
@@ -296,7 +283,7 @@ def forced_branch_states(c4: np.ndarray) -> np.ndarray:
     return np.array(outs)
 
 
-def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
+def run_protocol(cfg: ScenarioConfig) -> ScenarioResult:
     protocol = cfg.get("protocol")
     trials = cfg.get("trials")
     rng = np.random.default_rng(cfg.seed)
@@ -363,7 +350,7 @@ def run_protocol(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
         return ScenarioResult(["trial", "branch", "fidelity"], rows, checks)
 
 
-def run_leakage_demo(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
+def run_leakage_demo(cfg: ScenarioConfig) -> ScenarioResult:
     n_random = cfg.get("random_inputs")
     rng = np.random.default_rng(cfg.seed)
     cases = [("0L", "clean"), ("1L", "clean"), ("+L", "clean"), ("-L", "clean"),
@@ -455,14 +442,13 @@ def write_artifacts(cfg: ScenarioConfig, result: ScenarioResult, out_dir) -> dic
     return paths
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir, threads: int = 1):
+def run_scenario(cfg: ScenarioConfig, out_dir):
     """Execute one scenario and write its artifacts.
 
     Returns (result, paths); callers decide exit codes from
     ``result.all_passed``.
     """
-    runner = RUNNERS[cfg.kind]
-    result = runner(cfg, threads=threads)
+    result = RUNNERS[cfg.kind](cfg)
     paths = write_artifacts(cfg, result, out_dir)
     return result, paths
 

@@ -90,9 +90,9 @@ def test_criterion_3_photon_loss_scaling():
 def test_criterion_4_decoupling_validation():
     spectrum = NoiseSpectrum.band_limited_white(tau_co=1e-3)
     seq = EchoSequence(0.1 / spectrum.cutoff)
-    stats = monte_carlo_dephasing(seq, spectrum, 10_000, 20260809)
+    stats = monte_carlo_dephasing([seq], spectrum, 10_000, 20260809)
     analytic = echo_variance_analytic(seq, spectrum)
-    pull = abs(stats.var_echo - analytic) / stats.stderr_echo
+    pull = abs(stats.var[0, 0] - analytic) / stats.stderr[0, 0]
     assert pull <= 5.0, f"MC vs analytic pull {pull:.2f} SE"
 
     prods = np.array([0.01, 0.02, 0.05, 0.1])

@@ -292,12 +292,14 @@ class TestConfig:
 
 class TestArtifacts:
     def test_byte_identical_reruns(self, tmp_path):
-        cfg = ScenarioConfig.from_yaml(FID_CFG)
-        run_scenario(cfg, tmp_path / "a")
-        run_scenario(cfg, tmp_path / "b")
-        csv_a = (tmp_path / "a" / "czfid.csv").read_bytes()
-        csv_b = (tmp_path / "b" / "czfid.csv").read_bytes()
-        assert csv_a == csv_b
+        # two runs of one config and seed write the same CSV bytes
+        for text in SMALL_CFGS:
+            cfg = ScenarioConfig.from_yaml(text)
+            run_scenario(cfg, tmp_path / "a")
+            run_scenario(cfg, tmp_path / "b")
+            name = f"{cfg.name}.csv"
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), cfg.name
 
     def test_seed_changes_protocol_artifact(self, tmp_path):
         base = ScenarioConfig.from_yaml(LEAK_CFG)
@@ -344,8 +346,8 @@ class TestArtifacts:
         assert any("op=measure_p34" in line and "p=" in line for line in log)
 
     def test_threads_do_not_change_output(self, tmp_path, monkeypatch):
-        # threads only pay for the echo Monte Carlo: no other kind, and no
-        # single-thread run, may enter a pool
+        # the CLI's --threads is still parsed for old command lines: no run
+        # enters a pool, and any thread count writes the run_scenario bytes
         pools = []
         real_pool = concurrent.futures.ThreadPoolExecutor
 
@@ -354,26 +356,25 @@ class TestArtifacts:
             return real_pool(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting_pool)
-        pooled = []
-        for text in SMALL_CFGS:
+        for i, text in enumerate(SMALL_CFGS):
             cfg = ScenarioConfig.from_yaml(text)
-            run_scenario(cfg, tmp_path / "a", threads=1)
-            assert pools == [], cfg.name
-            run_scenario(cfg, tmp_path / "b", threads=3)
-            if pools:
-                pooled.append(cfg.kind)
-                assert pools == [3]
-                pools.clear()
+            run_scenario(cfg, tmp_path / "a")
+            path = tmp_path / f"cfg{i}.yaml"
+            path.write_text(text)
             name = f"{cfg.name}.csv"
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes(), cfg.name
-        assert pooled == ["decoupling"]
+            want = (tmp_path / "a" / name).read_bytes()
+            for threads in ("1", "3"):
+                out = tmp_path / f"t{threads}"
+                main(["simulate", str(path), "--threads", threads, "--out", str(out)])
+                assert (out / name).read_bytes() == want, (cfg.name, threads)
+        assert pools == []
 
 
-def decoupling_checks(model, products, realizations=100):
+def decoupling_checks(model, products, realizations=100, seed=9, n_cycles=1):
     cfg = ScenarioConfig.from_yaml(
-        f"kind: decoupling\nname: echo\nseed: 9\nrealizations: {realizations}\n"
-        f"noise: {{model: {model}}}\necho: {{dt_cutoff_product: {products}}}\n")
+        f"kind: decoupling\nname: echo\nseed: {seed}\nrealizations: {realizations}\n"
+        f"noise: {{model: {model}}}\n"
+        f"echo: {{dt_cutoff_product: {products}, n_cycles: {n_cycles}}}\n")
     return {c.name: c for c in run_decoupling(cfg).checks}
 
 
@@ -401,14 +402,39 @@ class TestDecouplingChecks:
     def test_mc_slope_fails_when_the_monte_carlo_scales_wrongly(self, monkeypatch):
         real = dfsqc.scenarios.monte_carlo_dephasing
 
-        def steeper(seq, *args):
-            stats = real(seq, *args)
-            return stats._replace(var_echo=stats.var_echo * seq.dt * 1e4)
+        def steeper(seqs, *args):
+            stats = real(seqs, *args)
+            return stats._replace(var=stats.var * [[q.dt * 1e4, 1.0] for q in seqs])
 
         products = [0.01, 0.02, 0.05, 0.1]
         assert decoupling_checks("lorentzian", products, 2000)["mc_suppression_slope"].passed
         monkeypatch.setattr(dfsqc.scenarios, "monte_carlo_dephasing", steeper)
         assert not decoupling_checks("lorentzian", products, 2000)["mc_suppression_slope"].passed
+
+    def test_one_monte_carlo_pass_per_scenario(self, monkeypatch):
+        # every grid point reads the same realizations
+        real = dfsqc.scenarios.monte_carlo_dephasing
+        calls = []
+
+        def counting(seqs, *args):
+            calls.append(len(seqs))
+            return real(seqs, *args)
+
+        monkeypatch.setattr(dfsqc.scenarios, "monte_carlo_dephasing", counting)
+        decoupling_checks("band-limited-white", [0.01, 0.02, 0.05, 0.1])
+        assert calls == [4]
+
+    @pytest.mark.parametrize("model, products, n_cycles", [
+        ("band-limited-white", [0.01, 0.1], 1),
+        ("band-limited-white", [0.01, 0.03, 0.1], 2),
+        ("lorentzian", [0.01, 0.1, 1.0], 1)])
+    def test_mc_slope_pulls_have_unit_spread(self, model, products, n_cycles):
+        # the slope's standard error comes from the exact covariance of the
+        # shared draws: over 60 seeds its pulls spread by about one, which an
+        # independent-point error (about 10x too large) would not give
+        pulls = [decoupling_checks(model, products, 1000, seed, n_cycles)
+                 ["mc_suppression_slope"].value for seed in range(60)]
+        assert 0.8 <= math.sqrt(np.mean(np.square(pulls))) <= 1.25
 
 
 class TestCliEntry:
@@ -481,8 +507,12 @@ class TestCliEntry:
         ("kind: g-sweep\nsweep: {stop: 1.0e+300}\n", ["physics.g_mhz", "sweep.stop"]),
         ("kind: fidelity-sweep\nphysics: {g_mhz: 1.0e+160}\n", ["physics.g_mhz"]),
         ("kind: fidelity-sweep\nphysics: {kappa_mhz: 1.0e-200, gamma_mhz: 1.0e-200}\n",
-         ["physics.kappa_mhz", "physics.gamma_mhz"])],
-        ids=["pulse-length-inf", "scaled-g2-inf", "g2-inf", "kappa-gamma-zero"])
+         ["physics.kappa_mhz", "physics.gamma_mhz"]),
+        # T = 6.6e-308 s is finite, but its largest quadrature node is not
+        ("kind: fidelity-sweep\npulse: {duration_over_kappa: 1.0e-300}\n",
+         ["pulse.duration_over_kappa", "physics.kappa_mhz"])],
+        ids=["pulse-length-inf", "scaled-g2-inf", "g2-inf", "kappa-gamma-zero",
+             "node-scale-inf"])
     def test_derived_value_out_of_range_exits_2(self, tmp_path, capsys, text, keys):
         # each key passes its bound, but a product of them overflows or
         # underflows: these used to exit 4 (nan fidelities), 0 (nan rows that
@@ -493,6 +523,26 @@ class TestCliEntry:
         assert "invalid config" in err and "must be finite and nonzero" in err
         assert all(f"'{key}'" in err for key in keys)
         assert not Path(out).exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("kind: fidelity-sweep\npulse: {alpha: 1.0e+155}\n", "pulse.alpha"),
+        ("kind: fidelity-sweep\npulse: {alpha: 1.0e+154}\n", "pulse.alpha"),
+        ("kind: g-sweep\npulse: {alpha: 1.0e+154}\n", "pulse.alpha"),
+        ("kind: fidelity-sweep\nsweep: {stop: 1.0e+308}\n", "sweep.stop")],
+        ids=["alpha-squared-inf", "cat-exponent-inf", "g-sweep-alpha", "nbar-grid-end"])
+    def test_cat_exponent_out_of_range_exits_2(self, tmp_path, capsys, text, key):
+        # |alpha|^2 = 1e310 used to raise OverflowError (exit 3); 2|alpha|^2
+        # past the float range wrote nan fidelities (exit 4)
+        out = str(tmp_path / "out")
+        assert main(["simulate", self.write(tmp_path, text), "--check", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"from '{key}' must be finite, not inf" in err
+        assert not Path(out).exists()
+
+    def test_zero_alpha_is_valid(self):
+        # the cat exponents may vanish: only the nonzero products reject zero
+        cfg = ScenarioConfig.from_yaml("kind: fidelity-sweep\npulse: {alpha: 0}\n")
+        assert cfg.get("pulse", "alpha") == 0
 
     @pytest.mark.parametrize("kind, key, rule", list(bound_cases()))
     def test_value_past_bound_exits_2(self, tmp_path, capsys, kind, key, rule):

@@ -82,7 +82,7 @@ def test_noise_imports_nothing_from_logical():
 def test_cli_import_loads_no_numerics_it_defers():
     # every run pays what ``import dfsqc.cli`` loads; the Gauss-Hermite
     # nodes load numpy.polynomial on first use, scipy serves tests only, and
-    # only a pooled echo Monte Carlo needs concurrent.futures (and logging)
+    # nothing in the package needs concurrent.futures (or logging)
     code = ("import sys, dfsqc.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
             "             or m.startswith(('numpy.polynomial', 'numpy.fft'))\n"

@@ -23,6 +23,7 @@ from dfsqc.noise import (
     monte_carlo_dephasing,
     suppression_factor,
     transport_phase_std,
+    variance_covariance,
 )
 from dfsqc import noise
 from dfsqc.cli import main
@@ -199,15 +200,15 @@ class TestSynthesis:
         # free phase over T << 1/band is eps*T: its variance is total_power*T^2
         s = default_spectrum()
         seq = EchoSequence(1e-3 / s.cutoff)
-        stats = monte_carlo_dephasing(seq, s, 5000, 7)
-        assert stats.var_free / seq.total_time**2 == pytest.approx(s.total_power, rel=0.1)
+        stats = monte_carlo_dephasing([seq], s, 5000, 7)
+        assert stats.var[0, 1] / seq.total_time**2 == pytest.approx(s.total_power, rel=0.1)
 
     def test_determinism(self):
         s = default_spectrum()
         seq = EchoSequence(0.05 / s.cutoff)
-        a = monte_carlo_dephasing(seq, s, 200, 99)
-        assert monte_carlo_dephasing(seq, s, 200, 99) == a
-        assert monte_carlo_dephasing(seq, s, 200, 100) != a
+        a = monte_carlo_dephasing([seq], s, 200, 99).var
+        assert np.array_equal(monte_carlo_dephasing([seq], s, 200, 99).var, a)
+        assert not np.any(monte_carlo_dephasing([seq], s, 200, 100).var == a)
 
 
 class TestFilterFunction:
@@ -236,34 +237,32 @@ class TestEchoVariance:
     def test_monte_carlo_matches_analytic(self):
         s = default_spectrum()
         seq = EchoSequence(0.1 / s.cutoff)
-        stats = monte_carlo_dephasing(seq, s, 10_000, 2024)
-        ve = echo_variance_analytic(seq, s)
-        vf = free_variance_analytic(seq.total_time, s)
-        assert abs(stats.var_echo - ve) <= 5 * stats.stderr_echo
-        assert abs(stats.var_free - vf) <= 5 * stats.stderr_free
+        stats = monte_carlo_dephasing([seq], s, 10_000, 2024)
+        exact = (echo_variance_analytic(seq, s), free_variance_analytic(seq.total_time, s))
+        assert np.all(np.abs(stats.var[0] - exact) <= 5 * stats.stderr[0])
 
     def test_multi_cycle_sequence(self):
         s = default_spectrum()
         seq = EchoSequence(0.05 / s.cutoff, n_cycles=4)
-        stats = monte_carlo_dephasing(seq, s, 2000, 5)
+        stats = monte_carlo_dephasing([seq], s, 2000, 5)
         ve = echo_variance_analytic(seq, s)
-        assert abs(stats.var_echo - ve) <= 5 * stats.stderr_echo
+        assert abs(stats.var[0, 0] - ve) <= 5 * stats.stderr[0, 0]
 
     def test_zero_noise(self):
         s = NoiseSpectrum.band_limited_white(total_power=0.0)
-        stats = monte_carlo_dephasing(EchoSequence(1e-4), s, 200, 1)
-        assert stats.var_echo == 0.0 and stats.var_free == 0.0
+        stats = monte_carlo_dephasing([EchoSequence(1e-4)], s, 200, 1)
+        assert np.all(stats.var == 0.0) and np.all(stats.stderr == 0.0)
 
     def test_doubling_power_doubles_variances(self):
         cut = 2 * math.pi * 10
         s1 = NoiseSpectrum.band_limited_white(total_power=1e5, cutoff=cut)
         s2 = NoiseSpectrum.band_limited_white(total_power=2e5, cutoff=cut)
         seq = EchoSequence(1e-4)
-        a = monte_carlo_dephasing(seq, s1, 500, 77)
-        b = monte_carlo_dephasing(seq, s2, 500, 77)
+        a = monte_carlo_dephasing([seq], s1, 500, 77)
+        b = monte_carlo_dephasing([seq], s2, 500, 77)
         # same seed, amplitudes scale by sqrt(2): exact factor 2
-        assert b.var_echo == pytest.approx(2 * a.var_echo, rel=1e-12)
-        assert b.var_free == pytest.approx(2 * a.var_free, rel=1e-12)
+        assert b.var == pytest.approx(2 * a.var, rel=1e-12)
+        assert b.stderr == pytest.approx(2 * a.stderr, rel=1e-12)
 
     def test_suppression_slope_is_two(self):
         s = default_spectrum()
@@ -276,7 +275,7 @@ class TestEchoVariance:
 
     def test_requires_enough_realizations(self):
         with pytest.raises(NoiseModelError):
-            monte_carlo_dephasing(EchoSequence(1e-4), default_spectrum(), 10, 1)
+            monte_carlo_dephasing([EchoSequence(1e-4)], default_spectrum(), 10, 1)
 
     def test_sequence_is_frozen(self):
         seq = EchoSequence(1e-4, 2)
@@ -358,7 +357,7 @@ class TestExactMoments:
     def test_monte_carlo_mean_is_the_exact_moment(self, spectrum, n_cycles):
         # sampling error only: 40 seeds' mean within 4 standard errors
         seq = EchoSequence(0.05 / spectrum.cutoff, n_cycles)
-        runs = np.array([monte_carlo_dephasing(seq, spectrum, 1000, seed)[:2]
+        runs = np.array([monte_carlo_dephasing([seq], spectrum, 1000, seed).var[0]
                          for seed in range(40)])
         exact = (echo_variance_analytic(seq, spectrum),
                  free_variance_analytic(seq.total_time, spectrum))
@@ -421,18 +420,17 @@ def _longdouble_variances(seq, spectrum, n_realizations, seed, n_components=512)
     return float(np.var(echo, ddof=1)), float(np.var(free, ddof=1))
 
 
-def reference_dephasing(seq, spectrum, n_realizations, seed):
+def reference_dephasing(seqs, spectrum, n_realizations, seed):
     """monte_carlo_dephasing's block loop as expressions, a new array per operation."""
-    c, s = _phase_coefficients(seq, spectrum)
-    cols = np.stack([c, -s], axis=1).reshape(2 * MC_COMPONENTS, 2)
+    c, s = (np.hstack(cols) for cols in zip(*(_phase_coefficients(q, spectrum)
+                                              for q in seqs)))
+    cols = np.stack([c, -s], axis=1).reshape(2 * MC_COMPONENTS, c.shape[1])
     index = root_indices(seed, n_realizations)
-    phase = np.empty((2, n_realizations))
+    phase = np.empty((c.shape[1], n_realizations))
     for done in range(0, n_realizations, noise.MC_CHUNK):
         z = _ROOTS[index[done:done + noise.MC_CHUNK]]
         phase[:, done:done + len(z)] = (z.view(float) @ cols).T
-    var_echo, var_free = (float(v) for v in np.var(phase, axis=1, ddof=1))
-    factor = math.sqrt(2.0 / (n_realizations - 1))
-    return (var_echo, var_free, var_echo * factor, var_free * factor, n_realizations)
+    return np.var(phase, axis=1, ddof=1).reshape(-1, 2)
 
 
 class TestMonteCarloSums:
@@ -440,16 +438,17 @@ class TestMonteCarloSums:
     def test_matches_longdouble_reference(self, n_cycles):
         s = default_spectrum()
         seq = EchoSequence(0.01 / s.cutoff, n_cycles)
-        stats = monte_carlo_dephasing(seq, s, 4000, 811)
-        ref_echo, ref_free = _longdouble_variances(seq, s, 4000, 811)
-        assert stats.var_echo == pytest.approx(ref_echo, rel=1e-13, abs=0)
-        assert stats.var_free == pytest.approx(ref_free, rel=1e-13, abs=0)
+        stats = monte_carlo_dephasing([seq], s, 4000, 811)
+        ref = _longdouble_variances(seq, s, 4000, 811)
+        assert stats.var[0] == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_draw_stream_unchanged(self):
-        # 5000 realizations of 512 twelve-bit phases, four to a raw word
+        # 5000 realizations of 512 twelve-bit phases, four to a raw word,
+        # however many sequences share them
         s = default_spectrum()
         gen = np.random.default_rng(42)
-        monte_carlo_dephasing(EchoSequence(0.05 / s.cutoff), s, 5000, gen)
+        monte_carlo_dephasing([EchoSequence(p / s.cutoff) for p in (0.01, 0.05, 0.1)],
+                              s, 5000, gen)
         fresh = np.random.default_rng(42)
         fresh.bit_generator.random_raw(5000 * 512 // 4)
         assert gen.bit_generator.random_raw() == fresh.bit_generator.random_raw()
@@ -457,25 +456,26 @@ class TestMonteCarloSums:
     @pytest.mark.parametrize("n_realizations", [4000, 4037])
     def test_stats_are_the_reference_block_loop(self, n_realizations):
         s = LORENTZIAN
-        seq = EchoSequence(0.03 / s.cutoff, 2)
-        stats = monte_carlo_dephasing(seq, s, n_realizations, 123)
-        assert tuple(stats) == reference_dephasing(seq, s, n_realizations, 123)
+        seqs = [EchoSequence(0.03 / s.cutoff, 2), EchoSequence(0.3 / s.cutoff, 2)]
+        stats = monte_carlo_dephasing(seqs, s, n_realizations, 123)
+        assert np.array_equal(stats.var, reference_dephasing(seqs, s, n_realizations, 123))
 
     def test_stats_do_not_depend_on_chunk(self, monkeypatch):
         s = default_spectrum()
         seq = EchoSequence(0.05 / s.cutoff, 2)
         monkeypatch.setattr(noise, "MC_CHUNK", 64)
-        a = monte_carlo_dephasing(seq, s, 1000, 3)
+        a = monte_carlo_dephasing([seq], s, 1000, 3)
         monkeypatch.setattr(noise, "MC_CHUNK", 100)
-        assert monte_carlo_dephasing(seq, s, 1000, 3) == a
+        b = monte_carlo_dephasing([seq], s, 1000, 3)
+        assert np.array_equal(b.var, a.var) and np.array_equal(b.cov, a.cov)
 
     def test_free_phase_depends_only_on_record_length(self):
         # both sequences integrate the same noise record over 4 dt
         s = default_spectrum()
         dt = 0.02 / s.cutoff
-        two = monte_carlo_dephasing(EchoSequence(dt, 2), s, 1000, 5)
-        one = monte_carlo_dephasing(EchoSequence(2 * dt, 1), s, 1000, 5)
-        assert two.var_free == pytest.approx(one.var_free, rel=1e-13, abs=0)
+        two = monte_carlo_dephasing([EchoSequence(dt, 2)], s, 1000, 5)
+        one = monte_carlo_dephasing([EchoSequence(2 * dt, 1)], s, 1000, 5)
+        assert two.var[0, 1] == pytest.approx(one.var[0, 1], rel=1e-13, abs=0)
 
     def test_warm_call_does_not_fault_per_block(self):
         # A new 256 KB temporary per block of a 63-block call page-faults
@@ -488,17 +488,59 @@ class TestMonteCarloSums:
             "from dfsqc.noise import EchoSequence, NoiseSpectrum, monte_carlo_dephasing\n"
             "s = NoiseSpectrum.band_limited_white(tau_co=1e-3)\n"
             "seq = EchoSequence(0.05 / s.cutoff, 2)\n"
-            "monte_carlo_dephasing(seq, s, 4000, 1)\n"
+            "monte_carlo_dephasing([seq], s, 4000, 1)\n"
             "faults = []\n"
             "for seed in (2, 3, 4):\n"
             "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "    monte_carlo_dephasing(seq, s, 4000, seed)\n"
+            "    monte_carlo_dephasing([seq], s, 4000, seed)\n"
             "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
             "print(min(faults))\n")
         src = str(Path(noise.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                              text=True, env={**os.environ, "PYTHONPATH": src})
         assert int(out.stdout) <= 100
+
+
+class TestSharedPass:
+    """Every sequence of a scenario reads one set of realizations."""
+
+    def test_each_sequence_gets_its_own_pass_statistics(self):
+        s = LORENTZIAN
+        seqs = [EchoSequence(p / s.cutoff, 2) for p in (0.01, 0.05, 0.2)]
+        shared = monte_carlo_dephasing(seqs, s, 1000, 8)
+        assert shared.var.shape == shared.stderr.shape == (3, 2)
+        assert shared.cov.shape == (6, 6)
+        for i, seq in enumerate(seqs):
+            alone = monte_carlo_dephasing([seq], s, 1000, 8)
+            assert shared.var[i] == pytest.approx(alone.var[0], rel=1e-12)
+            assert shared.cov[2 * i:2 * i + 2, 2 * i:2 * i + 2] == pytest.approx(
+                alone.cov, rel=1e-12)
+
+    def test_shared_echo_variances_correlate(self):
+        # the reason the slope's standard error needs the covariance
+        s = default_spectrum()
+        seqs = [EchoSequence(p / s.cutoff) for p in (0.01, 0.1)]
+        cov = monte_carlo_dephasing(seqs, s, 1000, 1).cov
+        assert cov[0, 2] / math.sqrt(cov[0, 0] * cov[2, 2]) > 0.99
+
+    def test_covariance_is_exact_over_the_roots(self):
+        # Sigma and the joint fourth cumulant K of the phases, each averaged
+        # over the 4096 roots component by component and summed
+        rng = np.random.default_rng(3)
+        c, s = rng.normal(size=(2, 5, 3))
+        cos, sin = _ROOTS.real, _ROOTS.imag
+        y = c[:, None, :] * cos[None, :, None] - s[:, None, :] * sin[None, :, None]
+        m2 = np.einsum("kri,krj->kij", y, y) / len(_ROOTS)
+        m4 = np.einsum("kri,krj->kij", y * y, y * y) / len(_ROOTS)
+        var = np.einsum("kii->ki", m2)
+        sigma = m2.sum(axis=0)
+        cumulant = (m4 - var[:, :, None] * var[:, None, :] - 2 * m2**2).sum(axis=0)
+        n = 1000
+        assert variance_covariance(c, s, n) == pytest.approx(
+            2 * sigma**2 / (n - 1) + cumulant / n, rel=1e-12, abs=1e-15)
+        # the diagonal cumulant is -(3/8) sum_k a_k^4
+        a2 = c**2 + s**2
+        assert np.diag(cumulant) == pytest.approx(-3 / 8 * (a2**2).sum(axis=0), rel=1e-12)
 
 
 class TestRootsOfUnity:
