@@ -15,8 +15,9 @@ show them: a ``noise`` key of the other kind of model (``table_path``
 under an analytic model, ``tau_co_ms`` or ``cutoff_hz`` under ``table``)
 is rejected, the table model needs a ``table_path`` that holds a valid
 table, ``echo.dt_cutoff_product`` needs two or more distinct values, and
-the numbers the cavity model forms from its keys must be finite
-(:func:`_check_cavity_products`).
+the numbers a kind forms from its keys must be finite, before any
+numerics run (:func:`_cavity_products`, :func:`_decoupling_products`,
+:func:`_transport_products`).
 Two keys are validated but change no number, and stay only while the
 benchmark's generated configs still set them: the transport-noise kind
 builds its own narrow noise line at each grid point, so its
@@ -40,6 +41,7 @@ from .cavity import N_NODES, CavityParams, PulseSpec
 
 MHZ = 2.0 * math.pi * 1e6
 US = 1e-6
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 @dataclass(frozen=True)
@@ -172,49 +174,106 @@ def _validate(kind: str, data: dict) -> dict:
         if name.endswith("_mhz") and not math.isfinite(rate_to_internal(value)):
             raise ConfigError(f"{name!r} must be finite in rad/s, not {value!r} MHz")
     if "physics.g_mhz" in values:
-        _check_cavity_products(kind, values)
+        _require_finite(_cavity_products(kind, values))
     if kind == "decoupling":
         model = values["noise.model"]
         # a key of the other kind of model would change no number
         for key in ("tau_co_ms", "cutoff_hz") if model == TABLE_MODEL else ("table_path",):
             if f"noise.{key}" in given:
                 raise ConfigError(f"'noise.{key}' does not apply to noise model {model!r}")
+        table = None
         if model == TABLE_MODEL:
             from .noise import NoiseSpectrum
 
             if not values["noise.table_path"]:
                 raise ConfigError("table model needs 'table_path'")
-            NoiseSpectrum.from_table_file(values["noise.table_path"])
+            table = NoiseSpectrum.from_table_file(values["noise.table_path"])
         if len(set(values["echo.dt_cutoff_product"])) < 2:
             # the suppression slope is a fit over at least two products
             raise ConfigError("'echo.dt_cutoff_product' needs two or more distinct values")
+        _require_finite(_decoupling_products(values, table))
+    if kind == "transport-noise":
+        _require_finite(_transport_products(values))
     return values
 
 
-def _check_cavity_products(kind: str, values: dict):
-    """ConfigError, naming the keys, unless the numbers the cavity model forms
-    from them are finite: g^2 (g2 = g, scaled by each end of a g-sweep grid),
-    kappa*gamma, the pulse length T = duration/kappa and the scale of its
-    largest quadrature node, below 5 sqrt(2 (2N + 1))/T for N nodes, all
-    nonzero too; and the largest cat exponent 2|alpha|^2 (2 nbar at each end
-    of a fidelity-sweep grid).  A key may pass its bound while these overflow
-    or underflow.  A square is ``x * x``: a float ``**`` raises OverflowError."""
+def _cavity_products(kind: str, values: dict) -> list:
+    """The numbers the cavity model forms from its keys: g^2 (g2 = g, scaled
+    by each end of a g-sweep grid) and the cooperativity g^2/(kappa*gamma)
+    with it, kappa*gamma, the pulse length T = duration/kappa and the scale
+    of its largest quadrature node, below 5 sqrt(2 (2N + 1))/T for N nodes,
+    all nonzero too; and the largest cat exponent 2|alpha|^2 (2 nbar at
+    each end of a fidelity-sweep grid)."""
     g, kappa, gamma = (rate_to_internal(values[f"physics.{k}"])
                        for k in ("g_mhz", "kappa_mhz", "gamma_mhz"))
     ends = ("sweep.start", "sweep.stop")
     scaled = ([(("physics.g_mhz", end), g * values[end]) for end in ends]
               if kind == "g-sweep" else [(("physics.g_mhz",), g)])
+    rates = ("physics.kappa_mhz", "physics.gamma_mhz")
     pulse = ("pulse.duration_over_kappa", "physics.kappa_mhz")
     duration, alpha = values["pulse.duration_over_kappa"], values["pulse.alpha"]
     amp = math.hypot(alpha.real, alpha.imag)  # abs() of a complex may raise
     node = 5.0 * math.sqrt(2.0 * (2 * N_NODES + 1)) * kappa / duration
-    # (name, keys, value, whether the value may be zero)
     products = [("g^2", keys, x * x, False) for keys, x in scaled] + [
-        ("kappa*gamma", ("physics.kappa_mhz", "physics.gamma_mhz"), kappa * gamma, False),
+        ("kappa*gamma", rates, kappa * gamma, False),
         ("T", pulse, duration / kappa, False), ("node scale", pulse, node, False),
         ("2|alpha|^2", ("pulse.alpha",), 2.0 * amp * amp, True)]
+    products += [("g^2/(kappa*gamma)", keys + rates, x * x / (kappa * gamma), False)
+                 for keys, x in scaled if kappa * gamma != 0.0]
     if kind == "fidelity-sweep":
         products += [("2 nbar", (end,), 2.0 * values[end], True) for end in ends]
+    return products
+
+
+def _decoupling_products(values: dict, table) -> list:
+    """The numbers a decoupling scenario forms from its keys: the total power
+    1/tau_co^2 of an analytic model, and each grid step dt = product/cutoff
+    and dt*band, all nonzero too.  A ``table`` spectrum brings its own
+    cutoff and band."""
+    from .noise import LORENTZIAN_BAND_FACTOR
+
+    if table is not None:
+        cutoff, band, keys, products = table.cutoff, table.band(), ("noise.table_path",), []
+    else:
+        tau_co = values["noise.tau_co_ms"] * 1e-3
+        square = tau_co * tau_co
+        products = [("1/tau_co^2", ("noise.tau_co_ms",),
+                     1.0 / square if square else math.inf, False)]
+        cutoff = 2.0 * math.pi * values["noise.cutoff_hz"]
+        band = cutoff * (LORENTZIAN_BAND_FACTOR if values["noise.model"] == "lorentzian"
+                         else 1.0)
+        keys = ("noise.cutoff_hz",)
+    keys = ("echo.dt_cutoff_product",) + keys
+    for product in values["echo.dt_cutoff_product"]:
+        dt = product / cutoff
+        products += [("dt", keys, dt, False), ("dt*band", keys, dt * band, False)]
+    return products
+
+
+def _transport_products(values: dict) -> list:
+    """The numbers the transport-noise kind forms at each end of its grid:
+    the line centre omega0 = product/tau_T, its width omega0/50 and the
+    width's square, all nonzero too, and the square of the line table's
+    half span, 8 widths."""
+    tau_t = values["transport.tau_t_us"] * US
+    products = []
+    for end in ("sweep.start", "sweep.stop"):
+        keys = ("transport.tau_t_us", end)
+        omega0 = values[end] / tau_t if tau_t else math.inf
+        width = omega0 / 50.0
+        half_span = 8.0 * width
+        products += [("omega0", keys, omega0, False),
+                     ("omega0/50", keys, width, False),
+                     ("(omega0/50)^2", keys, width * width, False),
+                     ("(8 omega0/50)^2", keys, half_span * half_span, False)]
+    return products
+
+
+def _require_finite(products):
+    """ConfigError, naming the keys, unless each ``(name, keys, value,
+    zero_ok)`` value is finite, and nonzero unless ``zero_ok``.  A key may
+    pass its bound while a number formed from it overflows or underflows.
+    A square is ``x * x``: a float ``**`` raises OverflowError."""
     for name, keys, value, zero_ok in products:
         if not math.isfinite(value) or (value == 0.0 and not zero_ok):
             raise ConfigError(f"{name} from {' and '.join(map(repr, keys))} must be finite"
@@ -246,7 +305,12 @@ class ScenarioConfig:
         return out
 
     def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=True)
+        # libyaml's emitter when present gives PyYAML's text, except that it
+        # wraps escaped double-quoted strings at other columns: a text with
+        # an escape, or any other backslash, is emitted again by PyYAML
+        data = self.to_dict()
+        text = yaml.dump(data, Dumper=_DUMPER, sort_keys=True)
+        return yaml.safe_dump(data, sort_keys=True) if "\\" in text else text
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":

@@ -15,8 +15,11 @@ prepared ancilla through one physical CZ, measure, correct.  The +L
 ancilla preparation is a primitive (direct state injection).  All
 measurement helpers accept a ``force`` label so every outcome branch can
 be enumerated deterministically in tests and reports; forced branches are
-post-selected projections and consume no randomness.  Every random draw
-comes from the run's own stream ``run.rng``.
+post-selected projections and consume no randomness.  On an ideal run,
+:func:`bell_subspace_branches` and :func:`full_bsm_branches` give every
+branch at once, each projection split once (``register.split``) rather
+than replayed per forced label, with the same registers and log lines.
+Every random draw comes from the run's own stream ``run.rng``.
 
 A projection in a changed frame (the phase and yy Bell-subspace kinds, the
 logical X and Y measurements) is never conjugate, measure, unconjugate on
@@ -43,6 +46,7 @@ from .register import (
     fidelity,
     kron_all,
     measure,
+    split,
     tensor,
 )
 from .logical import (
@@ -160,29 +164,10 @@ class ProtocolRun:
         are the run's ``cavity``, ``pulse``, ``transport_noise`` and
         ``homodyne_error``.
         """
-        layout, vecs, atom = {}, [], 0
+        layout, vecs = {}, []
         for names, state in blocks:
-            if isinstance(names, str):
-                names = (names,)
-            for nm in names:
-                if nm in layout:
-                    raise ValueError(f"duplicate logical qubit name {nm!r}")
-                layout[nm] = LogicalQubit(atom, atom + 1)
-                atom += 2
-            if isinstance(state, str):
-                if len(names) == 1:
-                    vec = pair_ket(state)
-                elif len(names) == 2:
-                    vec = bell_ket(state)
-                else:
-                    raise ValueError("named states cover at most two pairs")
-            else:
-                vec = np.asarray(state, dtype=complex)
-                if vec.shape != (4 ** len(names),):
-                    raise ValueError("state vector dimension mismatch")
-                vec = vec / np.linalg.norm(vec)
-            vecs.append(vec)
-        reg = QuantumRegister(atom, kron_all(vecs))
+            vecs.append(_block(layout, names, state, 2 * len(layout))[1])
+        reg = QuantumRegister(2 * len(layout), kron_all(vecs))
         return cls(reg, layout, np.random.default_rng(seed), **error_models)
 
     def qubit(self, q) -> LogicalQubit:
@@ -190,28 +175,54 @@ class ProtocolRun:
             return q
         return self.layout[q]
 
-    def fork(self, seed=None) -> "ProtocolRun":
-        """Independent copy for branch enumeration (fresh rng when seeded)."""
-        return replace(self, register=self.register.copy(), layout=dict(self.layout),
+    def fork(self, seed=None, register=None) -> "ProtocolRun":
+        """Independent copy for branch enumeration (fresh rng when seeded),
+        holding ``register`` instead of a copy of its own when given."""
+        register = self.register.copy() if register is None else register
+        return replace(self, register=register, layout=dict(self.layout),
                        rng=self.rng if seed is None else np.random.default_rng(seed),
                        record=list(self.record), in_cavity=set(self.in_cavity))
 
-    def allocate_pair(self, name: str, state="+L") -> LogicalQubit:
-        """Append a fresh prepared pair to the register (direct injection)."""
-        if name in self.layout:
-            raise ValueError(f"logical qubit {name!r} already exists")
-        n = self.register.n_qubits
-        self.register = tensor(self.register, QuantumRegister(2, pair_ket(state)))
-        q = LogicalQubit(n, n + 1)
-        self.layout[name] = q
-        self.log("allocate", name=name, atoms=q.atoms, state=state)
-        return q
+    def allocate(self, names, state="+L"):
+        """Append one ``(names, state)`` block, as :meth:`create` takes it, to
+        the register (direct injection).  Returns the block's LogicalQubit, or
+        a tuple of them when ``names`` is a tuple."""
+        layout = dict(self.layout)
+        block, vec = _block(layout, names, state, self.register.n_qubits)
+        self.register = tensor(self.register, QuantumRegister(2 * len(block), vec))
+        self.layout = layout
+        qubits = tuple(layout[nm] for nm in block)
+        self.log("allocate", name=names, atoms=tuple(a for q in qubits for a in q.atoms),
+                 state=state if isinstance(state, str) else "vector")
+        return qubits[0] if isinstance(names, str) else qubits
 
     # -- bookkeeping ------------------------------------------------------
     def log(self, op: str, **detail):
         entry = LogEntry(len(self.record), op, detail)
         self.record.append(entry)
         return entry
+
+
+def _block(layout: dict, names, state, atom: int):
+    """One ``(names, state)`` block of :meth:`ProtocolRun.create`: adds each
+    name to ``layout`` as the next pair from ``atom`` on and returns the
+    names as a tuple with the block's state vector."""
+    names = (names,) if isinstance(names, str) else tuple(names)
+    for nm in names:
+        if nm in layout:
+            raise ValueError(f"duplicate logical qubit name {nm!r}")
+        layout[nm] = LogicalQubit(atom, atom + 1)
+        atom += 2
+    if isinstance(state, str):
+        if len(names) == 1:
+            return names, pair_ket(state)
+        if len(names) == 2:
+            return names, bell_ket(state)
+        raise ValueError("named states cover at most two pairs")
+    vec = np.asarray(state, dtype=complex)
+    if vec.shape != (4 ** len(names),):
+        raise ValueError("state vector dimension mismatch")
+    return names, vec / np.linalg.norm(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +351,13 @@ def measure_p34(run: ProtocolRun, atom_i: int, atom_j: int, force=None, frame=No
     the parity is measured in its changed basis, where the transports also
     dephase its two qubits.
     """
+    ps, unitary = _p34_schedule(run, atom_i, atom_j, frame)
+    return _measure_pair(run, "measure_p34", (atom_i, atom_j), ps, force, unitary)
+
+
+def _p34_schedule(run: ProtocolRun, atom_i: int, atom_j: int, frame):
+    """The two transports of :func:`measure_p34`, then its projector set and
+    the frame's unitary on the measured atoms (None without a frame)."""
     if frame is not None and (atom_i, atom_j) != (frame.q1.atom_a, frame.q2.atom_a):
         raise ValueError(f"frame measures atoms {(frame.q1.atom_a, frame.q2.atom_a)}, "
                          f"not {(atom_i, atom_j)}")
@@ -348,10 +366,8 @@ def measure_p34(run: ProtocolRun, atom_i: int, atom_j: int, force=None, frame=No
                                  others), frame)
     transport(run, TransportStep((atom_j,), (atom_i,)), frame)
     if frame is None:
-        ps, unitary = parity_projectors((atom_i, atom_j)), None
-    else:
-        ps, unitary = atom_a_parity_projectors(frame.q1, frame.q2), frame.change.both
-    return _measure_pair(run, "measure_p34", (atom_i, atom_j), ps, force, unitary)
+        return parity_projectors((atom_i, atom_j)), None
+    return atom_a_parity_projectors(frame.q1, frame.q2), frame.change.both
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +409,12 @@ def arbitrary_logical_rotation(run: ProtocolRun, q, alpha: float, beta: float,
     """
     q = run.qubit(q)
     logical_z_rotation(run.register, q, sigma)
-    anc1 = run.allocate_pair(_fresh_name(run, "rot_anc1"), "+L")
+    anc1 = run.allocate(_fresh_name(run, "rot_anc1"), "+L")
     label1, _ = logical_hadamard(run, q, anc1, force=forces[0])
     if label1 == "leak":
         return "leak", anc1
     logical_z_rotation(run.register, anc1, beta)
-    anc2 = run.allocate_pair(_fresh_name(run, "rot_anc2"), "+L")
+    anc2 = run.allocate(_fresh_name(run, "rot_anc2"), "+L")
     label2, _ = logical_hadamard(run, anc1, anc2, force=forces[1])
     if label2 == "leak":
         return "leak", anc2
@@ -437,6 +453,44 @@ def bell_subspace_measurement(run: ProtocolRun, q1, q2, which="parity", force=No
     LeakageError, before any state change, log line or draw, if the state
     has left the logical x logical space.
     """
+    q1, q2, labels, frame = _bell_subspace(run, q1, q2, which)
+    pi_force = None if force is None else {v: k for k, v in labels.items()}[force]
+    pi_label, _ = measure_p34(run, q1.atom_a, q2.atom_a, force=pi_force, frame=frame)
+    label = labels[pi_label]
+    run.log("bell_subspace", kind=which, qubits=(q1.atoms, q2.atoms), outcome=label)
+    return label, run
+
+
+def bell_subspace_branches(run: ProtocolRun, q1, q2, which="parity") -> dict:
+    """Every outcome of :func:`bell_subspace_measurement` at once, split from
+    one projection (``register.split``): ``{label: run}``, each run a fork
+    whose register, record and schedule are those the measurement forced to
+    that label leaves, bit for bit.  An outcome below 1e-14 has no branch;
+    ``run`` is unchanged.  Only an ideal run is enumerated (transport noise
+    and the homodyne error draw per branch): a run holding any error model
+    raises ValueError.
+    """
+    if run.mode != "ideal":
+        raise ValueError("only an ideal run's branches can be enumerated")
+    q1, q2, labels, frame = _bell_subspace(run, q1, q2, which)
+    # the transports move a copy that shares the register: ideal ones never touch it
+    moved = run.fork(register=run.register)
+    ps, unitary = _p34_schedule(moved, q1.atom_a, q2.atom_a, frame)
+    branches = {}
+    for pi_label, (p, reg) in split(moved.register, ps, unitary).items():
+        branch = moved.fork(register=reg)
+        branch.log("measure_p34", atoms=(q1.atom_a, q2.atom_a), outcome=pi_label, p=p)
+        label = labels[pi_label]
+        branch.log("bell_subspace", kind=which, qubits=(q1.atoms, q2.atoms), outcome=label)
+        branches[label] = branch
+    return branches
+
+
+def _bell_subspace(run: ProtocolRun, q1, q2, which: str):
+    """The qubits, the pi-label map and the :class:`PairFrame` (None for
+    parity) of a Bell-subspace projection; LeakageError, before any state
+    change, log line or draw, if the state has left the logical x logical
+    space."""
     q1, q2 = run.qubit(q1), run.qubit(q2)
     if which not in _BELL_KINDS:
         raise ValueError(f"unknown Bell-subspace kind {which!r}")
@@ -446,16 +500,7 @@ def bell_subspace_measurement(run: ProtocolRun, q1, q2, which="parity", force=No
             f"state outside the logical Bell space (support {support:.6f})"
         )
     change, labels = _BELL_KINDS[which]
-    pi_force = None
-    if force is not None:
-        inverse = {v: k for k, v in labels.items()}
-        pi_force = inverse[force]
-    frame = None if change is None else PairFrame(q1, q2, change)
-    pi_label, _ = measure_p34(run, q1.atom_a, q2.atom_a, force=pi_force, frame=frame)
-    label = labels[pi_label]
-    run.log("bell_subspace", kind=which, qubits=(q1.atoms, q2.atoms),
-            outcome=label)
-    return label, run
+    return q1, q2, labels, None if change is None else PairFrame(q1, q2, change)
 
 
 _BSM_LABEL = {("phi", "plus"): "phi+", ("phi", "minus"): "phi-",
@@ -476,10 +521,24 @@ def full_bsm(run: ProtocolRun, q1, q2, force=None):
         f2 = "plus" if key.endswith("+") else "minus"
     l1, _ = bell_subspace_measurement(run, q1, q2, "parity", force=f1)
     l2, _ = bell_subspace_measurement(run, q1, q2, "phase", force=f2)
-    label = _BSM_LABEL[(l1, l2)]
+    return _log_full_bsm(run, q1, q2, _BSM_LABEL[(l1, l2)]), run
+
+
+def full_bsm_branches(run: ProtocolRun, q1, q2) -> dict:
+    """Every outcome of :func:`full_bsm` at once, from three splits:
+    ``{Bell label: run}`` in ``BELL_LABELS`` order, each run as ``full_bsm``
+    forced to that label leaves it (:func:`bell_subspace_branches`)."""
+    out = {}
+    for l1, parity in bell_subspace_branches(run, q1, q2, "parity").items():
+        for l2, branch in bell_subspace_branches(parity, q1, q2, "phase").items():
+            out[_log_full_bsm(branch, q1, q2, _BSM_LABEL[(l1, l2)])] = branch
+    return out
+
+
+def _log_full_bsm(run: ProtocolRun, q1, q2, label: str) -> str:
     run.log("full_bsm", qubits=(run.qubit(q1).atoms, run.qubit(q2).atoms),
             outcome=label)
-    return label, run
+    return label
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,15 @@ unit-modulus entry per row and column: the logical Paulis, ``SX``, ``CZ2``,
 applies them, ``psi -> phase * psi.take(perm)``, with ``perm`` cached by
 structure, never by phase.  Any other unitary (``H_L``) takes the row table.
 A two-outcome :class:`ProjectorSet` in a frame F measures (1 +- O)/2 with
-O = F^dag diag(1 - 2*outcome) F, so p+- = |(psi +- O psi)/2|^2.
+O = F^dag diag(1 - 2*outcome) F, so p+- = |(psi +- O psi)/2|^2;
+:func:`measure` keeps one of the two states (psi +- O psi)/2 and
+:func:`split` keeps both, so enumerating a projection's branches costs one
+O psi, not one per branch.
 
 Randomness: every sampled measurement consumes exactly one ``rng.random()``
 draw (outcomes ordered as in the ProjectorSet), so a fixed seed and a fixed
-call sequence replay identically.  Forced measurements consume no draw.
+call sequence replay identically.  Forced measurements and splits consume
+no draw.
 """
 
 from __future__ import annotations
@@ -366,33 +370,60 @@ def measure_sequence(reg: QuantumRegister, sets, rng, forces, frame=None):
 
     Returns one ``(label, probability)`` per set.
     """
-    key = None
-    if frame is not None:
-        key = _checked_unitary(frame, len(sets[0].outcome_of))[0].tobytes()
+    key = _frame_key(frame, len(sets[0].outcome_of))
     return [_project(reg, ps, key, rng, force) for ps, force in zip(sets, forces)]
 
 
-def _project(reg: QuantumRegister, ps: ProjectorSet, frame, rng, force):
-    """Born-rule outcome of ``ps`` in the frame given as bytes, and the collapse."""
+def split(reg: QuantumRegister, ps: ProjectorSet, frame=None) -> dict:
+    """Both outcomes of :func:`measure` at once, from one O psi.
+
+    Returns ``{label: (probability, register)}`` in outcome order, each
+    register the state :func:`measure` with ``force=label`` would leave, bit
+    for bit; an outcome below 1e-14 is left out.  ``reg`` is unchanged and
+    no draw is consumed.
+    """
+    key = _frame_key(frame, len(ps.outcome_of))
+    branches, probs, total = _branches(reg, ps, key)
+    return {ps.outcome_labels[k]: (float(probs[k] / total),
+                                   QuantumRegister(reg.n_qubits, _kept(branch, probs[k])))
+            for k, branch in enumerate(branches) if probs[k] >= MIN_PROBABILITY}
+
+
+def _frame_key(frame, dim: int):
+    """The bytes of a checked unitary ``frame`` (the :func:`_involution` key), or None."""
+    return None if frame is None else _checked_unitary(frame, dim)[0].tobytes()
+
+
+def _branches(reg: QuantumRegister, ps: ProjectorSet, frame):
+    """``2 P_k psi`` for both outcomes of ``ps`` in the frame given as bytes, from
+    one O psi, with their probabilities and the probabilities' total."""
     gather, phase = _involution(reg.n_qubits, ps.targets, ps.outcome_of, frame)
     psi = reg.amplitudes
     o = phase * (psi if gather is None else psi.take(gather))
-    branches = (psi + o, np.subtract(psi, o, out=o))  # 2 P psi per outcome
+    branches = (psi + o, np.subtract(psi, o, out=o))
     probs = [np.vdot(b, b).real / 4 for b in branches]
     total = probs[0] + probs[1]
     if total < MIN_PROBABILITY:
         raise RegisterError("all outcome probabilities below 1e-14: invalid state")
+    return branches, probs, total
 
+
+def _kept(branch: np.ndarray, prob: float) -> np.ndarray:
+    """The normalized state ``2 P psi / (2 sqrt(p))``, scaled in place."""
+    branch *= 0.5 / math.sqrt(prob)
+    return branch
+
+
+def _project(reg: QuantumRegister, ps: ProjectorSet, frame, rng, force):
+    """Born-rule outcome of ``ps`` in the frame given as bytes, and the collapse."""
+    branches, probs, total = _branches(reg, ps, frame)
     if force is not None:
         k = ps.index_of(force)
         if probs[k] < MIN_PROBABILITY:
             raise RegisterError(f"forced outcome {force!r} has zero probability")
     else:
         k = int(as_generator(rng).random() * total >= probs[0])
-
-    kept = branches[k]
-    kept *= 0.5 / math.sqrt(probs[k])
-    reg.amplitudes = kept
+    reg.amplitudes = _kept(branches[k], probs[k])
     return ps.outcome_labels[k], float(probs[k] / total)
 
 
@@ -422,6 +453,20 @@ def fidelity(psi, b) -> float:
     if b.ndim == 1:
         return float(abs(np.vdot(psi, b)) ** 2)
     return float(np.real(np.vdot(psi, b @ psi)))
+
+
+def on_support(rhos) -> np.ndarray:
+    """A stack of square matrices restricted to the indices whose row or
+    column is nonzero in some member.
+
+    Every difference of members is then zero in the dropped rows and
+    columns, which add only zero eigenvalues, so pairwise trace distances
+    are unchanged.
+    """
+    rhos = np.asarray(rhos)
+    nonzero = rhos != 0
+    keep = np.flatnonzero(nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2)))
+    return rhos[:, keep[:, None], keep]
 
 
 def trace_distance(a, b):

@@ -14,9 +14,13 @@ outcome record of one sample trial.  Each line is one protocol event:
 with measurement outcomes (pi labels), branch probabilities ``p=...`` and
 applied corrections (``op=correction ... trigger=...``) in order.
 
-The teleported-CNOT branch-independence check compares all 16 forced Bell
-branches on three fixed inputs.  Forced measurements draw nothing, so the
-branches share the seed-0 register build and ``prepare_xi``, then fork.
+A teleported-CNOT trial prepares the resource Xi on its 8 atoms first and
+allocates the input after it, as gate teleportation prepares its resource
+before the data arrive.  The branch-independence check compares all 16
+Bell branches on three fixed inputs: each input is allocated next to a fork
+of one seed-0 Xi, each Bell measurement's outcomes are split from one
+projection per subspace, and the 120 pairwise trace distances are taken on
+the rows and columns some output occupies, which leaves them exact.
 
 A check is a record: a value, an operator of ``config.OPS`` (the table
 SCHEMA bounds use) and a limit, and it passes when the value is finite and
@@ -50,10 +54,10 @@ from .noise import (
     monte_carlo_dephasing,
     suppression_factor,
 )
-from .register import fidelity, random_state, reduced_state, trace_distance
+from .register import fidelity, on_support, random_state, reduced_state, trace_distance
 from .logical import BELL_LABELS, H2, bell_ket, encode_two, pair_ket
-from .protocols import (ProtocolRun, correct_cnot_byproducts, full_bsm, logical_hadamard,
-                        prepare_xi, teleported_cnot, leakage_detect)
+from .protocols import (ProtocolRun, correct_cnot_byproducts, full_bsm, full_bsm_branches,
+                        logical_hadamard, prepare_xi, teleported_cnot, leakage_detect)
 
 
 EXACT = 1e-10  # an infidelity or a trace distance this small counts as exact
@@ -243,12 +247,11 @@ def cnot_matrix() -> np.ndarray:
     return np.eye(4, dtype=complex)[[0, 3, 2, 1]]
 
 
-def _resource_run(c4: np.ndarray, seed: int):
-    """Input ``c4`` on (ctrl, tgt) next to the prepared teleportation resource."""
-    run = ProtocolRun.create(
-        [(("ctrl", "tgt"), encode_two(c4)),
-         ("a_prime", "+L"), (("a", "b"), "phi+"), ("b_prime", "0L")],
-        seed=seed)
+def xi_run(seed: int):
+    """The teleportation resource on its own 8 atoms (a', a, b, b'): a run
+    seeded with ``seed`` through ``prepare_xi``, and the prepare_xi branch."""
+    run = ProtocolRun.create([("a_prime", "+L"), (("a", "b"), "phi+"), ("b_prime", "0L")],
+                             seed=seed)
     xi_branch, _ = prepare_xi(run, "a_prime", "a", "b", "b_prime")
     return run, xi_branch
 
@@ -259,25 +262,26 @@ def _output_state(run: ProtocolRun) -> np.ndarray:
 
 
 def _teleport_once(i: int, c4: np.ndarray, seed: int):
-    """CSV row and outcome record of one sampled teleported-CNOT trial."""
-    run, (l1, l2) = _resource_run(c4, seed)
+    """CSV row and outcome record of one sampled teleported-CNOT trial: the
+    resource first, then the input ``c4`` allocated on (ctrl, tgt)."""
+    run, (l1, l2) = xi_run(seed)
+    run.allocate(("ctrl", "tgt"), encode_two(c4))
     (la, lb), _ = teleported_cnot(run, "ctrl", "tgt", ("a", "a_prime", "b", "b_prime"))
     fid = fidelity(encode_two(cnot_matrix() @ c4), _output_state(run))
     return (i, f"{l1}/{l2}", la, lb, fid), run.record
 
 
-def forced_branch_states(c4: np.ndarray) -> np.ndarray:
-    """Outputs of the 16 forced Bell branches ``(la, lb)``, row-major: one
-    seed-0 run through ``prepare_xi``, forked after each Bell measurement.
+def forced_branch_states(xi: ProtocolRun, c4: np.ndarray) -> np.ndarray:
+    """Outputs of the 16 Bell branches ``(la, lb)``, row-major, of the input
+    ``c4`` allocated next to a fork of the ideal resource run ``xi``: each
+    Bell measurement's branches split from one projection per subspace
+    (``full_bsm_branches``), 15 projections in all.
     """
-    run, _ = _resource_run(c4, 0)
+    run = xi.fork()
+    run.allocate(("ctrl", "tgt"), encode_two(c4))
     outs = []
-    for la in BELL_LABELS:
-        after_a = run.fork()
-        full_bsm(after_a, "ctrl", "a", force=la)
-        for lb in BELL_LABELS:
-            branch = after_a.fork()
-            full_bsm(branch, "tgt", "b", force=lb)
+    for la, after_a in full_bsm_branches(run, "ctrl", "a").items():
+        for lb, branch in full_bsm_branches(after_a, "tgt", "b").items():
             correct_cnot_byproducts(branch, la, lb, "a_prime", "b_prime")
             outs.append(_output_state(branch))
     return np.array(outs)
@@ -299,10 +303,12 @@ def run_protocol(cfg: ScenarioConfig) -> ScenarioResult:
         # outcome log of the first trial, one line per protocol event
         sample_log = "\n".join(entry.line() for entry in results[0][1]) + "\n"
 
-        # branch independence: all 120 pairwise trace distances, batched
+        # branch independence: all 120 pairwise trace distances, batched, on
+        # the outputs' common support; the three probes fork one seed-0 resource
         i, j = np.triu_indices(len(BELL_LABELS) ** 2, 1)
-        probes = [forced_branch_states(random_state(2, cfg.seed + 7 + probe))
-                  for probe in range(3)]
+        xi, _ = xi_run(0)
+        inputs = [random_state(2, cfg.seed + 7 + probe) for probe in range(3)]
+        probes = [on_support(forced_branch_states(xi, c4)) for c4 in inputs]
         max_dist = np.max([trace_distance(outs[i], outs[j]) for outs in probes])
         checks = [
             Check("cnot_fidelity", infidelity, "<=", EXACT,

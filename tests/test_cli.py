@@ -176,6 +176,37 @@ def read_defaults(cfg):
     return (cfg.get("random_inputs"),)
 
 
+def benchmark_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+# strings a config may carry as given: as a table path, the one free string
+AWKWARD = ["/data/long path with spaces/" * 6 + "table.txt", "naïve/日本/Ωμέγα.txt",
+           "noise: table", "*alias", "&anchor", "line1\nline2", "yes", "1e3", "0x1F",
+           "~", "- dash", "#hash", "'quoted'", '"double"', "tab\there",
+           "é" * 100 + " " + "x" * 90, "C:\\noise\\table.txt"]
+
+
+def emitted_configs():
+    """Every shipped and golden config, 50 generated per benchmark workload,
+    and the awkward strings as table paths."""
+    for path in sorted((ROOT / "configs").glob("*.yaml")) + sorted(
+            (ROOT / "tests" / "golden").glob("*.yaml")):
+        yield ScenarioConfig.from_file(path)
+    workloads = benchmark_workloads()
+    for name in workloads.WORKLOADS:
+        configs, _ = workloads.generate(name, 5, 20)
+        yield from (ScenarioConfig.from_dict({"name": f"{name}-{k}", **raw})
+                    for k, raw in enumerate(configs[:50]))
+    for k, path in enumerate(AWKWARD):
+        data = {"noise": {"model": "table", "table_path": path}}
+        yield ScenarioConfig("decoupling", f"awkward-{k}", 1, data, {})
+
+
 class TestConfig:
     def test_round_trip_lossless(self):
         cfg = ScenarioConfig.from_yaml(FID_CFG)
@@ -224,14 +255,21 @@ class TestConfig:
 
     def test_benchmark_configs_validate(self):
         # the shipped configs are loaded by tests/test_golden.py
-        spec = importlib.util.spec_from_file_location(
-            "workloads", ROOT / "bench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = benchmark_workloads()
         for name in workloads.WORKLOADS:
             configs, _ = workloads.generate(name, 1, 20)
             for raw in configs:
                 ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("cfg", list(emitted_configs()), ids=lambda cfg: cfg.name[:40])
+    def test_config_text_is_the_python_emitters(self, cfg):
+        # the text, and so config_hash, is the pure-Python emitter's; libyaml's
+        # alone gives it too wherever the text holds no backslash
+        want = yaml.safe_dump(cfg.to_dict(), sort_keys=True)
+        assert cfg.to_yaml() == want
+        if hasattr(yaml, "CSafeDumper"):
+            text = yaml.dump(cfg.to_dict(), Dumper=yaml.CSafeDumper, sort_keys=True)
+            assert text == want or "\\" in text
 
     @pytest.mark.parametrize("text, key", [
         ("kind: fidelity-sweep\nphysics: {g_mhz: }\n", "physics.g_mhz"),
@@ -521,6 +559,42 @@ class TestCliEntry:
         assert main(["simulate", self.write(tmp_path, text), "--check", "--out", out]) == 2
         err = capsys.readouterr().err
         assert "invalid config" in err and "must be finite and nonzero" in err
+        assert all(f"'{key}'" in err for key in keys)
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("text, name, keys", [
+        ("kind: decoupling\nnoise: {tau_co_ms: 1.0e+200}\n", "1/tau_co^2",
+         ["noise.tau_co_ms"]),
+        ("kind: decoupling\nnoise: {tau_co_ms: 1.0e-200}\n", "1/tau_co^2",
+         ["noise.tau_co_ms"]),
+        ("kind: decoupling\nnoise: {cutoff_hz: 1.0e+308}\n", "dt",
+         ["echo.dt_cutoff_product", "noise.cutoff_hz"]),
+        ("kind: decoupling\nnoise: {model: table, table_path: TABLE}\n"
+         "echo: {dt_cutoff_product: [1.0e+10, 2.0e+10]}\n", "dt",
+         ["echo.dt_cutoff_product", "noise.table_path"]),
+        ("kind: transport-noise\ntransport: {tau_t_us: 1.0e-300}\n", "(omega0/50)^2",
+         ["transport.tau_t_us", "sweep.start"]),
+        ("kind: transport-noise\ntransport: {tau_t_us: 8.0e-151}\n", "(8 omega0/50)^2",
+         ["transport.tau_t_us", "sweep.stop"]),
+        # tau_T = 5e-324 us is 0 s: a division by it raised ZeroDivisionError
+        ("kind: transport-noise\ntransport: {tau_t_us: 5.0e-324}\n", "omega0",
+         ["transport.tau_t_us", "sweep.start"]),
+        ("kind: fidelity-sweep\nphysics: {gamma_mhz: 5.0e-324}\n", "g^2/(kappa*gamma)",
+         ["physics.g_mhz", "physics.kappa_mhz", "physics.gamma_mhz"])],
+        ids=["power-zero", "power-inf", "dt-zero", "table-dt-inf", "width-squared-inf",
+             "table-span-inf", "tau-t-zero", "cooperativity-inf"])
+    def test_noise_and_cooperativity_out_of_range_exit_2(self, tmp_path, capsys, text,
+                                                         name, keys):
+        # each used to exit 3 (OverflowError, ZeroDivisionError, a failed fit or
+        # a non-finite line table) or to write nan rows or "cooperativity: inf"
+        # and exit 0 or 4
+        table = tmp_path / "tiny.txt"
+        table.write_text("0 1\n1.0e-300 1\n")
+        out = str(tmp_path / "out")
+        path = self.write(tmp_path, text.replace("TABLE", str(table)))
+        assert main(["simulate", path, "--check", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid config: {name} from " in err and "must be finite and nonzero" in err
         assert all(f"'{key}'" in err for key in keys)
         assert not Path(out).exists()
 

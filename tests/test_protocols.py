@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from dfsqc import register
 from dfsqc.register import (
     fidelity,
     ket,
@@ -39,9 +40,12 @@ from dfsqc.protocols import (
     SchedulingError,
     TransportStep,
     arbitrary_logical_rotation,
+    bell_subspace_branches,
     bell_subspace_measurement,
+    correct_cnot_byproducts,
     dfs_transport_advantage,
     full_bsm,
+    full_bsm_branches,
     leakage_detect,
     logical_cz,
     logical_hadamard,
@@ -53,7 +57,8 @@ from dfsqc.protocols import (
     transport,
 )
 from dfsqc.config import ScenarioConfig
-from dfsqc.scenarios import cnot_matrix, forced_branch_states, run_protocol
+from dfsqc.scenarios import (_teleport_once, cnot_matrix, forced_branch_states,
+                             run_protocol, xi_run)
 
 MHZ = 2 * math.pi * 1e6
 
@@ -115,6 +120,32 @@ class TestErrorModels:
         twin.register.amplitudes[:] = 0
         assert "extra" not in run.layout and len(run.record) == n_entries
         assert run.in_cavity == {0} and np.linalg.norm(run.register.amplitudes) > 0
+
+
+class TestAllocate:
+    def test_appends_a_block_as_create_builds_it(self):
+        vec = random_state(4, 61)  # two pairs, leaked components included
+        run = ProtocolRun.create([("a", "+L")], seed=0)
+        assert run.record == []  # create logs nothing
+        qubits = run.allocate(("x", "y"), vec)
+        want = ProtocolRun.create([("a", "+L"), (("x", "y"), vec)])
+        assert np.array_equal(run.register.amplitudes, want.register.amplitudes)
+        assert run.layout == want.layout
+        assert qubits == (want.layout["x"], want.layout["y"])
+        assert run.allocate("z", "0L").atoms == (6, 7)
+        assert [e.line() for e in run.record] == [
+            "seq=0 op=allocate name=(x,y) atoms=(2,3,4,5) state=vector",
+            "seq=1 op=allocate name=z atoms=(6,7) state=0L"]
+
+    @pytest.mark.parametrize("names, state", [
+        ("a", "0L"), (("b", "c"), np.ones(4)), (("b", "c", "d"), "phi+")],
+        ids=["duplicate", "dimension", "named-three"])
+    def test_failed_allocate_leaves_the_run_unchanged(self, names, state):
+        run = ProtocolRun.create([("a", "+L")])
+        with pytest.raises(ValueError):
+            run.allocate(names, state)
+        assert list(run.layout) == ["a"] and run.register.n_qubits == 2
+        assert run.record == []
 
 
 class TestPhysicalCz:
@@ -573,6 +604,66 @@ class TestFullBsm:
         assert first == second
 
 
+class TestBranchEnumeration:
+    """Every branch at once equals the measurement forced to it, bit for bit."""
+
+    LABELS = {"parity": ["phi", "psi"], "phase": ["plus", "minus"], "yy": ["yy+", "yy-"]}
+
+    def make_run(self, seed=60):
+        # a spare pair first, so the measured atoms are not the lowest, and
+        # one atom already inside the cavity
+        run = ProtocolRun.create(
+            [("spare", "+L"), (("q1", "q2"), encode_two(random_state(2, seed)))], seed=seed)
+        transport(run, TransportStep((0,)))
+        return run
+
+    def assert_same(self, branch, forced):
+        assert np.array_equal(branch.register.amplitudes, forced.register.amplitudes)
+        assert [e.line() for e in branch.record] == [e.line() for e in forced.record]
+        assert branch.in_cavity == forced.in_cavity
+
+    @pytest.mark.parametrize("which", sorted(LABELS))
+    def test_bell_subspace_branches_equal_forced_measurements(self, which):
+        run = self.make_run()
+        amps, record = run.register.amplitudes.copy(), list(run.record)
+        rng_state = run.rng.bit_generator.state
+        branches = bell_subspace_branches(run, "q1", "q2", which)
+        assert list(branches) == self.LABELS[which]
+        for label, branch in branches.items():
+            forced = self.make_run()
+            bell_subspace_measurement(forced, "q1", "q2", which, force=label)
+            self.assert_same(branch, forced)
+        # the enumerated run is left as it was, and nothing drew
+        assert np.array_equal(run.register.amplitudes, amps)
+        assert run.record == record and run.in_cavity == {0}
+        assert run.rng.bit_generator.state == rng_state
+
+    def test_full_bsm_branches_equal_forced_measurements(self):
+        branches = full_bsm_branches(self.make_run(), "q1", "q2")
+        assert list(branches) == list(BELL_LABELS)
+        for label, branch in branches.items():
+            forced = self.make_run()
+            full_bsm(forced, "q1", "q2", force=label)
+            self.assert_same(branch, forced)
+
+    def test_outcome_without_weight_has_no_branch(self):
+        run = two_pair_run("psi-")
+        assert list(bell_subspace_branches(run, "q1", "q2", "parity")) == ["psi"]
+        assert list(full_bsm_branches(run, "q1", "q2")) == ["psi-"]
+
+    def test_noisy_run_is_not_enumerated(self):
+        run = two_pair_run("phi+", homodyne_error=True)
+        with pytest.raises(ValueError, match="ideal"):
+            bell_subspace_branches(run, "q1", "q2")
+        assert run.record == []
+
+    def test_leakage_flagged_before_any_change(self):
+        run = two_pair_run(kron_all([ket("00"), pair_ket("0L")]))
+        with pytest.raises(LeakageError):
+            full_bsm_branches(run, "q1", "q2")
+        assert run.record == [] and run.in_cavity == set()
+
+
 class TestLogicalCz:
     def test_process_matrix_is_diag(self):
         # reconstruct the logical-block operator column by column
@@ -695,14 +786,18 @@ class TestPrepareXi:
 
 
 class TestTeleportedCnot:
-    def run_once(self, c4, seed=0, force=None):
+    def replay(self, c4, seed=0, force=None) -> ProtocolRun:
+        """The resource first, then the input on (ctrl, tgt), then the CNOT."""
         run = ProtocolRun.create(
-            [(("ctrl", "tgt"), encode_two(c4)),
-             ("a_prime", "+L"), (("a", "b"), "phi+"), ("b_prime", "0L")],
-            seed=seed)
+            [("a_prime", "+L"), (("a", "b"), "phi+"), ("b_prime", "0L")], seed=seed)
         prepare_xi(run, "a_prime", "a", "b", "b_prime")
+        run.allocate(("ctrl", "tgt"), encode_two(c4))
         teleported_cnot(run, "ctrl", "tgt", ("a", "a_prime", "b", "b_prime"),
                         force=force)
+        return run
+
+    def run_once(self, c4, seed=0, force=None):
+        run = self.replay(c4, seed, force)
         ap, bp = run.layout["a_prime"], run.layout["b_prime"]
         return reduced_state(run.register, [ap.atom_a, ap.atom_b,
                                             bp.atom_a, bp.atom_b])
@@ -744,10 +839,58 @@ class TestTeleportedCnot:
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_shared_prefix_matches_independent_runs(self, seed):
         c4 = random_state(2, seed)
-        shared = forced_branch_states(c4)
+        shared = forced_branch_states(xi_run(0)[0], c4)
         branches = itertools.product(BELL_LABELS, BELL_LABELS)
         for k, force in enumerate(branches):
             assert np.array_equal(shared[k], self.run_once(c4, force=force))
+
+    @pytest.mark.parametrize("seed", [34, 35])
+    def test_enumerated_leaves_equal_forced_replays(self, seed):
+        c4 = random_state(2, seed)
+        run = xi_run(0)[0]
+        run.allocate(("ctrl", "tgt"), encode_two(c4))
+        leaves = 0
+        for la, after_a in full_bsm_branches(run, "ctrl", "a").items():
+            for lb, leaf in full_bsm_branches(after_a, "tgt", "b").items():
+                correct_cnot_byproducts(leaf, la, lb, "a_prime", "b_prime")
+                forced = self.replay(c4, force=(la, lb))
+                assert np.array_equal(leaf.register.amplitudes, forced.register.amplitudes)
+                assert [e.line() for e in leaf.record] == [e.line() for e in forced.record]
+                assert leaf.in_cavity == forced.in_cavity
+                leaves += 1
+        assert leaves == 16
+
+    def test_branch_probe_makes_fifteen_projections(self, monkeypatch):
+        # per input: one parity and two phase splits per Bell measurement,
+        # for (ctrl, a) once and for (tgt, b) on each of its four branches
+        xi = xi_run(0)[0]
+        real, calls = register._branches, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(register, "_branches", counting)
+        forced_branch_states(xi, random_state(2, 36))
+        assert len(calls) == 15
+
+    def test_trials_match_the_data_first_block_order(self):
+        # the resource used to be built after the input, in one product
+        rng = np.random.default_rng(37)
+        for trial in range(200):
+            c4, seed = random_state(2, rng), int(rng.integers(2**32))
+            (_, xi_label, la, lb, fid), _ = _teleport_once(trial, c4, seed)
+            old = ProtocolRun.create(
+                [(("ctrl", "tgt"), encode_two(c4)),
+                 ("a_prime", "+L"), (("a", "b"), "phi+"), ("b_prime", "0L")], seed=seed)
+            (l1, l2), _ = prepare_xi(old, "a_prime", "a", "b", "b_prime")
+            outcomes, _ = teleported_cnot(old, "ctrl", "tgt",
+                                          ("a", "a_prime", "b", "b_prime"))
+            ap, bp = old.layout["a_prime"], old.layout["b_prime"]
+            want = fidelity(encode_two(cnot_matrix() @ c4),
+                            reduced_state(old.register, ap.atoms + bp.atoms))
+            assert (xi_label, (la, lb)) == (f"{l1}/{l2}", outcomes)
+            assert abs(fid - want) <= 1e-12
 
     def test_scenario_builds_one_run_per_trial_and_probe(self, monkeypatch):
         create, calls = ProtocolRun.create, []
@@ -761,8 +904,8 @@ class TestTeleportedCnot:
         run_protocol(ScenarioConfig.from_yaml(
             "kind: protocol-run\nname: tele\nseed: 4\n"
             f"protocol: teleported-cnot\ntrials: {trials}\n"))
-        # one run per sampled trial, one shared run per branch probe
-        assert len(calls) == trials + 3
+        # one resource run per sampled trial, one shared by the three branch probes
+        assert len(calls) == trials + 1
 
     def test_measured_pairs_left_in_bell_states(self):
         run = ProtocolRun.create(

@@ -19,10 +19,12 @@ from dfsqc.register import (
     ket,
     kron_all,
     measure,
+    on_support,
     random_state,
     reduced_state,
     row_table,
     rz,
+    split,
     tensor,
     trace_distance,
 )
@@ -208,6 +210,43 @@ class TestMeasure:
 
         assert sequence(123) == sequence(123)
         assert sequence(123) != sequence(124)
+
+
+class TestSplit:
+    """Both outcomes of one projection, each as measure forced to it leaves it."""
+
+    CASES = {
+        "parity": (parity_projectors((3, 1)), None),
+        "joint_ones": (joint_ones_projectors((4, 0)), None),
+        "phase": (atom_a_parity_projectors(LogicalQubit(0, 1), LogicalQubit(2, 3)),
+                  low_high(H_L, H_L)),
+        "yy": (atom_a_parity_projectors(LogicalQubit(0, 1), LogicalQubit(2, 3)),
+               low_high(HS_DAG_L, HS_DAG_L)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_outcome_equals_forced_measure(self, case):
+        ps, frame = self.CASES[case]
+        psi = random_state(5, 80)
+        reg = QuantumRegister(5, psi.copy())
+        branches = split(reg, ps, frame)
+        assert list(branches) == list(ps.outcome_labels)
+        for label, (p, branch) in branches.items():
+            forced = QuantumRegister(5, psi.copy())
+            _, want, _ = measure(forced, ps, None, force=label, frame=frame)
+            assert p == want
+            assert np.array_equal(branch.amplitudes, forced.amplitudes)
+        assert np.array_equal(reg.amplitudes, psi)
+
+    def test_outcome_below_threshold_dropped(self):
+        ps = joint_ones_projectors((0, 1))
+        for psi in (ket("01"), ket("01") + 1e-8 * ket("11")):  # p(pi1) = 0, 1e-16
+            branches = split(QuantumRegister(2, psi / np.linalg.norm(psi)), ps)
+            assert list(branches) == ["pi2"] and branches["pi2"][0] == 1.0
+
+    def test_invalid_state_rejected(self):
+        with pytest.raises(RegisterError, match="1e-14"):
+            split(QuantumRegister(2, 1e-9 * ket("00")), parity_projectors((0, 1)))
 
 
 class TestProjectorSet:
@@ -568,6 +607,26 @@ class TestHelpers:
         a, b = a @ a.conj().transpose(0, 2, 1), b @ b.conj().transpose(0, 2, 1)
         want = [trace_distance(x, y) for x, y in zip(a, b)]
         assert np.array_equal(trace_distance(a, b), want)
+
+    def test_distances_on_support_equal_full_distances(self):
+        rng = np.random.default_rng(81)
+        i, j = np.triu_indices(16, 1)
+        for size in (1, 4, 9, 16):
+            # mixed states on a random index subset: the rest are zero rows and columns
+            support = rng.choice(16, size=size, replace=False)
+            x = np.zeros((16, 16, 3), dtype=complex)
+            x[:, support] = _complex_block(rng, (16, size, 3))
+            rhos = x @ x.conj().transpose(0, 2, 1)
+            rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+            small = on_support(rhos)
+            assert small.shape == (16, size, size)
+            np.testing.assert_allclose(trace_distance(small[i], small[j]),
+                                       trace_distance(rhos[i], rhos[j]), rtol=0, atol=1e-15)
+
+    def test_support_keeps_an_index_nonzero_in_any_member(self):
+        rhos = np.zeros((2, 3, 3))
+        rhos[0, 0, 0] = rhos[1, 2, 2] = 1.0
+        assert np.array_equal(on_support(rhos), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
     def test_global_phase_ignored(self):
         psi = random_state(2, 5)
