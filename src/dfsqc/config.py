@@ -10,14 +10,14 @@ and their bounds; every kind also takes ``kind``, ``name`` (default: the
 kind; a plain file stem, ``NAME``) and ``seed`` (``SEED``), and a key the
 kind does not list is rejected.  A number, complex number or list entry
 must be finite, and a rate (a ``_mhz`` key) must stay finite in rad/s.
-Four rules join a key to another key or to a file, so the table does not
+Five rules join a key to other keys or to a file, so the table does not
 show them: a ``noise`` key of the other kind of model (``table_path``
 under an analytic model, ``tau_co_ms`` or ``cutoff_hz`` under ``table``)
 is rejected, the table model needs a ``table_path`` that holds a valid
-table, ``echo.dt_cutoff_product`` needs two or more distinct values, and
-the numbers a kind forms from its keys must be finite, before any
-numerics run (:func:`_cavity_products`, :func:`_decoupling_products`,
-:func:`_transport_products`).
+table, ``echo.dt_cutoff_product`` needs two or more distinct values, a
+decoupling config's arrays stay within ``MAX_BYTES``, and the numbers a
+kind forms from its keys must be finite, before any numerics run
+(:func:`_cavity_products`, :func:`_decoupling_products`, :func:`_transport_products`).
 Two keys are validated but change no number, and stay only while the
 benchmark's generated configs still set them: the transport-noise kind
 builds its own narrow noise line at each grid point, so its
@@ -38,10 +38,12 @@ import numpy as np
 import yaml
 
 from .cavity import N_NODES, CavityParams, PulseSpec
+from .noise import LORENTZIAN_BAND_FACTOR, MC_COMPONENTS, NoiseSpectrum
 
 MHZ = 2.0 * math.pi * 1e6
 US = 1e-6
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+MAX_BYTES = 2**30  # the arrays a decoupling scenario may ask for
 
 
 @dataclass(frozen=True)
@@ -183,14 +185,20 @@ def _validate(kind: str, data: dict) -> dict:
                 raise ConfigError(f"'noise.{key}' does not apply to noise model {model!r}")
         table = None
         if model == TABLE_MODEL:
-            from .noise import NoiseSpectrum
-
             if not values["noise.table_path"]:
                 raise ConfigError("table model needs 'table_path'")
             table = NoiseSpectrum.from_table_file(values["noise.table_path"])
         if len(set(values["echo.dt_cutoff_product"])) < 2:
             # the suppression slope is a fit over at least two products
             raise ConfigError("'echo.dt_cutoff_product' needs two or more distinct values")
+        # float64 arrays over P points: 2P x n phases, four 2P x 2P covariance
+        # terms, eight 512 x 2P columns and four 512 x 2 n_cycles fold arrays
+        cols = 2 * len(values["echo.dt_cutoff_product"])
+        cost = 8 * (cols * (values["realizations"] + 4 * cols + 8 * MC_COMPONENTS)
+                    + 4 * MC_COMPONENTS * 2 * values["echo.n_cycles"])
+        if cost > MAX_BYTES:
+            raise ConfigError(f"'realizations', 'echo.n_cycles' and 'echo.dt_cutoff_product' "
+                              f"ask for {cost} bytes of arrays, over {MAX_BYTES}")
         _require_finite(_decoupling_products(values, table))
     if kind == "transport-noise":
         _require_finite(_transport_products(values))
@@ -227,26 +235,32 @@ def _cavity_products(kind: str, values: dict) -> list:
 
 def _decoupling_products(values: dict, table) -> list:
     """The numbers a decoupling scenario forms from its keys: the total power
-    1/tau_co^2 of an analytic model, and each grid step dt = product/cutoff
-    and dt*band, all nonzero too.  A ``table`` spectrum brings its own
-    cutoff and band."""
-    from .noise import LORENTZIAN_BAND_FACTOR
-
+    P = 1/tau_co^2 of an analytic model, and at each grid point dt =
+    product/cutoff, dt*band and the squares, which the variances' covariance
+    forms, of P T^2 (T = 2 n_cycles dt), which bounds every phase variance,
+    and of a slow echo's P T^2 min(1, dt*band)^2, all nonzero too.  A
+    ``table`` spectrum brings its own cutoff, band and power."""
     if table is not None:
-        cutoff, band, keys, products = table.cutoff, table.band(), ("noise.table_path",), []
+        cutoff, band, power = table.cutoff, table.band(), table.total_power
+        keys, products = ("noise.table_path",), []
     else:
         tau_co = values["noise.tau_co_ms"] * 1e-3
         square = tau_co * tau_co
-        products = [("1/tau_co^2", ("noise.tau_co_ms",),
-                     1.0 / square if square else math.inf, False)]
+        power = 1.0 / square if square else math.inf
+        products = [("1/tau_co^2", ("noise.tau_co_ms",), power, False)]
         cutoff = 2.0 * math.pi * values["noise.cutoff_hz"]
         band = cutoff * (LORENTZIAN_BAND_FACTOR if values["noise.model"] == "lorentzian"
                          else 1.0)
         keys = ("noise.cutoff_hz",)
     keys = ("echo.dt_cutoff_product",) + keys
+    scale_keys = keys + ("echo.n_cycles",) + (() if table is not None else ("noise.tau_co_ms",))
     for product in values["echo.dt_cutoff_product"]:
         dt = product / cutoff
+        phase = math.sqrt(power) * 2 * values["echo.n_cycles"] * dt  # sqrt(P) T
+        free, slow = phase * phase, min(1.0, dt * band)
         products += [("dt", keys, dt, False), ("dt*band", keys, dt * band, False)]
+        products += [(f"({name})^2", scale_keys, x * x, False) for name, x in (
+            ("P*T^2", free), ("P*T^2*min(1, dt*band)^2", free * slow * slow))]
     return products
 
 
@@ -365,8 +379,6 @@ class ScenarioConfig:
         return self.get("echo", "dt_cutoff_product"), self.get("echo", "n_cycles")
 
     def noise_spectrum(self):
-        from .noise import NoiseSpectrum
-
         model = self.get("noise", "model")
         if model == TABLE_MODEL:
             return NoiseSpectrum.from_table_file(self.get("noise", "table_path"))

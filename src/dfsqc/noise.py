@@ -1,40 +1,30 @@
-"""Stochastic dephasing, the swap-echo Monte Carlo, and transport noise.
+"""Stochastic dephasing: one synthesis, one filter fold, the Monte Carlo.
 
-The dephasing rate eps(t) is a real stationary Gaussian process with a
-two-sided power spectral density S(w) normalized so that
+The dephasing rate eps(t) is a real stationary Gaussian process, <eps(t)
+eps(t + tau)> = int S(w) e^{i w tau} dw with int S dw = total_power, made
+as eps(t) = sum_k A_k cos(w_k t + theta_k) (Shinozuka & Deodatis 1991)
+from one :class:`Synthesis` record per spectrum: the midpoints w_k of
+MC_COMPONENTS cells and A_k = 2 sqrt(S(w_k) dw), folding the two sides.
 
-    <eps(t) eps(t + tau)> = int S(w) e^{i w tau} dw,   int S dw = total_power.
+A filter is its switching times alone (Cywinski et al. 2008): the phase
+int y(t) eps(t) dt, y = +1, -1, +1, ... between them.  The swap echo
+[dt, U_x, dt, U_x] x n is dt (0, 1, ..., 2n); free evolution is (0, T).
+One fold, :func:`phase_columns`, turns each filter into a column (c_k, s_k),
+phase = sum_k (c_k cos theta_k - s_k sin theta_k), and every statistic
+reads the columns: the exact variances sum_k (c_k^2 + s_k^2)/2, the Monte
+Carlo and the exact covariance of its sample variances.  The exact
+variances approach the integrals int S |Y|^2 dw as dw shrinks.
 
-Spectral synthesis draws eps(t) = sum_k A_k cos(w_k t + theta_k) on a
-midpoint grid of MC_COMPONENTS frequencies with A_k = 2 sqrt(S(w_k) dw)
-(folding the two sides), so the sample variance reproduces total_power
-exactly and segment integrals of eps have closed forms.  The grid spans
-[0, band] for the modeled spectra and a table's own rows otherwise.  The
-Monte Carlo writes each segment integral by the midpoint identity and
-folds the signed sum over segments into coefficient columns c_k, s_k (echo
-and free phase), so a realization costs one table lookup per component,
-whatever the number of echo cycles: theta_k is drawn uniformly from the
-4096th roots of unity, once per realization for all sequences of a
-scenario.  That is exact for every statistic reported, not an
-approximation of continuous phases: the mean of e^{i m theta} over the
-4096 roots vanishes for 0 < |m| < 4096, so every moment of order below
-4096 in cos(theta_k) and sin(theta_k), the variances (order 2) and their
-covariances (order 4) among them, equals its value under uniform
-continuous phases.
+The Monte Carlo draws each theta_k from the 4096th roots of unity, exact
+for every statistic reported: the mean of e^{i m theta} over the roots
+vanishes for 0 < |m| < 4096, so every moment below order 4096 in cos and
+sin, the variances (order 2) and covariances (order 4) among them, is that
+of uniform continuous phases.
 
-The analytic echo and free variances are the exact moments of the
-synthesis, sum_k (c_k^2 + s_k^2)/2 for uniform independent theta_k, so the
-Monte Carlo differs from them by sampling error alone, whose covariance
-:func:`variance_covariance` gives exactly.  They approach the
-continuous filter integrals int S |Y|^2 dw (swap echo [dt, U_x, dt, U_x]:
-|Y_1(w)|^2 = 16 sin^4(w dt/2)/w^2; free: 4 sin^2(w T/2)/w^2) as the
-component spacing shrinks.
-
-Transport noise: moving the atom pair with separation time tau_T filters
-the spectrum through sin^2(w tau_T/2) and smears it with a Gaussian kernel
-of width 4/tau_T (motion through the spatially correlated field); a frozen
-:class:`TransportNoise` computes that power once, on the same grid, and
-:func:`suppression_factor` refers it to one atom.
+Transport noise: a shuttle of separation time tau_T filters the spectrum
+through sin^2(w tau_T/2).  A Gaussian kernel of width 4/tau_T (motion
+through the spatially correlated field) integrates out of the total power
+exactly and changes no number.
 """
 
 from __future__ import annotations
@@ -89,11 +79,8 @@ class NoiseSpectrum:
         if self.model != "table" and self.total_power > 0:
             tau_co = 1.0 / math.sqrt(self.total_power)
             if self.cutoff * tau_co > 1.0:
-                warnings.warn(
-                    f"cutoff * tau_co = {self.cutoff * tau_co:.2f} > 1: spectrum "
-                    "is not slow compared to the coherence time",
-                    stacklevel=2,
-                )
+                warnings.warn(f"cutoff * tau_co = {self.cutoff * tau_co:.2f} > 1: spectrum is "
+                              "not slow compared to the coherence time", stacklevel=2)
 
     @classmethod
     def band_limited_white(cls, total_power=None, tau_co=None, cutoff=TWO_PI * 100.0):
@@ -171,13 +158,9 @@ def _power_from(total_power, tau_co):
 class TransportNoise:
     """Dephasing accrued while shuttling atoms; each transport lasts tau_T.
 
-    ``power`` is the total power of the transport-filtered spectrum,
-    int S_tT(w) dw, computed once when the model is built.  S_tT(w) =
-    int S(w - v) sin^2((w - v) tau_T/2) K(v) dv with K a normalized
-    Gaussian of standard deviation 4/tau_T.  Integrating over all
-    frequencies collapses the kernel exactly, leaving
-    int S(u) sin^2(u tau_T/2) du, which on the synthesis grid is
-    sum_k A_k^2 sin^2(w_k tau_T/2)/2.
+    ``power`` is the transport-filtered power int S(u) sin^2(u tau_T/2) du,
+    sum_k A_k^2 sin^2(w_k tau_T/2)/2 on the synthesis record, computed once
+    when the model is built.
     """
 
     tau_T: float
@@ -187,7 +170,7 @@ class TransportNoise:
     def __post_init__(self):
         if self.tau_T <= 0:
             raise NoiseModelError("separation time must be positive")
-        freqs, amps = _component_grid(self.base, MC_COMPONENTS)
+        freqs, amps = synthesize(self.base)
         power = 0.5 * float(np.sum((amps * np.sin(freqs * self.tau_T / 2.0)) ** 2))
         object.__setattr__(self, "power", power)
 
@@ -206,60 +189,77 @@ class EchoSequence:
             raise NoiseModelError("n_cycles must be >= 1")
 
     @property
-    def total_time(self) -> float:
-        return 2.0 * self.dt * self.n_cycles
+    def edges(self) -> np.ndarray:
+        """Switching times dt (0, 1, ..., 2 n_cycles): the swap echo as a filter."""
+        return self.dt * np.arange(2 * self.n_cycles + 1)
 
 
-# ---------------------------------------------------------------------------
-# synthesis
-# ---------------------------------------------------------------------------
+class Synthesis(NamedTuple):
+    """A spectrum's MC_COMPONENTS midpoint frequencies w_k and cosine
+    amplitudes A_k = 2 sqrt(S(w_k) dw), both read-only."""
 
-def _component_grid(spectrum: NoiseSpectrum, n_components: int):
-    """Midpoint frequencies w_k and cosine amplitudes A_k = 2 sqrt(S(w_k) dw).
+    freqs: np.ndarray
+    amps: np.ndarray
 
-    The cells span [0, band], or a table's first to last row, so that no
-    cell straddles the step from zero at a table's first row.
-    """
+
+def synthesize(spectrum: NoiseSpectrum) -> Synthesis:
+    """The synthesis record of ``spectrum``.  The cells span [0, band], or a
+    table's first to last row, so that no cell straddles the step from zero
+    at a table's first row."""
     lo = 0.0 if spectrum.table is None else spectrum.table[0][0]
-    dw = (spectrum.band() - lo) / n_components
-    freqs = lo + (np.arange(n_components) + 0.5) * dw
-    amps = 2.0 * np.sqrt(spectrum.psd(freqs) * dw)
-    return freqs, amps
+    dw = (spectrum.band() - lo) / MC_COMPONENTS
+    freqs = lo + (np.arange(MC_COMPONENTS) + 0.5) * dw
+    record = Synthesis(freqs, 2.0 * np.sqrt(spectrum.psd(freqs) * dw))
+    for array in record:
+        array.flags.writeable = False
+    return record
 
 
-def _phase_coefficients(seq: EchoSequence, spectrum: NoiseSpectrum):
-    """Columns (c, s), echo then free: a phase is sum_k (c_k cos th_k - s_k sin th_k).
+def phase_columns(synth: Synthesis, filters) -> tuple[np.ndarray, np.ndarray]:
+    """Columns (c, s), one per filter, of the phases int y(t) eps(t) dt =
+    sum_k (c_k cos th_k - s_k sin th_k).
 
-    A segment integral of A cos(w t + th) is 2 A sin(w (t1 - t0)/2)
-    cos(w (t0 + t1)/2 + th)/w, so no cancelling difference of sines is formed.
+    A filter is its switching times t_0 < t_1 < ...: y is +1 on the first
+    segment and changes sign at each later time.  In complex form a segment
+    adds a e^{ip}, a = 2 A sin(w_k (t1 - t0)/2)/w_k at p = w_k (t0 + t1)/2
+    (the midpoint identity), and a (+, -) pair (a0 - a1) e^{ip0} -
+    2i a1 sin(g) e^{i(p0 + g)} with g = (p1 - p0)/2, so a balanced pair, an
+    echo cycle, cancels nothing.  A lone last segment pairs with an empty one.
     """
-    freqs, amps = _component_grid(spectrum, MC_COMPONENTS)
-    centers = np.multiply.outer(freqs, (2 * np.arange(seq.n_cycles) + 1) * seq.dt)
-    echo_amp = 4.0 * amps * np.sin(freqs * seq.dt / 2.0) ** 2 / freqs
-    half_t = freqs * seq.total_time / 2.0
-    free_amp = 2.0 * amps * np.sin(half_t) / freqs
-    c = np.column_stack([echo_amp * np.sin(centers).sum(axis=1),
-                         free_amp * np.cos(half_t)])
-    s = np.column_stack([-echo_amp * np.cos(centers).sum(axis=1),
-                         free_amp * np.sin(half_t)])
-    return c, s
+    freqs, amps = synth
+    cols = []
+    for edges in filters:
+        t = np.asarray(edges, dtype=float)
+        t = np.append(t, t[-1]) if len(t) % 2 == 0 else t
+        half = np.diff(t) / 2.0
+        w0, w1 = (2.0 * amps[:, None] * np.sin(np.multiply.outer(freqs, h)) / freqs[:, None]
+                  for h in (half[0::2], half[1::2]))
+        p0 = np.multiply.outer(freqs, (t[:-1:2] + t[1::2]) / 2.0)
+        g = np.multiply.outer(freqs, (half[0::2] + half[1::2]) / 2.0)
+        lead, skew = 2.0 * w1 * np.sin(g), w0 - w1
+        cols.append(((skew * np.cos(p0) + lead * np.sin(p0 + g)).sum(axis=1),
+                     (skew * np.sin(p0) - lead * np.cos(p0 + g)).sum(axis=1)))
+    return tuple(np.column_stack(col) for col in zip(*cols))
+
+
+def phase_variances(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Exact variance sum_k (c_k^2 + s_k^2)/2 of each column's phase, summed
+    column by column so that no column's bits depend on another's."""
+    return 0.5 * np.array([np.sum(col) for col in (c**2 + s**2).T])
 
 
 def echo_variance_analytic(seq: EchoSequence, spectrum: NoiseSpectrum) -> float:
-    """Exact variance sum_k (c_k^2 + s_k^2)/2 of the synthesized echo phase."""
-    c, s = _phase_coefficients(seq, spectrum)
-    return 0.5 * float(np.sum(c[:, 0] ** 2 + s[:, 0] ** 2))
+    """Exact variance of the synthesized echo phase."""
+    return float(phase_variances(*phase_columns(synthesize(spectrum), [seq.edges]))[0])
 
 
 def free_variance_analytic(total_time: float, spectrum: NoiseSpectrum) -> float:
     """Exact variance of the synthesized phase accumulated freely over total_time."""
-    # the free column depends on the record length alone
-    c, s = _phase_coefficients(EchoSequence(total_time / 2.0), spectrum)
-    return 0.5 * float(np.sum(c[:, 1] ** 2 + s[:, 1] ** 2))
+    return float(phase_variances(*phase_columns(synthesize(spectrum), [(0, total_time)]))[0])
 
 
 class DephasingStats(NamedTuple):
-    """Sample variances ``var[i] = (echo, free)`` of sequence i and the exact
+    """Sample variances ``var[i] = (echo, free)`` of point i and the exact
     covariance ``cov`` of their entries in ``var.ravel()`` order."""
 
     var: np.ndarray
@@ -271,30 +271,23 @@ class DephasingStats(NamedTuple):
         return np.sqrt(np.diag(self.cov)).reshape(self.var.shape)
 
 
-def monte_carlo_dephasing(seqs: list[EchoSequence], spectrum: NoiseSpectrum,
-                          n_realizations: int, rng) -> DephasingStats:
-    """Echo and free phase variances of every sequence in ``seqs``, sampled
-    over one set of noise realizations.
-
-    The sequences' columns (:func:`_phase_coefficients`) stand side by
-    side, so a block of realizations costs one draw and one real product,
-    (cos th_k, sin th_k) pairs times the interleaved columns (c, -s), for
-    all 2P phases.  Each th_k is a 4096th root of unity, drawn as 12 raw
-    bits (:func:`_root_indices`) and read from a table.  Realizations come
-    MC_CHUNK at a time, in buffers allocated once per call: a new 256 KB
-    temporary per block would be served by glibc with mmap, or trimmed after
-    it is freed, and page-fault in again on every block.
+def monte_carlo_dephasing(c: np.ndarray, s: np.ndarray, n_realizations: int,
+                          rng) -> DephasingStats:
+    """Sample variances of the phases of the columns ``(c, s)``, paired
+    (echo, free), over one set of realizations: a block of realizations is
+    one draw and one product of (cos th_k, sin th_k) pairs with the
+    interleaved columns (c, -s).  Each th_k is a 4096th root of unity, 12 raw
+    bits (:func:`_root_indices`).  Blocks of MC_CHUNK reuse buffers allocated
+    once per call: a new 256 KB temporary per block would be served by glibc
+    with mmap, or trimmed after it is freed, and page-fault on every block.
     """
     if n_realizations < 100:
         raise NoiseModelError("need at least 100 realizations")
     gen = as_generator(rng)
-    c, s = (np.hstack(cols) for cols in zip(*(_phase_coefficients(q, spectrum)
-                                              for q in seqs)))
     cols = np.stack([c, -s], axis=1).reshape(2 * MC_COMPONENTS, c.shape[1])
     index = np.empty((MC_CHUNK, MC_COMPONENTS), dtype=np.uint16)
     roots = np.empty((MC_CHUNK, MC_COMPONENTS), dtype=complex)
-
-    phase = np.empty((c.shape[1], n_realizations))  # rows: echo, free of each sequence
+    phase = np.empty((c.shape[1], n_realizations))  # one row per column
     done = 0
     while done < n_realizations:
         m = min(MC_CHUNK, n_realizations - done)
@@ -333,10 +326,6 @@ def _root_indices(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     lanes = raw.astype("<u8", copy=False).view("<u2").reshape(out.shape)
     return np.bitwise_and(lanes, 2**ROOT_BITS - 1, out=out)
 
-
-# ---------------------------------------------------------------------------
-# transport noise
-# ---------------------------------------------------------------------------
 
 def suppression_factor(tn: TransportNoise) -> float:
     """Transported-to-stored dephasing power ratio, referred to one atom.

@@ -45,15 +45,8 @@ import numpy as np
 from . import __version__
 from .config import OPS, ScenarioConfig, rate_to_internal, rate_to_mhz
 from .cavity import CavityParams, cz_gate_fidelity, photon_loss
-from .noise import (
-    EchoSequence,
-    NoiseSpectrum,
-    TransportNoise,
-    echo_variance_analytic,
-    free_variance_analytic,
-    monte_carlo_dephasing,
-    suppression_factor,
-)
+from .noise import (EchoSequence, NoiseSpectrum, TransportNoise, monte_carlo_dephasing,
+                    phase_columns, phase_variances, suppression_factor, synthesize)
 from .register import fidelity, on_support, random_state, reduced_state, trace_distance
 from .logical import BELL_LABELS, H2, bell_ket, encode_two, pair_ket
 from .protocols import (ProtocolRun, correct_cnot_byproducts, full_bsm, full_bsm_branches,
@@ -174,10 +167,11 @@ def run_decoupling(cfg: ScenarioConfig) -> ScenarioResult:
     n_real = cfg.get("realizations")
     products, n_cycles = cfg.echo()
     dts = [p / spectrum.cutoff for p in products]
-    seqs = [EchoSequence(dt, n_cycles) for dt in dts]
-    stats = monte_carlo_dephasing(seqs, spectrum, n_real, cfg.seed)
-    exact = np.array([(echo_variance_analytic(seq, spectrum),
-                       free_variance_analytic(seq.total_time, spectrum)) for seq in seqs])
+    # each point's echo, then its free phase over the echo's first to last time
+    edges = [EchoSequence(dt, n_cycles).edges for dt in dts]
+    c, s = phase_columns(synthesize(spectrum), [f for e in edges for f in (e, e[[0, -1]])])
+    stats = monte_carlo_dephasing(c, s, n_real, cfg.seed)
+    exact = phase_variances(c, s).reshape(-1, 2)
     (ve, vf), (se_e, se_f), (ve_an, vf_an) = stats.var.T, stats.stderr.T, exact.T
     rows = np.column_stack([dts, ve, se_e, ve_an, vf, se_f, vf_an, ve_an / vf_an]).tolist()
 
@@ -186,10 +180,12 @@ def run_decoupling(cfg: ScenarioConfig) -> ScenarioResult:
     slope = float(np.polyfit(log_dt, np.log(ve_an / vf_an), 1)[0])
     mc_slope = float(np.polyfit(log_dt, np.log(ve / vf), 1)[0])
     # the fit is the linear form lin @ log(ve/vf); the points share draws, so
-    # its error takes their exact covariance through the gradient at the exact moments
+    # its error takes their exact covariance through the gradient at the exact
+    # moments; nan where that form rounds to <= 0 (points' columns near parallel)
     lin = (log_dt - log_dt.mean()) / np.sum((log_dt - log_dt.mean()) ** 2)
     grad = np.column_stack([lin / ve_an, -lin / vf_an]).ravel()
-    pull = abs(mc_slope - slope) / math.sqrt(grad @ stats.cov @ grad)
+    spread = grad @ stats.cov @ grad
+    pull = abs(mc_slope - slope) / math.sqrt(spread) if spread > 0 else math.nan
     # quadratic suppression needs noise slow on the cycle time
     dt_band = max(dts) * spectrum.band()
     applies = dt_band <= 1.0

@@ -27,7 +27,9 @@ from dfsqc.noise import (
     echo_variance_analytic,
     free_variance_analytic,
     monte_carlo_dephasing,
+    phase_columns,
     suppression_factor,
+    synthesize,
 )
 from dfsqc.config import ScenarioConfig
 from dfsqc.protocols import (
@@ -90,14 +92,15 @@ def test_criterion_3_photon_loss_scaling():
 def test_criterion_4_decoupling_validation():
     spectrum = NoiseSpectrum.band_limited_white(tau_co=1e-3)
     seq = EchoSequence(0.1 / spectrum.cutoff)
-    stats = monte_carlo_dephasing([seq], spectrum, 10_000, 20260809)
+    cols = phase_columns(synthesize(spectrum), [seq.edges, (0.0, seq.edges[-1])])
+    stats = monte_carlo_dephasing(*cols, 10_000, 20260809)
     analytic = echo_variance_analytic(seq, spectrum)
     pull = abs(stats.var[0, 0] - analytic) / stats.stderr[0, 0]
     assert pull <= 5.0, f"MC vs analytic pull {pull:.2f} SE"
 
     prods = np.array([0.01, 0.02, 0.05, 0.1])
     seqs = [EchoSequence(p / spectrum.cutoff) for p in prods]
-    ratios = [echo_variance_analytic(q, spectrum) / free_variance_analytic(q.total_time, spectrum)
+    ratios = [echo_variance_analytic(q, spectrum) / free_variance_analytic(q.edges[-1], spectrum)
               for q in seqs]
     slope = float(np.polyfit(np.log(prods), np.log(ratios), 1)[0])
     assert abs(slope - 2.0) <= 0.1, f"slope {slope}"

@@ -40,13 +40,21 @@ class TestCheckRecord:
 
 def nan_on_call(monkeypatch, name, k):
     """Call ``k`` (from 0) of ``dfsqc.scenarios.<name>`` returns its result
-    times NaN; ``k = None`` leaves every call alone."""
+    times NaN, or for ``k = (call, i)`` that call's array with NaN at entry
+    i; ``k = None`` leaves every call alone."""
     real = getattr(scenarios, name)
     calls = itertools.count()
+    call, entry = k if isinstance(k, tuple) else (k, None)
 
     def patched(*args, **kwargs):
         out = real(*args, **kwargs)
-        return out * math.nan if next(calls) == k else out
+        if next(calls) != call:
+            return out
+        if entry is None:
+            return out * math.nan
+        out = out.copy()
+        out[entry] = math.nan
+        return out
 
     monkeypatch.setattr(scenarios, name, patched)
 
@@ -61,7 +69,8 @@ NAN_CASES = [
     ("fidelity_stability", G_SWEEP, "cz_gate_fidelity", (0, 1, 2)),
     # photon_loss: three rows, then the nine points of the eta scan
     ("eta_scaling", G_SWEEP, "photon_loss", (3, 7, 11)),
-    ("mc_matches_analytic", DECOUPLING, "echo_variance_analytic", (0, 1, 2)),
+    # one call for the scenario: entry 2i is point i's echo variance
+    ("mc_matches_analytic", DECOUPLING, "phase_variances", ((0, 0), (0, 2), (0, 4))),
     ("transport_suppression", "kind: transport-noise\n", "suppression_factor", (0, 2, 4)),
     ("cnot_fidelity", TELEPORT, "fidelity", (0, 1, 2)),
     ("branch_independence", TELEPORT, "trace_distance", (0, 1, 2)),

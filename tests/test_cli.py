@@ -19,9 +19,11 @@ import dfsqc
 from dfsqc.cavity import CavityParams
 from dfsqc.cli import main
 from dfsqc.config import (
+    MAX_BYTES,
     ROWS,
     SCHEMA,
     SEED,
+    TABLE_MODEL,
     Bound,
     ConfigError,
     ScenarioConfig,
@@ -147,6 +149,29 @@ def bound_cases():
         for name, rule in {**rows, "seed": SEED}.items():
             if isinstance(rule, Bound) and rule.op in (">", ">="):
                 yield pytest.param(kind, name, rule, id=f"{kind}-{name}")
+
+
+# each float key of the decoupling kind at both ends of the float range and between
+SWEEP = (5e-324, 1e-300, 1e-150, 1e-30, 1e30, 1e150, 1e300, 1.7e308)
+
+
+def decoupling_sweep():
+    """A decoupling config per analytic noise model, float or list key of
+    ``ROWS["decoupling"]`` and ``SWEEP`` value, with 200 realizations and
+    every other key at its default; a list gets the value and its double,
+    or 1.0 where the double overflows."""
+    rows = ROWS["decoupling"]
+    for model in (m for m in rows["noise.model"] if m != TABLE_MODEL):
+        for name, rule in rows.items():
+            if not isinstance(default_of(rule), (float, list)):
+                continue
+            key, _, sub = name.partition(".")
+            for v in SWEEP:
+                value = [v, 2 * v if 2 * v < math.inf else 1.0] if sub == "dt_cutoff_product" \
+                    else v
+                data = {"kind": "decoupling", "realizations": 200, "noise": {"model": model}}
+                data.setdefault(key, {})[sub] = value
+                yield pytest.param(data, id=f"{model}-{name}-{v:g}")
 
 
 def config_setting(kind, name, rule, value):
@@ -439,12 +464,12 @@ class TestDecouplingChecks:
 
     def test_mc_slope_fails_when_the_monte_carlo_scales_wrongly(self, monkeypatch):
         real = dfsqc.scenarios.monte_carlo_dephasing
-
-        def steeper(seqs, *args):
-            stats = real(seqs, *args)
-            return stats._replace(var=stats.var * [[q.dt * 1e4, 1.0] for q in seqs])
-
         products = [0.01, 0.02, 0.05, 0.1]
+
+        def steeper(*args):
+            stats = real(*args)
+            return stats._replace(var=stats.var * [[p, 1.0] for p in products])
+
         assert decoupling_checks("lorentzian", products, 2000)["mc_suppression_slope"].passed
         monkeypatch.setattr(dfsqc.scenarios, "monte_carlo_dephasing", steeper)
         assert not decoupling_checks("lorentzian", products, 2000)["mc_suppression_slope"].passed
@@ -454,13 +479,30 @@ class TestDecouplingChecks:
         real = dfsqc.scenarios.monte_carlo_dephasing
         calls = []
 
-        def counting(seqs, *args):
-            calls.append(len(seqs))
-            return real(seqs, *args)
+        def counting(c, *args):
+            calls.append(c.shape[1])
+            return real(c, *args)
 
         monkeypatch.setattr(dfsqc.scenarios, "monte_carlo_dephasing", counting)
         decoupling_checks("band-limited-white", [0.01, 0.02, 0.05, 0.1])
-        assert calls == [4]
+        assert calls == [8]  # one echo and one free column per point
+
+    def test_one_record_and_one_column_stack_per_scenario(self, tmp_path, monkeypatch):
+        # the Monte Carlo, the exact variances and their covariance read one
+        # stack, folded from one synthesis record
+        calls = {"synthesize": 0, "phase_columns": 0}
+        for name in calls:
+            real = getattr(dfsqc.noise, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            for module in (dfsqc.noise, dfsqc.scenarios):
+                monkeypatch.setattr(module, name, counting)
+        path = str(ROOT / "configs" / "decoupling.yaml")
+        assert main(["simulate", path, "--check", "--out", str(tmp_path)]) == 0
+        assert calls == {"synthesize": 1, "phase_columns": 1}
 
     @pytest.mark.parametrize("model, products, n_cycles", [
         ("band-limited-white", [0.01, 0.1], 1),
@@ -597,6 +639,43 @@ class TestCliEntry:
         assert f"invalid config: {name} from " in err and "must be finite and nonzero" in err
         assert all(f"'{key}'" in err for key in keys)
         assert not Path(out).exists()
+
+    @pytest.mark.filterwarnings("ignore:cutoff \\* tau_co:UserWarning")
+    @pytest.mark.parametrize("data", list(decoupling_sweep()))
+    def test_decoupling_sweep_exits_0_2_or_4_with_finite_cells(self, tmp_path, data):
+        # a key may pass its bound while the variances or their covariance
+        # overflow or vanish: that used to write nan cells (exit 4) or divide
+        # by zero (exit 3)
+        out = tmp_path / "out"
+        path = self.write(tmp_path, yaml.safe_dump(data))
+        code = main(["simulate", path, "--check", "--out", str(out)])
+        assert code in (0, 2, 4)
+        if code == 2:
+            assert not out.exists()
+            return
+        lines = (out / "decoupling.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    @pytest.mark.parametrize("data", [
+        {"realizations": 1e12}, {"echo": {"n_cycles": 1e12}},
+        {"echo": {"dt_cutoff_product": np.geomspace(0.01, 0.1, 20000).tolist()}}],
+        ids=["realizations", "n-cycles", "grid-length"])
+    def test_decoupling_counts_over_the_budget_are_invalid(self, data):
+        # checked through from_dict only: such a config is never run
+        with pytest.raises(ConfigError, match=f"bytes of arrays, over {MAX_BYTES}"):
+            ScenarioConfig.from_dict({"kind": "decoupling", **data})
+
+    def test_decoupling_budget_is_the_arrays_a_run_holds(self):
+        # five points, P = 5, and three cycles: float64 2P x n phases, four
+        # 2P x 2P covariance terms, eight 512 x 2P columns and four
+        # 512 x 2 n_cycles fold arrays; the most realizations that fit pass
+        fixed = 4 * 10 * 10 + 8 * 512 * 10 + 4 * 512 * 2 * 3
+        most = (MAX_BYTES // 8 - fixed) // 10
+        data = {"kind": "decoupling", "echo": {"n_cycles": 3}}
+        assert ScenarioConfig.from_dict({**data, "realizations": most}).get("realizations") == most
+        with pytest.raises(ConfigError, match="over"):
+            ScenarioConfig.from_dict({**data, "realizations": most + 1})
 
     @pytest.mark.parametrize("text, key", [
         ("kind: fidelity-sweep\npulse: {alpha: 1.0e+155}\n", "pulse.alpha"),

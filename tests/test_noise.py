@@ -21,20 +21,16 @@ from dfsqc.noise import (
     echo_variance_analytic,
     free_variance_analytic,
     monte_carlo_dephasing,
+    phase_columns,
+    phase_variances,
     suppression_factor,
+    synthesize,
     transport_phase_std,
     variance_covariance,
 )
 from dfsqc import noise
 from dfsqc.cli import main
-from dfsqc.noise import (
-    MC_COMPONENTS,
-    ROOT_BITS,
-    _ROOTS,
-    _component_grid,
-    _phase_coefficients,
-    _root_indices,
-)
+from dfsqc.noise import MC_COMPONENTS, ROOT_BITS, _ROOTS, _root_indices
 from dfsqc.scenarios import narrow_line_spectrum
 
 Q = LogicalQubit(0, 1)
@@ -43,6 +39,54 @@ Q = LogicalQubit(0, 1)
 def default_spectrum():
     """Band-limited white, tau_co = 1 ms, cutoff 2*pi*100 Hz."""
     return NoiseSpectrum.band_limited_white(tau_co=1e-3)
+
+
+LORENTZIAN = NoiseSpectrum.lorentzian(tau_co=1e-3, cutoff=100.0)
+
+
+def echo_and_free(seqs):
+    """Each sequence's echo, then its free phase over the echo's span."""
+    return [f for q in seqs for f in (q.edges, (0.0, q.edges[-1]))]
+
+
+def columns(seqs, spectrum):
+    return phase_columns(synthesize(spectrum), echo_and_free(seqs))
+
+
+def dephasing(seqs, spectrum, n_realizations, rng):
+    """monte_carlo_dephasing of the sequences' echo and free columns."""
+    return monte_carlo_dephasing(*columns(seqs, spectrum), n_realizations, rng)
+
+
+def reference_grid(spectrum, n_components=MC_COMPONENTS):
+    """Midpoints w_k and amplitudes 2 sqrt(S(w_k) dw) in longdouble, on cells
+    spanning [0, band], or a table's first to last row."""
+    ld = np.longdouble
+    lo = ld(0) if spectrum.table is None else ld(spectrum.table[0][0])
+    dw = (ld(spectrum.band()) - lo) / n_components
+    freqs = lo + (np.arange(n_components, dtype=ld) + ld(0.5)) * dw
+    return freqs, 2 * np.sqrt(spectrum.psd(freqs).astype(ld) * dw)
+
+
+def swap_echo_closed_form(seq, spectrum):
+    """The swap echo's column as a comb: 4 A sin^2(w dt/2)/w times
+    (sin, -cos) of w at each cycle's centre (2i + 1) dt, summed."""
+    freqs, amps = synthesize(spectrum)
+    centers = np.multiply.outer(freqs, (2 * np.arange(seq.n_cycles) + 1) * seq.dt)
+    amp = 4.0 * amps * np.sin(freqs * seq.dt / 2.0) ** 2 / freqs
+    return amp * np.sin(centers).sum(axis=1), -amp * np.cos(centers).sum(axis=1)
+
+
+def segment_sums(edges, spectrum):
+    """A filter's column from the antiderivative at its switching times, in
+    longdouble: each segment adds +-(sin(w t1 + th) - sin(w t0 + th))/w."""
+    freqs, amps = reference_grid(spectrum)
+    t = np.asarray(edges, dtype=np.longdouble)
+    signs = (-1.0) ** np.arange(len(t) - 1)
+    ends = np.multiply.outer(freqs, t)
+    c = ((np.sin(ends[:, 1:]) - np.sin(ends[:, :-1])) * signs).sum(axis=1)
+    s = ((np.cos(ends[:, 1:]) - np.cos(ends[:, :-1])) * -signs).sum(axis=1)
+    return amps * c / freqs, amps * s / freqs
 
 
 def filter_function_dfs(omega, dt):
@@ -180,35 +224,95 @@ class TestSynthesis:
         # each cosine carries the power of its band slice: A_k^2/2 = 2 S(w_k) dw
         for s in (default_spectrum(),
                   NoiseSpectrum.lorentzian(total_power=2e5, cutoff=100.0)):
-            freqs, amps = _component_grid(s, 512)
+            freqs, amps = synthesize(s)
             dw = s.band() / 512
             np.testing.assert_allclose(freqs, (np.arange(512) + 0.5) * dw, rtol=1e-15)
             np.testing.assert_allclose(amps**2 / 2, 2 * s.psd(freqs) * dw, rtol=1e-14)
+            np.testing.assert_allclose(np.stack(synthesize(s)),
+                                       np.stack(reference_grid(s)).astype(float), rtol=1e-15)
         # Parseval oracle: sum A_k^2/2 equals the quadrature of S
-        _, amps = _component_grid(default_spectrum(), 2048)
+        _, amps = synthesize(default_spectrum())
         assert float(np.sum(amps**2) / 2) == pytest.approx(
             integrated_power(default_spectrum()), rel=1e-6
         )
 
+    def test_record_is_frozen(self):
+        record = synthesize(default_spectrum())
+        with pytest.raises(AttributeError):
+            record.freqs = record.amps
+        for array in record:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_zero_power_gives_zero_trace(self):
         for s in (NoiseSpectrum.band_limited_white(total_power=0.0),
                   NoiseSpectrum.lorentzian(total_power=0.0)):
-            _, amps = _component_grid(s, 64)
-            assert np.all(amps == 0.0)
+            assert np.all(synthesize(s).amps == 0.0)
 
     def test_sample_variance_near_total_power(self):
         # free phase over T << 1/band is eps*T: its variance is total_power*T^2
         s = default_spectrum()
         seq = EchoSequence(1e-3 / s.cutoff)
-        stats = monte_carlo_dephasing([seq], s, 5000, 7)
-        assert stats.var[0, 1] / seq.total_time**2 == pytest.approx(s.total_power, rel=0.1)
+        stats = dephasing([seq], s, 5000, 7)
+        assert stats.var[0, 1] / seq.edges[-1]**2 == pytest.approx(s.total_power, rel=0.1)
 
     def test_determinism(self):
         s = default_spectrum()
         seq = EchoSequence(0.05 / s.cutoff)
-        a = monte_carlo_dephasing([seq], s, 200, 99).var
-        assert np.array_equal(monte_carlo_dephasing([seq], s, 200, 99).var, a)
-        assert not np.any(monte_carlo_dephasing([seq], s, 200, 100).var == a)
+        a = dephasing([seq], s, 200, 99).var
+        assert np.array_equal(dephasing([seq], s, 200, 99).var, a)
+        assert not np.any(dephasing([seq], s, 200, 100).var == a)
+
+
+class TestFold:
+    """One fold over switching times against closed forms and direct sums."""
+
+    # the column's distance from the comb relative to the comb's norm (the
+    # phase's std), measured: at most 1.5e-14, and 5.8e-13 at dt*cutoff = 1e-3
+    # with two or more cycles, where the float edges j*dt give a cycle two
+    # widths that differ by rounding: the fold keeps that unbalanced pair
+    ECHO_RTOL = 1e-12
+
+    @pytest.mark.parametrize("n_cycles", [1, 2, 4])
+    @pytest.mark.parametrize("product", [1e-3, 0.05, 1.0, 30.0])
+    @pytest.mark.parametrize("spectrum", [default_spectrum(), LORENTZIAN],
+                             ids=["band-limited-white", "lorentzian"])
+    def test_swap_echo_is_the_closed_form_comb(self, spectrum, product, n_cycles):
+        seq = EchoSequence(product / spectrum.cutoff, n_cycles)
+        got = np.concatenate(phase_columns(synthesize(spectrum), [seq.edges]))[:, 0]
+        want = np.concatenate(swap_echo_closed_form(seq, spectrum))
+        assert np.linalg.norm(got - want) <= self.ECHO_RTOL * np.linalg.norm(want)
+
+    def test_free_phase_is_its_closed_form(self):
+        # one segment (0, T): 2 A sin(w T/2)/w times (cos, sin) of w T/2, bit for bit
+        spectrum = LORENTZIAN
+        freqs, amps = synthesize(spectrum)
+        for total in (1e-5, 3e-3, 0.7):
+            c, s = phase_columns(synthesize(spectrum), [(0.0, total)])
+            half = freqs * total / 2.0
+            amp = 2.0 * amps * np.sin(half) / freqs
+            assert np.array_equal(c[:, 0], amp * np.cos(half))
+            assert np.array_equal(s[:, 0], amp * np.sin(half))
+
+    @pytest.mark.parametrize("edges", [
+        (0.0, 1e-3, 3e-3, 3.5e-3, 7e-3), (0.2e-3, 1.1e-3, 1.3e-3, 4e-3),
+        tuple(4e-3 * np.sin(np.pi * np.arange(7) / 12) ** 2)],
+        ids=["unequal-pairs", "odd-segments", "udd-like"])
+    def test_any_filter_is_its_segment_sums(self, edges):
+        # unequal widths, a lone last segment, a start after t = 0
+        c, s = phase_columns(synthesize(LORENTZIAN), [edges])
+        for got, want in zip((c[:, 0], s[:, 0]), segment_sums(edges, LORENTZIAN)):
+            want = want.astype(float)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_columns_stand_in_filter_order(self):
+        spectrum = default_spectrum()
+        filters = [EchoSequence(1e-4, 2).edges, (0.0, 3e-4), EchoSequence(2e-4).edges]
+        c, s = phase_columns(synthesize(spectrum), filters)
+        for j, edges in enumerate(filters):
+            alone = phase_columns(synthesize(spectrum), [edges])
+            assert np.array_equal(c[:, j], alone[0][:, 0])
+            assert np.array_equal(s[:, j], alone[1][:, 0])
 
 
 class TestFilterFunction:
@@ -237,20 +341,20 @@ class TestEchoVariance:
     def test_monte_carlo_matches_analytic(self):
         s = default_spectrum()
         seq = EchoSequence(0.1 / s.cutoff)
-        stats = monte_carlo_dephasing([seq], s, 10_000, 2024)
-        exact = (echo_variance_analytic(seq, s), free_variance_analytic(seq.total_time, s))
+        stats = dephasing([seq], s, 10_000, 2024)
+        exact = (echo_variance_analytic(seq, s), free_variance_analytic(seq.edges[-1], s))
         assert np.all(np.abs(stats.var[0] - exact) <= 5 * stats.stderr[0])
 
     def test_multi_cycle_sequence(self):
         s = default_spectrum()
         seq = EchoSequence(0.05 / s.cutoff, n_cycles=4)
-        stats = monte_carlo_dephasing([seq], s, 2000, 5)
+        stats = dephasing([seq], s, 2000, 5)
         ve = echo_variance_analytic(seq, s)
         assert abs(stats.var[0, 0] - ve) <= 5 * stats.stderr[0, 0]
 
     def test_zero_noise(self):
         s = NoiseSpectrum.band_limited_white(total_power=0.0)
-        stats = monte_carlo_dephasing([EchoSequence(1e-4)], s, 200, 1)
+        stats = dephasing([EchoSequence(1e-4)], s, 200, 1)
         assert np.all(stats.var == 0.0) and np.all(stats.stderr == 0.0)
 
     def test_doubling_power_doubles_variances(self):
@@ -258,8 +362,8 @@ class TestEchoVariance:
         s1 = NoiseSpectrum.band_limited_white(total_power=1e5, cutoff=cut)
         s2 = NoiseSpectrum.band_limited_white(total_power=2e5, cutoff=cut)
         seq = EchoSequence(1e-4)
-        a = monte_carlo_dephasing([seq], s1, 500, 77)
-        b = monte_carlo_dephasing([seq], s2, 500, 77)
+        a = dephasing([seq], s1, 500, 77)
+        b = dephasing([seq], s2, 500, 77)
         # same seed, amplitudes scale by sqrt(2): exact factor 2
         assert b.var == pytest.approx(2 * a.var, rel=1e-12)
         assert b.stderr == pytest.approx(2 * a.stderr, rel=1e-12)
@@ -268,14 +372,14 @@ class TestEchoVariance:
         s = default_spectrum()
         prods = np.array([0.01, 0.02, 0.05, 0.1])
         seqs = [EchoSequence(p / s.cutoff) for p in prods]
-        ratios = [echo_variance_analytic(q, s) / free_variance_analytic(q.total_time, s)
+        ratios = [echo_variance_analytic(q, s) / free_variance_analytic(q.edges[-1], s)
                   for q in seqs]
         slope = np.polyfit(np.log(prods), np.log(ratios), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
     def test_requires_enough_realizations(self):
         with pytest.raises(NoiseModelError):
-            monte_carlo_dephasing([EchoSequence(1e-4)], default_spectrum(), 10, 1)
+            dephasing([EchoSequence(1e-4)], default_spectrum(), 10, 1)
 
     def test_sequence_is_frozen(self):
         seq = EchoSequence(1e-4, 2)
@@ -284,7 +388,6 @@ class TestEchoVariance:
                 setattr(seq, name, value)
 
 
-LORENTZIAN = NoiseSpectrum.lorentzian(tau_co=1e-3, cutoff=100.0)
 # the table below steps from 0 to S at w = 100, its first row and so the
 # lower edge of its first cell: its synthesized moments sit 2.8e-7 (echo)
 # and 4.1e-7 (free) off the continuous integrals (measured)
@@ -304,10 +407,11 @@ class TestExactMoments:
     @pytest.mark.parametrize("product", [0.01, 0.1, 1.0])
     def test_echo_and_free_match_quad(self, spectrum, rtol, product, n_cycles):
         seq = EchoSequence(product / spectrum.cutoff, n_cycles)
+        total = seq.edges[-1]
         echo = band_quad(spectrum, lambda w: echo_filter_sq(w, seq.dt, n_cycles))
-        free = band_quad(spectrum, lambda w: free_filter_sq(w, seq.total_time))
+        free = band_quad(spectrum, lambda w: free_filter_sq(w, total))
         assert abs(echo_variance_analytic(seq, spectrum) - echo) <= rtol * echo
-        assert abs(free_variance_analytic(seq.total_time, spectrum) - free) <= rtol * free
+        assert abs(free_variance_analytic(total, spectrum) - free) <= rtol * free
 
     @pytest.mark.parametrize("product", [0.02, 0.1, 1.0, 3.0])
     def test_narrow_line_transport_power_matches_quad(self, product):
@@ -326,7 +430,7 @@ class TestExactMoments:
         # measured).  The ids say where the step would fall in a [0, band]
         # grid of 1 rad/s cells, whose step cell is off by up to 1e-3.
         spectrum = NoiseSpectrum.from_table([first, 300.0, 512.0], [1.0, 2.0, 0.5])
-        freqs, _ = _component_grid(spectrum, MC_COMPONENTS)
+        freqs, _ = synthesize(spectrum)
         dw = (512.0 - first) / MC_COMPONENTS
         assert freqs[0] == first + dw / 2 and freqs[-1] == pytest.approx(512.0 - dw / 2)
 
@@ -337,8 +441,8 @@ class TestExactMoments:
         for seq in seqs:
             pairs.append((echo_variance_analytic(seq, spectrum),
                           band_quad(spectrum, lambda w: echo_filter_sq(w, seq.dt, seq.n_cycles))))
-            pairs.append((free_variance_analytic(seq.total_time, spectrum),
-                          band_quad(spectrum, lambda w: free_filter_sq(w, seq.total_time))))
+            pairs.append((free_variance_analytic(seq.edges[-1], spectrum),
+                          band_quad(spectrum, lambda w: free_filter_sq(w, seq.edges[-1]))))
         for got, ref in pairs:
             assert abs(got - ref) <= 5e-6 * ref
 
@@ -346,21 +450,24 @@ class TestExactMoments:
         # a phase sum_k (c_k cos th_k - s_k sin th_k) in uniform independent th_k
         s = LORENTZIAN
         seq = EchoSequence(0.02 / s.cutoff, 2)
-        c, sn = (a.astype(np.longdouble) for a in _phase_coefficients(seq, s))
+        c, sn = (a.astype(np.longdouble) for a in columns([seq], s))
         echo, free = (c**2 + sn**2).sum(axis=0) / 2
         assert echo_variance_analytic(seq, s) == pytest.approx(float(echo), rel=1e-14)
-        assert free_variance_analytic(seq.total_time, s) == pytest.approx(float(free),
+        assert free_variance_analytic(seq.edges[-1], s) == pytest.approx(float(free),
                                                                           rel=1e-14)
+        assert np.array_equal(phase_variances(*columns([seq], s)),
+                              [echo_variance_analytic(seq, s),
+                               free_variance_analytic(seq.edges[-1], s)])
 
     @pytest.mark.parametrize("spectrum, n_cycles", [(default_spectrum(), 2), (LORENTZIAN, 1)],
                              ids=["band-limited-white", "lorentzian"])
     def test_monte_carlo_mean_is_the_exact_moment(self, spectrum, n_cycles):
         # sampling error only: 40 seeds' mean within 4 standard errors
         seq = EchoSequence(0.05 / spectrum.cutoff, n_cycles)
-        runs = np.array([monte_carlo_dephasing([seq], spectrum, 1000, seed).var[0]
+        runs = np.array([dephasing([seq], spectrum, 1000, seed).var[0]
                          for seed in range(40)])
         exact = (echo_variance_analytic(seq, spectrum),
-                 free_variance_analytic(seq.total_time, spectrum))
+                 free_variance_analytic(seq.edges[-1], spectrum))
         stderr = runs.std(axis=0, ddof=1) / math.sqrt(len(runs))
         assert np.all(np.abs(runs.mean(axis=0) - exact) <= 4 * stderr)
 
@@ -381,7 +488,7 @@ class TestExactMoments:
             seq = EchoSequence(row["dt"])
             assert row["var_echo_analytic"] == echo_variance_analytic(seq, spectrum)
             echo = band_quad(spectrum, lambda w: echo_filter_sq(w, seq.dt, 1))
-            free = band_quad(spectrum, lambda w: free_filter_sq(w, seq.total_time))
+            free = band_quad(spectrum, lambda w: free_filter_sq(w, seq.edges[-1]))
             assert abs(row["var_echo_analytic"] - echo) <= TABLE_RTOL * echo
             assert abs(row["var_free_analytic"] - free) <= TABLE_RTOL * free
 
@@ -406,7 +513,7 @@ def _longdouble_variances(seq, spectrum, n_realizations, seed, n_components=512)
     the sin(w t1 + th) - sin(w t0 + th) cancellation.
     """
     ld = np.longdouble
-    freqs, amps = (np.asarray(a, dtype=ld) for a in _component_grid(spectrum, n_components))
+    freqs, amps = reference_grid(spectrum, n_components)
     phases = root_indices(seed, n_realizations).astype(ld) * (2 * np.pi * ld(1) / 4096)
     echo = np.zeros(n_realizations, dtype=ld)
     free = np.zeros(n_realizations, dtype=ld)
@@ -420,10 +527,8 @@ def _longdouble_variances(seq, spectrum, n_realizations, seed, n_components=512)
     return float(np.var(echo, ddof=1)), float(np.var(free, ddof=1))
 
 
-def reference_dephasing(seqs, spectrum, n_realizations, seed):
+def reference_dephasing(c, s, n_realizations, seed):
     """monte_carlo_dephasing's block loop as expressions, a new array per operation."""
-    c, s = (np.hstack(cols) for cols in zip(*(_phase_coefficients(q, spectrum)
-                                              for q in seqs)))
     cols = np.stack([c, -s], axis=1).reshape(2 * MC_COMPONENTS, c.shape[1])
     index = root_indices(seed, n_realizations)
     phase = np.empty((c.shape[1], n_realizations))
@@ -438,7 +543,7 @@ class TestMonteCarloSums:
     def test_matches_longdouble_reference(self, n_cycles):
         s = default_spectrum()
         seq = EchoSequence(0.01 / s.cutoff, n_cycles)
-        stats = monte_carlo_dephasing([seq], s, 4000, 811)
+        stats = dephasing([seq], s, 4000, 811)
         ref = _longdouble_variances(seq, s, 4000, 811)
         assert stats.var[0] == pytest.approx(ref, rel=1e-13, abs=0)
 
@@ -447,8 +552,7 @@ class TestMonteCarloSums:
         # however many sequences share them
         s = default_spectrum()
         gen = np.random.default_rng(42)
-        monte_carlo_dephasing([EchoSequence(p / s.cutoff) for p in (0.01, 0.05, 0.1)],
-                              s, 5000, gen)
+        dephasing([EchoSequence(p / s.cutoff) for p in (0.01, 0.05, 0.1)], s, 5000, gen)
         fresh = np.random.default_rng(42)
         fresh.bit_generator.random_raw(5000 * 512 // 4)
         assert gen.bit_generator.random_raw() == fresh.bit_generator.random_raw()
@@ -457,24 +561,25 @@ class TestMonteCarloSums:
     def test_stats_are_the_reference_block_loop(self, n_realizations):
         s = LORENTZIAN
         seqs = [EchoSequence(0.03 / s.cutoff, 2), EchoSequence(0.3 / s.cutoff, 2)]
-        stats = monte_carlo_dephasing(seqs, s, n_realizations, 123)
-        assert np.array_equal(stats.var, reference_dephasing(seqs, s, n_realizations, 123))
+        stats = dephasing(seqs, s, n_realizations, 123)
+        assert np.array_equal(stats.var,
+                              reference_dephasing(*columns(seqs, s), n_realizations, 123))
 
     def test_stats_do_not_depend_on_chunk(self, monkeypatch):
         s = default_spectrum()
         seq = EchoSequence(0.05 / s.cutoff, 2)
         monkeypatch.setattr(noise, "MC_CHUNK", 64)
-        a = monte_carlo_dephasing([seq], s, 1000, 3)
+        a = dephasing([seq], s, 1000, 3)
         monkeypatch.setattr(noise, "MC_CHUNK", 100)
-        b = monte_carlo_dephasing([seq], s, 1000, 3)
+        b = dephasing([seq], s, 1000, 3)
         assert np.array_equal(b.var, a.var) and np.array_equal(b.cov, a.cov)
 
     def test_free_phase_depends_only_on_record_length(self):
         # both sequences integrate the same noise record over 4 dt
         s = default_spectrum()
         dt = 0.02 / s.cutoff
-        two = monte_carlo_dephasing([EchoSequence(dt, 2)], s, 1000, 5)
-        one = monte_carlo_dephasing([EchoSequence(2 * dt, 1)], s, 1000, 5)
+        two = dephasing([EchoSequence(dt, 2)], s, 1000, 5)
+        one = dephasing([EchoSequence(2 * dt, 1)], s, 1000, 5)
         assert two.var[0, 1] == pytest.approx(one.var[0, 1], rel=1e-13, abs=0)
 
     def test_warm_call_does_not_fault_per_block(self):
@@ -485,14 +590,16 @@ class TestMonteCarloSums:
         # the first call maps the buffers, the next ones reuse them.
         code = (
             "import resource\n"
-            "from dfsqc.noise import EchoSequence, NoiseSpectrum, monte_carlo_dephasing\n"
+            "from dfsqc.noise import (EchoSequence, NoiseSpectrum, monte_carlo_dephasing,\n"
+            "                         phase_columns, synthesize)\n"
             "s = NoiseSpectrum.band_limited_white(tau_co=1e-3)\n"
-            "seq = EchoSequence(0.05 / s.cutoff, 2)\n"
-            "monte_carlo_dephasing([seq], s, 4000, 1)\n"
+            "e = EchoSequence(0.05 / s.cutoff, 2).edges\n"
+            "c, sn = phase_columns(synthesize(s), [e, e[[0, -1]]])\n"
+            "monte_carlo_dephasing(c, sn, 4000, 1)\n"
             "faults = []\n"
             "for seed in (2, 3, 4):\n"
             "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "    monte_carlo_dephasing([seq], s, 4000, seed)\n"
+            "    monte_carlo_dephasing(c, sn, 4000, seed)\n"
             "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
             "print(min(faults))\n")
         src = str(Path(noise.__file__).resolve().parents[1])
@@ -507,11 +614,11 @@ class TestSharedPass:
     def test_each_sequence_gets_its_own_pass_statistics(self):
         s = LORENTZIAN
         seqs = [EchoSequence(p / s.cutoff, 2) for p in (0.01, 0.05, 0.2)]
-        shared = monte_carlo_dephasing(seqs, s, 1000, 8)
+        shared = dephasing(seqs, s, 1000, 8)
         assert shared.var.shape == shared.stderr.shape == (3, 2)
         assert shared.cov.shape == (6, 6)
         for i, seq in enumerate(seqs):
-            alone = monte_carlo_dephasing([seq], s, 1000, 8)
+            alone = dephasing([seq], s, 1000, 8)
             assert shared.var[i] == pytest.approx(alone.var[0], rel=1e-12)
             assert shared.cov[2 * i:2 * i + 2, 2 * i:2 * i + 2] == pytest.approx(
                 alone.cov, rel=1e-12)
@@ -520,7 +627,7 @@ class TestSharedPass:
         # the reason the slope's standard error needs the covariance
         s = default_spectrum()
         seqs = [EchoSequence(p / s.cutoff) for p in (0.01, 0.1)]
-        cov = monte_carlo_dephasing(seqs, s, 1000, 1).cov
+        cov = dephasing(seqs, s, 1000, 1).cov
         assert cov[0, 2] / math.sqrt(cov[0, 0] * cov[2, 2]) > 0.99
 
     def test_covariance_is_exact_over_the_roots(self):

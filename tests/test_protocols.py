@@ -382,13 +382,13 @@ class TestTransportScheduling:
     def test_transport_power_is_computed_once(self, monkeypatch):
         from dfsqc import noise
 
-        orig, calls = noise._component_grid, []
+        orig, calls = noise.synthesize, []
 
         def counting(*args):
             calls.append(args)
             return orig(*args)
 
-        monkeypatch.setattr(noise, "_component_grid", counting)
+        monkeypatch.setattr(noise, "synthesize", counting)
         tn = TransportNoise(100e-6, NoiseSpectrum.band_limited_white(
             tau_co=5e-3, cutoff=2 * math.pi * 30))
         assert len(calls) == 1
